@@ -14,7 +14,7 @@ import sys
 from typing import Any, Sequence
 
 from .dot import graph_dot
-from .errors import DomainError, SchemaError
+from .errors import DomainError, InternalInvariant, SchemaError
 from .graphs import components, graph_pushout_with_origins, spanning_forest
 from .jsonio import (
     dump_certificate,
@@ -234,7 +234,8 @@ def _run(args) -> tuple[Any, str, str | None]:
         dec = pbp_to_decomposition(sc)
         prefer = certificate_basepoints_for(dec, sc.a, sc.b)
         cert = detect_z_retract(dec, tie, prefer=prefer)
-        assert cert is not None, "separation failure must yield a certificate"
+        if cert is None:
+            raise InternalInvariant("separation failure must yield a certificate")
         loop = cert.loop_in_space
         u_only, v_only = _decomposition_roles(dec)
         bold = {l.edge for l in loop.letters}

@@ -19,6 +19,11 @@ class SchemaError(ValueError):
     """An input document does not match the expected JSON shape."""
 
 
+class InternalInvariant(DomainError):
+    """A result the engine just computed breaks a property its own theory
+    guarantees; this is a defect in freeloop, not in the input."""
+
+
 # -- graphs ----------------------------------------------------------------
 
 class DanglingEndpoint(DomainError):
@@ -87,6 +92,10 @@ class UnknownLetter(DomainError):
 
 
 # -- retract ---------------------------------------------------------------
+
+class EmptyObjectSet(DomainError):
+    pass
+
 
 class Disconnected(DomainError):
     pass

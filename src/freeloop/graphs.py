@@ -115,6 +115,8 @@ class DirectedGraph:
             raise UnknownEdge(e) from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, DirectedGraph):
             return NotImplemented
         return self.vertices == other.vertices and self.edge_ends == other.edge_ends
@@ -219,67 +221,70 @@ class Forest:
         )
 
     @cached_property
-    def _nav(self):
-        # Per-vertex navigation: root of tree, depth, and the step
-        # (edge, sign, parent) that moves one hop towards the root.
-        adj: dict[str, list[tuple[str, int, str]]] = {v: [] for v in self.host.vertices}
+    def _nav(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        # Per-vertex navigation, indexed like ``host.vertices``: the parent
+        # vertex, the signed edge code (sign * (edge index + 1)) of the step
+        # to the parent, the depth, and the root of the vertex's tree.
+        host = self.host
+        n = host.v_count
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         for e in self.tree_edge_ids:
-            s, t = self.host.edge_ends[e]
-            adj[s].append((e, 1, t))
-            adj[t].append((e, -1, s))
-        root: dict[str, str] = {}
-        depth: dict[str, int] = {}
-        up: dict[str, tuple[str, int, str]] = {}
-        for start in self.host.vertices:
-            if start in root:
+            i = host._eindex[e]
+            s, t = host._src_idx[i], host._tgt_idx[i]
+            adj[s].append((i + 1, t))
+            adj[t].append((-(i + 1), s))
+        parent = list(range(n))
+        up = [0] * n
+        depth = [0] * n
+        root = [-1] * n
+        for start in range(n):
+            if root[start] >= 0:
                 continue
             root[start] = start
-            depth[start] = 0
             frontier = [start]
             while frontier:
                 nxt = []
                 for u in frontier:
-                    for e, sign, w in adj[u]:
-                        if w in root:
+                    d = depth[u] + 1
+                    for code, w in adj[u]:
+                        if root[w] >= 0:
                             continue
                         root[w] = start
-                        depth[w] = depth[u] + 1
-                        up[w] = (e, -sign, u)  # traversing w -> u inverts the step
+                        depth[w] = d
+                        parent[w] = u
+                        up[w] = -code  # traversing w -> u inverts the step
                         nxt.append(w)
                 frontier = nxt
-        return root, depth, up
+        return parent, up, depth, root
 
     def tree_of(self, v: str) -> str:
         """Root vertex identifying the tree containing ``v``."""
-        root, _, _ = self._nav
-        try:
-            return root[v]
-        except KeyError:
-            raise UnknownVertex(v) from None
+        root = self._nav[3]
+        return self.host.vertices[root[self.host.vertex_index(v)]]
 
     def path_steps(self, u: str, v: str) -> list[tuple[str, int]]:
         """Signed edges of the unique tree path from ``u`` to ``v``."""
-        root, depth, up = self._nav
-        if u not in root:
-            raise UnknownVertex(u)
-        if v not in root:
-            raise UnknownVertex(v)
-        if root[u] != root[v]:
+        parent, up, depth, root = self._nav
+        i = self.host.vertex_index(u)
+        j = self.host.vertex_index(v)
+        if root[i] != root[j]:
             raise DifferentTrees(u, v)
-        ascent: list[tuple[str, int]] = []
-        descent: list[tuple[str, int]] = []
-        while depth[u] > depth[v]:
-            e, sign, u = up[u][0], up[u][1], up[u][2]
-            ascent.append((e, sign))
-        while depth[v] > depth[u]:
-            e, sign, v = up[v][0], up[v][1], up[v][2]
-            descent.append((e, -sign))
-        while u != v:
-            e, sign, u = up[u][0], up[u][1], up[u][2]
-            ascent.append((e, sign))
-            e, sign, v = up[v][0], up[v][1], up[v][2]
-            descent.append((e, -sign))
-        return ascent + descent[::-1]
+        ascent: list[int] = []
+        descent: list[int] = []
+        while depth[i] > depth[j]:
+            ascent.append(up[i])
+            i = parent[i]
+        while depth[j] > depth[i]:
+            descent.append(-up[j])
+            j = parent[j]
+        while i != j:
+            ascent.append(up[i])
+            i = parent[i]
+            descent.append(-up[j])
+            j = parent[j]
+        ascent += reversed(descent)
+        ids = self.host.edge_ids
+        return [(ids[c - 1], 1) if c > 0 else (ids[-c - 1], -1) for c in ascent]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Forest):

@@ -20,7 +20,9 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     Disconnected,
     DuplicateId,
+    EmptyObjectSet,
     HostMismatch,
+    InternalInvariant,
     NoArrowInA,
     NoArrowInB,
     NotComposable,
@@ -62,7 +64,7 @@ class PushoutInstance:
     ):
         objs = sorted({as_id(v) for v in objects})
         if not objs:
-            raise ValueError("instance needs at least one object")
+            raise EmptyObjectSet("instance needs at least one object")
         if list(graph_a.vertices) != objs:
             raise VertexSetMismatch("graph_a's vertex set is not the object set")
         if list(graph_b.vertices) != objs:
@@ -108,6 +110,8 @@ class PushoutInstance:
         return w
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PushoutInstance):
             return NotImplemented
         return (
@@ -240,6 +244,13 @@ class RetractReport:
     k: int | None
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
+    _w_edges: dict[str, dict[str, str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Side -> {side edge id: W edge id}, the inverse of ``edge_origins``.
+        self._w_edges = {"A": {}, "B": {}}
+        for w_edge, (side, edge) in self.edge_origins.items():
+            self._w_edges[side][edge] = w_edge
 
     @property
     def connected(self) -> bool:
@@ -253,10 +264,7 @@ class RetractReport:
 
     def w_edge_for(self, side: str, edge: str) -> str:
         try:
-            return self._reverse[(side, edge)]
-        except AttributeError:
-            self._reverse = {v: k for k, v in self.edge_origins.items()}
-            return self.w_edge_for(side, edge)
+            return self._w_edges[side][edge]
         except KeyError:
             raise UnknownLetter(edge, side=side) from None
 
@@ -288,7 +296,8 @@ def theorem_rank(inst: PushoutInstance) -> int:
         )
     n_a, n_b, n_c = component_counts(inst)
     k = n_c - n_a - n_b + 1
-    assert k >= 0
+    if k < 0:
+        raise InternalInvariant(f"rank formula gave k = {k} on a connected pushout")
     return k
 
 
@@ -310,11 +319,14 @@ def build_retract(
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
     n_a, n_b, n_c = component_counts(inst)
     ranks = tuple(euler_ranks(w))
-    assert w.v_count == n_c
-    assert w.e_count == len(forest_x.tree_edges) + len(forest_y.tree_edges)
+    if w.v_count != n_c:
+        raise InternalInvariant("W does not have one vertex per object")
+    if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
+        raise InternalInvariant("W does not have exactly the two forests' edges")
     if check_connected(inst):
         k = n_c - n_a - n_b + 1
-        assert len(ranks) == 1 and ranks[0][1] == k, "rank formula disagrees with W"
+        if not (len(ranks) == 1 and ranks[0][1] == k):
+            raise InternalInvariant("rank formula disagrees with W")
     else:
         k = None
     return RetractReport(
@@ -334,7 +346,8 @@ def build_retract(
 def _side_path_on_w(report: RetractReport, side: str, u: str, v: str) -> list[Letter]:
     """Tree path u -> v in the side's forest, relabelled to W edge ids."""
     forest = report.forest_x if side == "A" else report.forest_y
-    return [Letter(report.w_edge_for(side, e), sign) for e, sign in forest.path_steps(u, v)]
+    to_w = report._w_edges[side]
+    return [Letter(to_w[e], sign) for e, sign in forest.path_steps(u, v)]
 
 
 def rho(report: RetractReport, g: GWord) -> Word:
@@ -344,15 +357,30 @@ def rho(report: RetractReport, g: GWord) -> Word:
     to themselves), B-letters likewise through Y, and C-letters die (the
     forest Z has no edges).  The result is reduced, and the map respects
     composition and inversion.
+
+    The word is evaluated one run at a time: a maximal stretch of same-side
+    letters, C-letters skipped, maps to the single tree path from the run's
+    start to its end.  This is exact because the reduced word between two
+    vertices of a forest is unique, so the letter-by-letter tree paths of a
+    run reduce to that one path, and because C-letters are loops, which move
+    no endpoint and so do not end a run.  One reduction then cancels across
+    run boundaries, and the cost is one tree path per run, not per letter.
     """
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
     raw: list[Letter] = []
+    side = None
+    start = cur = g.source
     for letter in g.letters:
         if letter.side == "C":
             continue
-        s, t = _gletter_ends(report.instance, letter)
-        raw.extend(_side_path_on_w(report, letter.side, s, t))
+        if letter.side != side:
+            if side is not None:
+                raw += _side_path_on_w(report, side, start, cur)
+            side, start = letter.side, cur
+        cur = _gletter_ends(report.instance, letter)[1]
+    if side is not None:
+        raw += _side_path_on_w(report, side, start, cur)
     return reduce(report.w, g.source, raw)
 
 
@@ -389,7 +417,8 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     first = Word(report.w, a, b, _side_path_on_w(report, "A", a, b))
     second = Word(report.w, b, a, _side_path_on_w(report, "B", b, a))
     loop = compose(first, second)
-    assert len(loop) >= 2 and len(loop) == len(first) + len(second)
+    if not (len(loop) >= 2 and len(loop) == len(first) + len(second)):
+        raise InternalInvariant("witness halves cancelled at their junction")
     return loop
 
 
@@ -402,5 +431,6 @@ def certify_rank_at_least_one(report: RetractReport, a: str, b: str) -> FreeGrou
     loop = witness(report, a, b)
     forest_w = spanning_forest(report.w)
     element = loop_coordinates(report.w, forest_w, as_id(a), loop)
-    assert not element.is_identity
+    if element.is_identity:
+        raise InternalInvariant("witness loop has trivial coordinates")
     return element

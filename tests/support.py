@@ -173,6 +173,115 @@ def random_gword(rng: random.Random, inst: PushoutInstance, source=None, max_len
     return GWord(inst, source, cur, letters)
 
 
+def with_c_loop_everywhere(inst: PushoutInstance) -> PushoutInstance:
+    """The same instance with exactly one C loop, ``c:<object>``, per object."""
+    loops = {v: [f"c:{v}"] for v in inst.objects}
+    return PushoutInstance(inst.objects, inst.graph_a, inst.graph_b, loops)
+
+
+def long_run_gword(
+    rng: random.Random, inst: PushoutInstance, length: int, sides=("A", "B"), closed_share=0.3
+) -> GWord:
+    """Composable walk of at least ``length`` tagged letters in long runs.
+
+    A run is 1-50 letters on one side, backtracking allowed; the next run
+    switches side when it can.  A ``closed_share`` of runs walk back over
+    their own letters, so they return to their start.  C-letters open and
+    close the word, follow some runs and sit inside a few, so every object
+    needs a C loop (see :func:`with_c_loop_everywhere`).
+    """
+    moves: dict[str, dict[str, list[tuple[GLetter, str]]]] = {}
+    for side in sides:
+        g = inst.side_graph(side)
+        moves[side] = {v: [] for v in inst.objects}
+        for e in g.edge_ids:
+            s, t = g.edge_ends[e]
+            moves[side][s].append((GLetter(side, e, 1), t))
+            moves[side][t].append((GLetter(side, e, -1), s))
+    loops = dict(inst.c_loops)
+
+    def c_letter(v):
+        return GLetter("C", rng.choice(loops[v]), rng.choice((1, -1)))
+
+    starts = [v for v in inst.objects if any(moves[side][v] for side in sides)]
+    cur = source = rng.choice(starts)
+    side = rng.choice(sides)
+    letters = [c_letter(cur)]
+    while len(letters) < length:
+        if not moves[side][cur]:
+            side = next(s for s in sides if moves[s][cur])
+        start = cur
+        run: list[GLetter] = []
+        for _ in range(rng.randint(1, 50)):
+            letter, cur = rng.choice(moves[side][cur])
+            run.append(letter)
+            if rng.random() < 0.03:
+                run.append(c_letter(cur))
+        if rng.random() < closed_share:
+            run += [l.inverse() for l in reversed(run)]
+            cur = start
+        letters += run
+        if rng.random() < 0.5:
+            letters.append(c_letter(cur))
+        others = [s for s in sides if s != side and moves[s][cur]]
+        if others:
+            side = rng.choice(others)
+    letters.append(c_letter(cur))
+    return GWord(inst, source, cur, letters)
+
+
+def _tree_bfs_path(adj, u: str, v: str) -> list[int]:
+    back: dict[str, tuple[int, str] | None] = {u: None}
+    frontier = [u]
+    while frontier and v not in back:
+        nxt = []
+        for x in frontier:
+            for code, y in adj[x]:
+                if y not in back:
+                    back[y] = (code, x)
+                    nxt.append(y)
+        frontier = nxt
+    assert v in back, f"{v!r} is not in the tree of {u!r}"
+    path = []
+    while back[v] is not None:
+        code, v = back[v]
+        path.append(code)
+    return path[::-1]
+
+
+def naive_rho(report, g: GWord) -> Word:
+    """The retraction letter by letter, sharing no code with ``rho``.
+
+    Each A- or B-letter becomes the BFS path between its ends through its
+    side's tree edges (``forest.tree_edge_ids``, relabelled to W by
+    ``edge_origins``), C-letters vanish, and the concatenation is reduced
+    by :func:`naive_reduce`.
+    """
+    to_w = {origin: w_edge for w_edge, origin in report.edge_origins.items()}
+    w_code = {e: i + 1 for i, e in enumerate(report.w.edge_ids)}
+    adj = {}
+    for side, forest in (("A", report.forest_x), ("B", report.forest_y)):
+        g_side = report.instance.side_graph(side)
+        nbrs: dict[str, list[tuple[int, str]]] = {v: [] for v in g_side.vertices}
+        for e in forest.tree_edge_ids:
+            s, t = g_side.edge_ends[e]
+            code = w_code[to_w[(side, e)]]
+            nbrs[s].append((code, t))
+            nbrs[t].append((-code, s))
+        adj[side] = nbrs
+    codes: list[int] = []
+    for letter in g.letters:
+        if letter.side == "C":
+            continue
+        s, t = report.instance.side_graph(letter.side).edge_ends[letter.edge]
+        if letter.sign == -1:
+            s, t = t, s
+        codes += _tree_bfs_path(adj[letter.side], s, t)
+    ids = report.w.edge_ids
+    letters = [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in naive_reduce(codes)]
+    return Word(report.w, g.source, g.target, letters)
+
+
 def random_connected_space(rng: random.Random, max_v=10, max_extra=8) -> DirectedGraph:
     n = rng.randint(2, max_v)
     vs = [f"s{i:02d}" for i in range(n)]

@@ -252,6 +252,19 @@ def test_domain_error_exits_two_with_code(circle_file, tmp_path):
     assert out.stderr.startswith("Disconnected")
 
 
+def test_empty_object_set_exits_two_without_traceback(tmp_path):
+    empty = {
+        "objects": [],
+        "graph_a": {"vertices": [], "edges": []},
+        "graph_b": {"vertices": [], "edges": []},
+    }
+    path = write_json(tmp_path / "empty.json", empty)
+    out = run_cli("retract", path)
+    assert out.returncode == 2
+    assert out.stderr.startswith("EmptyObjectSet:")
+    assert "Traceback" not in out.stderr
+
+
 def test_emit_dot_writes_deterministic_styled_graph(circle_file, tmp_path):
     dot1 = tmp_path / "one.dot"
     dot2 = tmp_path / "two.dot"

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -35,7 +39,15 @@ from freeloop.retract import (
 )
 from freeloop.words import identity
 
-from support import circle_instance, random_connected_instance, random_gword, random_reduced_word
+from support import (
+    circle_instance,
+    long_run_gword,
+    naive_rho,
+    random_connected_instance,
+    random_gword,
+    random_reduced_word,
+    with_c_loop_everywhere,
+)
 
 
 def theta_instance():
@@ -200,6 +212,32 @@ def test_rho_is_functorial_on_random_composable_pairs():
         assert rho(report, g1.compose(g2)) == compose(rho(report, g1), rho(report, g2))
 
 
+def test_rho_matches_letter_by_letter_oracle_on_long_runs():
+    rng = random.Random(73)
+    checked = 0
+    while checked < 10:
+        inst = random_connected_instance(rng, max_objects=40, max_side_edges=60)
+        if len(inst.objects) < 4 or not (inst.graph_a.e_count and inst.graph_b.e_count):
+            continue
+        inst = with_c_loop_everywhere(inst)
+        report = build_retract(inst)
+        words = [
+            long_run_gword(rng, inst, 300),
+            long_run_gword(rng, inst, 300, sides=("A",)),
+            long_run_gword(rng, inst, 300, sides=("B",)),
+        ]
+        for g in words:
+            assert len(g) >= 300
+            assert g.letters[0].side == g.letters[-1].side == "C"
+            assert rho(report, g) == naive_rho(report, g)
+        for side in ("A", "B"):
+            closed = long_run_gword(rng, inst, 300, sides=(side,), closed_share=1.0)
+            assert closed.source == closed.target
+            assert rho(report, closed) == naive_rho(report, closed)
+            assert rho(report, closed) == identity(report.w, closed.source)
+        checked += 1
+
+
 def test_rho_rejects_words_from_other_instances():
     report = build_retract(circle_instance())
     other = theta_instance()
@@ -293,3 +331,29 @@ def test_rank_never_exceeds_union_euler_rank():
         k = theorem_rank(inst)
         (_, union_rank), = euler_ranks(inst.union_graph())
         assert 0 <= k <= union_rank
+
+
+def test_internal_invariants_survive_python_dash_o():
+    script = textwrap.dedent(
+        """
+        import freeloop.retract as retract
+        from freeloop.errors import InternalInvariant
+        from freeloop.graphs import DirectedGraph
+
+        real = retract.euler_ranks
+        retract.euler_ranks = lambda g: [(block, rank + 1) for block, rank in real(g)]
+        g = DirectedGraph(["a", "b"], [("alpha", "a", "b")])
+        h = DirectedGraph(["a", "b"], [("beta", "a", "b")])
+        try:
+            retract.build_retract(retract.PushoutInstance(["a", "b"], g, h))
+        except InternalInvariant as exc:
+            print(exc.code)
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "InternalInvariant\n"
