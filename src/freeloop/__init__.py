@@ -16,11 +16,9 @@ from .graphs import (
     VertexPartition,
     components,
     euler_ranks,
-    graph_pushout,
     graph_pushout_with_origins,
     spanning_forest,
     spanning_forest_containing,
-    validate_graph,
 )
 from .retract import (
     GLetter,
@@ -40,7 +38,6 @@ from .vankampen import (
     Decomposition,
     GeneratorPresentation,
     PbpScenario,
-    SpaceGraph,
     ZRetractCertificate,
     decomposition_to_instance,
     detect_z_retract,
@@ -75,11 +72,9 @@ __all__ = [
     "VertexPartition",
     "components",
     "euler_ranks",
-    "graph_pushout",
     "graph_pushout_with_origins",
     "spanning_forest",
     "spanning_forest_containing",
-    "validate_graph",
     "GLetter",
     "GWord",
     "PushoutInstance",
@@ -95,7 +90,6 @@ __all__ = [
     "Decomposition",
     "GeneratorPresentation",
     "PbpScenario",
-    "SpaceGraph",
     "ZRetractCertificate",
     "decomposition_to_instance",
     "detect_z_retract",

@@ -1,26 +1,9 @@
-"""Kernel selection: the compiled ``_fast`` module when built, ``_pure`` otherwise.
-
-Everything above this package is ordinary Python; only the innermost loops
-(free word reduction, union-find, greedy forest scans) live here.  Set
-``FREELOOP_KERNELS=pure`` to force the fallback, e.g. to compare backends.
+"""The innermost loops (free word reduction, union-find, greedy forest scans),
+implemented in ``_pure``.  Everything above this package is ordinary Python.
 """
 
-import os
+from ._pure import greedy_forest, reduce_signed, union_find_labels
 
-from . import _pure
-
-if os.environ.get("FREELOOP_KERNELS", "").strip().lower() == "pure":
-    _impl = _pure
-else:
-    try:
-        from . import _fast as _impl
-    except ImportError:
-        _impl = _pure
-
-BACKEND = "pure" if _impl is _pure else "fast"
-
-reduce_signed = _impl.reduce_signed
-union_find_labels = _impl.union_find_labels
-greedy_forest = _impl.greedy_forest
+BACKEND = "pure"
 
 __all__ = ["BACKEND", "reduce_signed", "union_find_labels", "greedy_forest"]

@@ -1,7 +1,5 @@
 """Pure-Python kernels.
 
-The compiled module ``_fast`` implements the same three functions with
-identical contracts; ``freeloop._kernels`` picks one at import time.
 Letter codes handed to ``reduce_signed`` are nonzero ints: a signed edge is
 encoded as ``sign * (index + 1)``.
 """
@@ -20,27 +18,28 @@ def reduce_signed(codes):
     return stack
 
 
+def _find(parent, x):
+    """Root of ``x`` in the union-find forest ``parent``, compressing the path."""
+    root = x
+    while parent[root] != root:
+        root = parent[root]
+    while parent[x] != root:
+        parent[x], x = root, parent[x]
+    return root
+
+
 def union_find_labels(n, src, tgt):
     """Merge ``src[i] - tgt[i]``; label each vertex by its set's smallest member."""
     parent = list(range(n))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     for a, b in zip(src, tgt):
-        ra, rb = find(a), find(b)
+        ra, rb = _find(parent, a), _find(parent, b)
         if ra != rb:
             parent[rb] = ra
 
     labels = [0] * n
     first = {}
     for i in range(n):
-        r = find(i)
+        r = _find(parent, i)
         if r not in first:
             first[r] = i
         labels[i] = first[r]
@@ -50,18 +49,9 @@ def union_find_labels(n, src, tgt):
 def greedy_forest(n, src, tgt, order):
     """Kruskal scan of edge indexes in ``order``; returns the accepted indexes."""
     parent = list(range(n))
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
     accepted = []
     for idx in order:
-        ra, rb = find(src[idx]), find(tgt[idx])
+        ra, rb = _find(parent, src[idx]), _find(parent, tgt[idx])
         if ra != rb:
             parent[rb] = ra
             accepted.append(idx)

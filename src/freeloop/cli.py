@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from .dot import graph_dot
 from .errors import DomainError, InternalInvariant, SchemaError
-from .graphs import components, graph_pushout_with_origins, spanning_forest
+from .graphs import components, spanning_forest
 from .jsonio import (
     dump_certificate,
     dump_instance,
@@ -84,9 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"duplicate key {key!r} in a JSON object")
+            seen.add(key)
+    return obj
+
+
 def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _tie_break(flag: str) -> list[str] | None:
@@ -97,8 +108,8 @@ def _tie_break(flag: str) -> list[str] | None:
 
 def _instance_roles(inst, report):
     """Union graph of both sides plus role sets for DOT styling."""
-    union, origins = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
-    rev = {orig: wid for wid, orig in origins.items()}
+    union = inst.union_graph()
+    rev = {orig: wid for wid, orig in inst.union_origins().items()}
     red = {rev[("A", e)] for e in report.forest_x.tree_edge_ids}
     blue = {rev[("B", e)] for e in report.forest_y.tree_edge_ids}
     return union, rev, red, blue

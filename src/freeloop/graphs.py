@@ -18,6 +18,7 @@ from .errors import (
     DanglingEndpoint,
     DifferentTrees,
     DuplicateId,
+    InternalInvariant,
     RequiredEdgesContainCycle,
     UnknownEdge,
     UnknownVertex,
@@ -96,12 +97,6 @@ class DirectedGraph:
         except KeyError:
             raise UnknownEdge(edge) from None
 
-    def src(self, edge: str) -> str:
-        return self.ends(edge)[0]
-
-    def tgt(self, edge: str) -> str:
-        return self.ends(edge)[1]
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vindex[v]
@@ -126,29 +121,6 @@ class DirectedGraph:
 
     def __repr__(self) -> str:
         return f"DirectedGraph(vertices={self.vertices!r}, edges={self.edge_ends!r})"
-
-
-def validate_graph(g: DirectedGraph) -> None:
-    """Re-check the type invariants of an already built graph.
-
-    Construction performs the same checks, so this only fires if an instance
-    was tampered with after the fact.
-    """
-    seen = set()
-    for v in g.vertices:
-        if v in seen:
-            raise DuplicateId("vertex", v)
-        seen.add(v)
-    seen = set()
-    for e in g.edge_ids:
-        if e in seen:
-            raise DuplicateId("edge", e)
-        seen.add(e)
-        s, t = g.edge_ends[e]
-        if not g.has_vertex(s):
-            raise DanglingEndpoint(e, s)
-        if not g.has_vertex(t):
-            raise DanglingEndpoint(e, t)
 
 
 @dataclass(frozen=True)
@@ -343,16 +315,13 @@ def spanning_forest_containing(
     return Forest(g, chosen)
 
 
-GraphLike = Union[DirectedGraph, Forest]
-
-
-def _as_pushout_graph(x: GraphLike) -> DirectedGraph:
+def _as_pushout_graph(x: DirectedGraph | Forest) -> DirectedGraph:
     return x.as_graph() if isinstance(x, Forest) else x
 
 
 def graph_pushout_with_origins(
-    x: GraphLike,
-    y: GraphLike,
+    x: DirectedGraph | Forest,
+    y: DirectedGraph | Forest,
     shared_vertices: Iterable[str],
 ) -> tuple[DirectedGraph, dict[str, tuple[str, str]]]:
     """Pushout of ``x <- Z -> y`` over the discrete graph on ``shared_vertices``,
@@ -382,12 +351,6 @@ def graph_pushout_with_origins(
     return DirectedGraph(shared, edges), origins
 
 
-def graph_pushout(x: GraphLike, y: GraphLike, shared_vertices: Iterable[str]) -> DirectedGraph:
-    """Pushout of graphs (or forests) over a shared discrete vertex set."""
-    w, _ = graph_pushout_with_origins(x, y, shared_vertices)
-    return w
-
-
 def euler_ranks(g: DirectedGraph) -> list[tuple[tuple[str, ...], int]]:
     """Per-component cycle rank ``e - v + 1``, paired with the block's vertices."""
     part = components(g)
@@ -397,6 +360,7 @@ def euler_ranks(g: DirectedGraph) -> list[tuple[tuple[str, ...], int]]:
     out = []
     for i, block in enumerate(part.blocks):
         rank = edge_counts[i] - len(block) + 1
-        assert rank >= 0, "weakly connected block cannot have fewer than v-1 edges"
+        if rank < 0:
+            raise InternalInvariant("weakly connected block has fewer than v-1 edges")
         out.append((block, rank))
     return out

@@ -150,16 +150,6 @@ def parse_gword(obj: Any, instance: PushoutInstance) -> GWord:
     return GWord(instance, source, target, letters)
 
 
-def dump_gword(g: GWord) -> dict:
-    return {
-        "source": g.source,
-        "target": g.target,
-        "letters": [
-            {"side": l.side, "edge": l.edge, "sign": l.sign} for l in g.letters
-        ],
-    }
-
-
 def parse_decomposition(obj: Any) -> Decomposition:
     space = parse_graph(_require(obj, "space", "decomposition"))
     u = _id_list(_require(obj, "u", "decomposition"), 'decomposition "u"')

@@ -15,8 +15,10 @@ back along the retraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
+from ._kernels import union_find_labels
 from .errors import (
     Disconnected,
     DuplicateId,
@@ -94,9 +96,6 @@ class PushoutInstance:
         except KeyError:
             raise UnknownLetter(loop_id, side="C") from None
 
-    def c_loops_map(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.c_loops)
-
     def side_graph(self, side: str) -> DirectedGraph:
         if side == "A":
             return self.graph_a
@@ -104,10 +103,18 @@ class PushoutInstance:
             return self.graph_b
         raise ValueError(f"no generating graph for side {side!r}")
 
+    @cached_property
+    def _union(self) -> tuple[DirectedGraph, dict[str, tuple[str, str]]]:
+        return graph_pushout_with_origins(self.graph_a, self.graph_b, self.objects)
+
     def union_graph(self) -> DirectedGraph:
-        """Pushout of the two full generating graphs over the objects."""
-        w, _ = graph_pushout_with_origins(self.graph_a, self.graph_b, self.objects)
-        return w
+        """Pushout of the two full generating graphs over the objects, built
+        once per instance."""
+        return self._union[0]
+
+    def union_origins(self) -> dict[str, tuple[str, str]]:
+        """The ``(side, original id)`` of every edge of :meth:`union_graph`."""
+        return self._union[1]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -283,9 +290,15 @@ def check_connected(inst: PushoutInstance) -> bool:
     """Whether the pushout groupoid G is connected.
 
     G's generators are the images of both edge sets plus C's loops, so this
-    is exactly connectivity of the union graph over the objects.
+    is exactly connectivity of the union graph over the objects.  Both sides
+    index the objects alike, so union-find runs on their joined edge arrays
+    and the union graph itself is never built here.
     """
-    return len(components(inst.union_graph())) == 1
+    a, b = inst.graph_a, inst.graph_b
+    labels = union_find_labels(
+        len(inst.objects), a._src_idx + b._src_idx, a._tgt_idx + b._tgt_idx
+    )
+    return all(label == 0 for label in labels)
 
 
 def theorem_rank(inst: PushoutInstance) -> int:

@@ -24,6 +24,7 @@ from .errors import (
     Disconnected,
     EdgeAcrossPieces,
     EmptyIntersection,
+    InternalInvariant,
     NotACover,
     NotDistinct,
     PbiHolds,
@@ -36,10 +37,6 @@ from .graphs import DirectedGraph, as_id, components, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
 from .words import Letter, Word, invert, reduce, rehost, tree_path
 
-# A space is just its 1-skeleton; DirectedGraph already enforces every
-# invariant a finite 1-complex model needs.
-SpaceGraph = DirectedGraph
-
 
 def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
     out = sorted({as_id(v) for v in vs})
@@ -49,7 +46,7 @@ def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def induced_subgraph(space: SpaceGraph, vertex_set: Iterable[str]) -> DirectedGraph:
+def induced_subgraph(space: DirectedGraph, vertex_set: Iterable[str]) -> DirectedGraph:
     """The full subgraph on ``vertex_set``: every edge with both ends inside."""
     vs = _vertex_subset(space, vertex_set)
     keep = set(vs)
@@ -70,7 +67,7 @@ class Decomposition:
     union as a graph.
     """
 
-    def __init__(self, space: SpaceGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
+    def __init__(self, space: DirectedGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
         u = _vertex_subset(space, u_vertices)
         v = _vertex_subset(space, v_vertices)
         u_set, v_set = set(u), set(v)
@@ -117,7 +114,7 @@ class PbpScenario:
 
     def __init__(
         self,
-        space: SpaceGraph,
+        space: DirectedGraph,
         d_set: Iterable[str],
         e_set: Iterable[str],
         a: str,
@@ -154,7 +151,7 @@ class PbpScenario:
         )
 
 
-def separates(space: SpaceGraph, d_set: Iterable[str], a: str, b: str) -> bool:
+def separates(space: DirectedGraph, d_set: Iterable[str], a: str, b: str) -> bool:
     """Whether a and b land in distinct components once ``d_set`` is deleted."""
     d = _vertex_subset(space, d_set)
     deleted = set(d)
@@ -235,7 +232,8 @@ def groupoid_generators(
             piece, root, list(out.letters) + [Letter(e, 1)] + list(back.letters)
         )
     graph = DirectedGraph(points, edges)
-    assert len(components(graph)) == len(parts)
+    if len(components(graph)) != len(parts):
+        raise InternalInvariant("generator graph and piece have different component counts")
     return GeneratorPresentation(graph, expansions)
 
 
@@ -305,7 +303,7 @@ class ZRetractCertificate:
 
 
 def _expand_to_space(
-    translations: dict[str, dict[str, Word]], space: SpaceGraph, gword
+    translations: dict[str, dict[str, Word]], space: DirectedGraph, gword
 ) -> Word:
     raw: list[Letter] = []
     for letter in gword.letters:
@@ -348,7 +346,8 @@ def detect_z_retract(
         loop = witness(report, a, b)
         gword = include_f(report, loop)
         loop_in_space = _expand_to_space(translations, dec.space, gword)
-        assert len(loop_in_space) > 0, "witness expansion collapsed in the space"
+        if len(loop_in_space) == 0:
+            raise InternalInvariant("witness expansion collapsed in the space")
         inter_blocks = components(dec.intersection).blocks
         basepoints = tuple((block, block[0]) for block in inter_blocks)
         return ZRetractCertificate(
@@ -375,9 +374,12 @@ def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
     u = [v for v in sc.space.vertices if v not in d]
     v = [w for w in sc.space.vertices if w not in e]
     dec = Decomposition(sc.space, u, v)
-    assert not components(dec.intersection).same_block(sc.a, sc.b)
-    assert components(dec.piece_u).same_block(sc.a, sc.b)
-    assert components(dec.piece_v).same_block(sc.a, sc.b)
+    if components(dec.intersection).same_block(sc.a, sc.b):
+        raise InternalInvariant("marked points share an intersection component")
+    if not components(dec.piece_u).same_block(sc.a, sc.b):
+        raise InternalInvariant("marked points are apart in piece U")
+    if not components(dec.piece_v).same_block(sc.a, sc.b):
+        raise InternalInvariant("marked points are apart in piece V")
     return dec
 
 

@@ -236,6 +236,17 @@ def test_schema_violation_exits_one(tmp_path):
     assert out.stderr.startswith("SchemaError")
 
 
+def test_duplicate_json_key_exits_one_without_traceback(tmp_path):
+    path = tmp_path / "dup.json"
+    text = json.dumps(CIRCLE_INSTANCE).replace('"id": "alpha"', '"id": "x", "id": "y"')
+    path.write_text(text, encoding="utf-8")
+    out = run_cli("retract", str(path))
+    assert out.returncode == 1
+    assert out.stderr.startswith("SchemaError:")
+    assert "'id'" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 def test_domain_error_exits_two_with_code(circle_file, tmp_path):
     out = run_cli("witness", circle_file, "--a", "a", "--b", "a")
     assert out.returncode == 2

@@ -1,14 +1,6 @@
-"""Kernel contract tests, run against every available backend.
-
-The pure backend is always checked against independent oracles; the compiled
-backend, when present, must agree with the pure one call for call.
-"""
+"""Kernel contract tests: the pure-Python kernels against independent oracles."""
 
 from __future__ import annotations
-
-import os
-import subprocess
-import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,17 +10,7 @@ from freeloop._kernels import _pure
 
 from support import brute_components, naive_reduce
 
-backends = {"pure": _pure}
-try:
-    from freeloop._kernels import _fast
-
-    backends["fast"] = _fast
-except ImportError:
-    pass
-
-BACKEND_PARAMS = pytest.mark.parametrize(
-    "kernel", list(backends.values()), ids=list(backends)
-)
+BACKEND_PARAMS = pytest.mark.parametrize("kernel", [_pure], ids=["pure"])
 
 codes_lists = st.lists(
     st.integers(min_value=-9, max_value=9).filter(bool), max_size=60
@@ -135,42 +117,9 @@ def test_greedy_forest_is_maximal_acyclic_subsequence(kernel, data):
     assert _index_blocks(n, fsrc, ftgt) == blocks
 
 
-@given(data=index_graphs())
-def test_backends_agree_on_union_find(data):
-    if "fast" not in backends:
-        pytest.skip("compiled backend unavailable")
-    n, src, tgt = data
-    assert list(_pure.union_find_labels(n, src, tgt)) == list(
-        backends["fast"].union_find_labels(n, src, tgt)
-    )
-
-
-@given(data=index_graphs(), shift=st.integers(0, 5))
-def test_backends_agree_on_greedy_forest(data, shift):
-    if "fast" not in backends:
-        pytest.skip("compiled backend unavailable")
-    n, src, tgt = data
-    order = list(range(len(src)))
-    order = order[shift:] + order[:shift]
-    assert list(_pure.greedy_forest(n, src, tgt, order)) == list(
-        backends["fast"].greedy_forest(n, src, tgt, order)
-    )
-
-
 def test_selected_backend_is_exported():
-    assert _kernels.BACKEND in ("pure", "fast")
-
-
-def test_env_override_forces_pure_backend():
-    env = dict(os.environ, FREELOOP_KERNELS="pure")
-    out = subprocess.run(
-        [sys.executable, "-c", "import freeloop; print(freeloop.KERNEL_BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-        check=True,
-    )
-    assert out.stdout.strip() == "pure"
+    assert _kernels.BACKEND == "pure"
+    assert _kernels.reduce_signed is _pure.reduce_signed
 
 
 def test_components_use_brute_oracle_on_random_shapes():

@@ -227,7 +227,7 @@ def test_intersection_loops_become_c_generators():
     dec = Decomposition(space, ["a", "b"], ["a", "b"])
     inst, translations = decomposition_to_instance(dec)
     assert inst.objects == ("a",)
-    assert inst.c_loops_map() == {"a": ("q", "r")}
+    assert dict(inst.c_loops) == {"a": ("q", "r")}
     for loop_id, word in translations["C"].items():
         assert word.source == word.target == "a"
         assert loop_id in {l.edge for l in word.letters}
