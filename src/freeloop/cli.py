@@ -14,7 +14,7 @@ import sys
 from typing import Any, Sequence
 
 from .dot import graph_dot
-from .errors import DomainError, InternalInvariant, SchemaError
+from .errors import DomainError, InternalInvariant, PbiHolds, SchemaError
 from .graphs import components, spanning_forest
 from .jsonio import (
     dump_certificate,
@@ -27,12 +27,11 @@ from .jsonio import (
     parse_instance,
     parse_scenario,
 )
-from .retract import build_retract, rho, theorem_rank, witness
+from .retract import build_retract, rho, witness
 from .vankampen import (
     certificate_basepoints_for,
     decomposition_to_instance,
     detect_z_retract,
-    pbi_fails,
     pbp_to_decomposition,
 )
 
@@ -152,8 +151,8 @@ def _run(args) -> tuple[Any, str, str | None]:
         return ({"tree_edges": ids}, "\n".join(text), graph_dot(g, red_edges=ids))
     if args.command == "pushout-rank":
         inst = parse_instance(doc)
-        k = theorem_rank(inst)
-        report = build_retract(inst, tie)
+        report = build_retract(inst, tie, require_connected=True)
+        k = report.k
         union, _, red, blue = _instance_roles(inst, report)
         text = f"k = {k}\nn_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}"
         return (
@@ -236,13 +235,14 @@ def _run(args) -> tuple[Any, str, str | None]:
         )
     if args.command == "pbp-check":
         sc = parse_scenario(doc)
-        if not pbi_fails(sc):
+        try:
+            dec = pbp_to_decomposition(sc)
+        except PbiHolds:
             return (
                 {"pbi_fails": False, "certificate": None},
                 "PBI holds; no certificate.",
                 graph_dot(sc.space),
             )
-        dec = pbp_to_decomposition(sc)
         prefer = certificate_basepoints_for(dec, sc.a, sc.b)
         cert = detect_z_retract(dec, tie, prefer=prefer)
         if cert is None:

@@ -59,6 +59,14 @@ class RequiredEdgesContainCycle(DomainError):
     pass
 
 
+class TreeEdgesContainCycle(DomainError):
+    pass
+
+
+class TreeEdgesNotSpanning(DomainError):
+    pass
+
+
 # -- words -----------------------------------------------------------------
 
 class NotComposable(DomainError):

@@ -20,6 +20,8 @@ from .errors import (
     DuplicateId,
     InternalInvariant,
     RequiredEdgesContainCycle,
+    TreeEdgesContainCycle,
+    TreeEdgesNotSpanning,
     UnknownEdge,
     UnknownVertex,
     VertexSetMismatch,
@@ -178,12 +180,23 @@ class Forest:
         order = [host.edge_index(e) for e in edge_ids]
         accepted = greedy_forest(host.v_count, host._src_idx, host._tgt_idx, order)
         if len(accepted) != len(order):
-            raise ValueError("tree edges contain an undirected cycle")
+            raise TreeEdgesContainCycle("tree edges contain an undirected cycle")
         if len(order) != host.v_count - len(components(host)):
-            raise ValueError("tree edges do not span the host's components")
+            raise TreeEdgesNotSpanning("tree edges do not span the host's components")
         self.host = host
         self.tree_edges: frozenset[str] = frozenset(edge_ids)
         self.tree_edge_ids: tuple[str, ...] = tuple(edge_ids)
+
+    @classmethod
+    def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
+        """The forest of the edge indexes a greedy scan over every edge of
+        ``host`` accepted: acyclic and spanning by construction, so the
+        checks of ``__init__`` are skipped."""
+        forest = cls.__new__(cls)
+        forest.host = host
+        forest.tree_edge_ids = tuple(host.edge_ids[i] for i in sorted(accepted))
+        forest.tree_edges = frozenset(forest.tree_edge_ids)
+        return forest
 
     def as_graph(self) -> DirectedGraph:
         """The forest as a graph: all host vertices, tree edges only."""
@@ -306,13 +319,14 @@ def spanning_forest_containing(
         if not g.has_edge(e):
             raise UnknownEdge(e)
     req_set = set(req_ids)
-    scan = [g.edge_index(e) for e in req_ids]
-    scan += [i for i in edge_scan_order(g, tie_break) if g.edge_ids[i] not in req_set]
+    head = [g.edge_index(e) for e in req_ids]
+    scan = head + [i for i in edge_scan_order(g, tie_break) if g.edge_ids[i] not in req_set]
     accepted = greedy_forest(g.v_count, g._src_idx, g._tgt_idx, scan)
-    chosen = {g.edge_ids[i] for i in accepted}
-    if not req_set <= chosen:
+    # The required edges lead the scan, so they are all in the forest exactly
+    # when the scan accepted each of them.
+    if accepted[: len(head)] != head:
         raise RequiredEdgesContainCycle("required edges contain an undirected cycle")
-    return Forest(g, chosen)
+    return Forest._accepted(g, accepted)
 
 
 def _as_pushout_graph(x: DirectedGraph | Forest) -> DirectedGraph:

@@ -8,7 +8,8 @@ relevant domain error from the engine that rejects it.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from .errors import DomainError, SchemaError
 from .graphs import DirectedGraph

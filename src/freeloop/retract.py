@@ -301,12 +301,13 @@ def check_connected(inst: PushoutInstance) -> bool:
     return all(label == 0 for label in labels)
 
 
+_NOT_CONNECTED = "the pushout is not connected; build_retract reports per-component ranks"
+
+
 def theorem_rank(inst: PushoutInstance) -> int:
     """Vertex-group rank of the free retract: ``n_C - n_A - n_B + 1``."""
     if not check_connected(inst):
-        raise Disconnected(
-            "the pushout is not connected; build_retract reports per-component ranks"
-        )
+        raise Disconnected(_NOT_CONNECTED)
     n_a, n_b, n_c = component_counts(inst)
     k = n_c - n_a - n_b + 1
     if k < 0:
@@ -319,14 +320,21 @@ def build_retract(
     tie_break: Sequence[str] | None = None,
     required_a: Iterable[str] = (),
     required_b: Iterable[str] = (),
+    *,
+    require_connected: bool = False,
 ) -> RetractReport:
     """Choose spanning forests X, Y, push them out to W, and report ranks.
 
     ``required_a`` / ``required_b`` force particular generator edges into the
     forests (they must be acyclic), which is how a caller pins chosen arrows
     into the retract.  On a disconnected instance ``k`` is None and the
-    per-component ranks stand in for it.
+    per-component ranks stand in for it, unless ``require_connected`` is
+    set: then it raises :class:`Disconnected`, as :func:`theorem_rank`
+    does, before any forest is built.
     """
+    connected = check_connected(inst)
+    if require_connected and not connected:
+        raise Disconnected(_NOT_CONNECTED)
     forest_x = spanning_forest_containing(inst.graph_a, required_a, tie_break)
     forest_y = spanning_forest_containing(inst.graph_b, required_b, tie_break)
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
@@ -336,7 +344,7 @@ def build_retract(
         raise InternalInvariant("W does not have one vertex per object")
     if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
         raise InternalInvariant("W does not have exactly the two forests' edges")
-    if check_connected(inst):
+    if connected:
         k = n_c - n_a - n_b + 1
         if not (len(ranks) == 1 and ranks[0][1] == k):
             raise InternalInvariant("rank formula disagrees with W")

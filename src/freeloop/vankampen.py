@@ -16,8 +16,11 @@ certificate is guaranteed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
+from ._kernels import union_find_labels
 from .errors import (
     ComponentWithoutBasepoint,
     DeletedSetsAdjacent,
@@ -46,17 +49,34 @@ def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def induced_subgraph(space: DirectedGraph, vertex_set: Iterable[str]) -> DirectedGraph:
-    """The full subgraph on ``vertex_set``: every edge with both ends inside."""
-    vs = _vertex_subset(space, vertex_set)
-    keep = set(vs)
+def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
+    """One byte per vertex of ``g``, in ``g.vertices`` order: 1 for the
+    members of ``vs``, which must be vertices of ``g``."""
+    index = g._vindex
+    mask = bytearray(g.v_count)
+    for v in vs:
+        mask[index[v]] = 1
+    return mask
+
+
+def induced_subgraph(
+    space: DirectedGraph, vertex_set: Iterable[str] = (), *, mask: bytearray | None = None
+) -> DirectedGraph:
+    """The full subgraph on ``vertex_set``: every edge with both ends inside.
+
+    A caller that already holds the set as a ``mask`` (one byte per vertex
+    of ``space``, in ``space.vertices`` order, nonzero for members) passes
+    that instead of ``vertex_set``; it is not checked.
+    """
+    if mask is None:
+        mask = _vertex_mask(space, _vertex_subset(space, vertex_set))
+    verts = space.vertices
     edges = [
-        (e, s, t)
-        for e in space.edge_ids
-        for s, t in (space.edge_ends[e],)
-        if s in keep and t in keep
+        (e, verts[s], verts[t])
+        for e, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx)
+        if mask[s] and mask[t]
     ]
-    return DirectedGraph(vs, edges)
+    return DirectedGraph(compress(verts, mask), edges)
 
 
 class Decomposition:
@@ -70,20 +90,19 @@ class Decomposition:
     def __init__(self, space: DirectedGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
         u = _vertex_subset(space, u_vertices)
         v = _vertex_subset(space, v_vertices)
-        u_set, v_set = set(u), set(v)
-        for vertex in space.vertices:
-            if vertex not in u_set and vertex not in v_set:
-                raise NotACover(f"vertex {vertex!r} is in neither piece")
-        for e in space.edge_ids:
-            s, t = space.edge_ends[e]
-            if not ((s in u_set and t in u_set) or (s in v_set and t in v_set)):
+        in_u, in_v = _vertex_mask(space, u), _vertex_mask(space, v)
+        uncovered = bytes(map(or_, in_u, in_v)).find(0)
+        if uncovered >= 0:
+            raise NotACover(f"vertex {space.vertices[uncovered]!r} is in neither piece")
+        for e, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx):
+            if not ((in_u[s] and in_u[t]) or (in_v[s] and in_v[t])):
                 raise EdgeAcrossPieces(e)
         self.space = space
         self.u_vertices = u
         self.v_vertices = v
-        self.piece_u = induced_subgraph(space, u)
-        self.piece_v = induced_subgraph(space, v)
-        self.intersection = induced_subgraph(space, u_set & v_set)
+        self.piece_u = induced_subgraph(space, mask=in_u)
+        self.piece_v = induced_subgraph(space, mask=in_v)
+        self.intersection = induced_subgraph(space, mask=bytearray(map(and_, in_u, in_v)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
@@ -125,16 +144,16 @@ class PbpScenario:
         overlap = set(d) & set(e)
         if overlap:
             raise SetsNotDisjoint(f"sets share vertices {sorted(overlap)!r}")
-        d_idx, e_idx = set(d), set(e)
-        for eid in space.edge_ids:
-            s, t = space.edge_ends[eid]
-            if (s in d_idx and t in e_idx) or (s in e_idx and t in d_idx):
+        in_d, in_e = _vertex_mask(space, d), _vertex_mask(space, e)
+        for eid, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx):
+            if (in_d[s] and in_e[t]) or (in_e[s] and in_d[t]):
                 raise DeletedSetsAdjacent(eid)
         a, b = as_id(a), as_id(b)
         for point in (a, b):
             if not space.has_vertex(point):
                 raise UnknownVertex(point)
-            if point in d_idx or point in e_idx:
+            i = space._vindex[point]
+            if in_d[i] or in_e[i]:
                 raise PointInDeletedSet(point)
         if a == b:
             raise NotDistinct(f"marked points must be distinct, got {a!r} twice")
@@ -152,17 +171,23 @@ class PbpScenario:
 
 
 def separates(space: DirectedGraph, d_set: Iterable[str], a: str, b: str) -> bool:
-    """Whether a and b land in distinct components once ``d_set`` is deleted."""
+    """Whether a and b land in distinct components once ``d_set`` is deleted.
+
+    Union-find runs on the space's edge arrays less the edges that touch a
+    deleted vertex; no subgraph is built.
+    """
     d = _vertex_subset(space, d_set)
-    deleted = set(d)
+    deleted = _vertex_mask(space, d)
     a, b = as_id(a), as_id(b)
     for point in (a, b):
         if not space.has_vertex(point):
             raise UnknownVertex(point)
-        if point in deleted:
+        if deleted[space._vindex[point]]:
             raise PointInDeletedSet(point)
-    rest = [v for v in space.vertices if v not in deleted]
-    return not components(induced_subgraph(space, rest)).same_block(a, b)
+    src, tgt = space._src_idx, space._tgt_idx
+    kept = [not (deleted[s] or deleted[t]) for s, t in zip(src, tgt)]
+    labels = union_find_labels(space.v_count, list(compress(src, kept)), list(compress(tgt, kept)))
+    return labels[space._vindex[a]] != labels[space._vindex[b]]
 
 
 def pbi_fails(sc: PbpScenario) -> bool:

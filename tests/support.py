@@ -10,8 +10,15 @@ from __future__ import annotations
 
 import random
 
-from freeloop.errors import EmptyIntersection, PieceMissesIntersection
-from freeloop.graphs import DirectedGraph
+from freeloop.errors import (
+    EdgeAcrossPieces,
+    EmptyIntersection,
+    NotACover,
+    PieceMissesIntersection,
+    PointInDeletedSet,
+    UnknownVertex,
+)
+from freeloop.graphs import DirectedGraph, components
 from freeloop.retract import GLetter, GWord, PushoutInstance
 from freeloop.vankampen import Decomposition, decomposition_to_instance
 from freeloop.words import Letter, Word, tree_path
@@ -395,3 +402,74 @@ def c8_space() -> DirectedGraph:
         [f"v{i}" for i in range(8)],
         [(f"c{i}", f"v{i}", f"v{(i + 1) % 8}") for i in range(8)],
     )
+
+
+def reference_induced(space: DirectedGraph, vertex_set) -> DirectedGraph:
+    """Induced subgraph through the public constructor, from an id set."""
+    keep = set(vertex_set)
+    return DirectedGraph(
+        sorted(keep),
+        [(e, s, t) for e, (s, t) in space.edge_ends.items() if s in keep and t in keep],
+    )
+
+
+def reference_separates(space: DirectedGraph, d_set, a: str, b: str) -> bool:
+    """Components of the space with ``d_set`` deleted, as a built graph."""
+    deleted = set(d_set)
+    rest = reference_induced(space, [v for v in space.vertices if v not in deleted])
+    return not components(rest).same_block(a, b)
+
+
+def reference_pbi_fails(space: DirectedGraph, d_set, e_set, a: str, b: str) -> bool:
+    return (
+        not reference_separates(space, d_set, a, b)
+        and not reference_separates(space, e_set, a, b)
+        and reference_separates(space, set(d_set) | set(e_set), a, b)
+    )
+
+
+def reference_pieces(space: DirectedGraph, u, v):
+    """(piece U, piece V, intersection) of the decomposition ``u``, ``v``."""
+    u_set, v_set = set(u), set(v)
+    return (
+        reference_induced(space, u_set),
+        reference_induced(space, v_set),
+        reference_induced(space, u_set & v_set),
+    )
+
+
+def _first_unknown(space: DirectedGraph, ids):
+    unknown = sorted(set(ids) - set(space.vertices))
+    return (UnknownVertex, unknown[0]) if unknown else None
+
+
+def reference_separates_error(space: DirectedGraph, d_set, a: str, b: str):
+    """(error class, offending id) that ``separates`` must raise, or None:
+    the smallest unknown id of ``d_set``, then ``a`` before ``b``."""
+    found = _first_unknown(space, d_set)
+    if found:
+        return found
+    for point in (a, b):
+        if point not in space.vertices:
+            return UnknownVertex, point
+        if point in set(d_set):
+            return PointInDeletedSet, point
+    return None
+
+
+def reference_decomposition_error(space: DirectedGraph, u, v):
+    """(error class, offending id) that ``Decomposition`` must raise, or None:
+    the smallest unknown id of ``u``, then of ``v``; then the first vertex in
+    neither piece; then the first edge with no piece holding both ends."""
+    found = _first_unknown(space, u) or _first_unknown(space, v)
+    if found:
+        return found
+    u_set, v_set = set(u), set(v)
+    for x in space.vertices:
+        if x not in u_set and x not in v_set:
+            return NotACover, x
+    for e in space.edge_ids:
+        s, t = space.edge_ends[e]
+        if not ({s, t} <= u_set or {s, t} <= v_set):
+            return EdgeAcrossPieces, e
+    return None

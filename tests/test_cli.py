@@ -131,6 +131,84 @@ def test_pbp_check_reports_holding_scenarios(tmp_path):
     assert json.loads(out.stdout) == {"certificate": None, "pbi_fails": False}
 
 
+def _counting(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that records each call."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _main(capsys, *argv):
+    from freeloop import cli
+
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "d, text, json_out",
+    [
+        (["v0"], None, None),
+        (
+            [],
+            "PBI holds; no certificate.\n",
+            '{\n  "certificate": null,\n  "pbi_fails": false\n}\n',
+        ),
+    ],
+    ids=["failing", "holding"],
+)
+def test_pbp_check_evaluates_separation_once(tmp_path, monkeypatch, capsys, d, text, json_out):
+    from freeloop import vankampen
+
+    path = write_json(tmp_path / "sc.json", dict(C8_SCENARIO, d=d))
+    for output, expected in (("text", text), ("json", json_out)):
+        calls = _counting(monkeypatch, vankampen, "separates")
+        code, out, err = _main(capsys, "pbp-check", path, "--output", output)
+        assert (code, err) == (0, "")
+        assert len(calls) == 3
+        if expected is not None:
+            assert out == expected
+        monkeypatch.undo()
+
+
+def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, circle_file):
+    from freeloop import retract
+
+    calls = _counting(monkeypatch, retract, "check_connected")
+    assert _main(capsys, "pushout-rank", circle_file) == (
+        0,
+        "k = 1\nn_a = 1, n_b = 1, n_c = 2\n",
+        "",
+    )
+    assert len(calls) == 1
+    objects = ["a", "b", "c", "d"]
+    apart = dict(CIRCLE_INSTANCE, objects=objects)
+    for side in ("graph_a", "graph_b"):
+        apart[side] = dict(apart[side], vertices=objects)
+    # Side-A ids "x" and "B:x" collide in W with side B's "x" once tagged;
+    # connectivity is still the error reported.
+    clashing = dict(apart, graph_a=dict(apart["graph_a"], edges=[
+        {"id": "x", "src": "a", "tgt": "b"},
+        {"id": "B:x", "src": "b", "tgt": "c"},
+    ]), graph_b=dict(apart["graph_b"], edges=[{"id": "x", "src": "a", "tgt": "b"}]))
+    for name, doc in (("apart", apart), ("clashing", clashing)):
+        calls.clear()
+        assert _main(capsys, "pushout-rank", write_json(tmp_path / f"{name}.json", doc)) == (
+            2,
+            "",
+            "Disconnected: the pushout is not connected; "
+            "build_retract reports per-component ranks\n",
+        )
+        assert len(calls) == 1
+
+
 def test_components_and_forest_commands(tmp_path):
     graph = {
         "vertices": ["a", "b", "c"],

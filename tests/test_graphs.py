@@ -9,8 +9,11 @@ import pytest
 from freeloop.errors import (
     DanglingEndpoint,
     DifferentTrees,
+    DomainError,
     DuplicateId,
     RequiredEdgesContainCycle,
+    TreeEdgesContainCycle,
+    TreeEdgesNotSpanning,
     UnknownEdge,
     UnknownVertex,
     VertexSetMismatch,
@@ -127,10 +130,42 @@ def test_spanning_forest_containing_rejects_unknown_edge():
 
 def test_forest_rejects_cycles_and_non_spanning_sets():
     g = cycle_graph(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeEdgesContainCycle):
         Forest(g, ["c0", "c1", "c2"])
-    with pytest.raises(ValueError):
+    with pytest.raises(TreeEdgesNotSpanning):
         Forest(g, ["c0"])
+
+
+def test_forest_errors_are_domain_errors_with_stable_codes():
+    g = cycle_graph(4)
+    with pytest.raises(DomainError) as cyclic:
+        Forest(g, ["c0", "c1", "c2", "c3"])
+    assert cyclic.value.code == "TreeEdgesContainCycle"
+    assert str(cyclic.value) == "tree edges contain an undirected cycle"
+    with pytest.raises(DomainError) as short:
+        Forest(g, ["c0", "c2"])
+    assert short.value.code == "TreeEdgesNotSpanning"
+    assert str(short.value) == "tree edges do not span the host's components"
+
+
+def test_greedy_forests_pass_the_validating_constructor():
+    """``spanning_forest_containing`` skips ``Forest``'s checks; the forests
+    it returns must pass them, and a cyclic requirement must be refused."""
+    rng = random.Random(17)
+    for _ in range(200):
+        g = random_graph(rng, max_v=9, max_e=16)
+        required = [e for e in g.edge_ids if rng.random() < 0.3]
+        tie = list(g.edge_ids)
+        rng.shuffle(tie)
+        req_graph = DirectedGraph(g.vertices, {e: g.edge_ends[e] for e in required})
+        if not is_forest_graph(req_graph):
+            with pytest.raises(RequiredEdgesContainCycle):
+                spanning_forest_containing(g, required, tie)
+            continue
+        f = spanning_forest_containing(g, required, tie)
+        assert set(required) <= f.tree_edges
+        assert f.tree_edge_ids == tuple(sorted(f.tree_edges))
+        assert f == Forest(g, f.tree_edge_ids)
 
 
 def test_path_steps_walks_the_unique_tree_path():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeloop.errors import (
     ComponentWithoutBasepoint,
@@ -40,6 +41,11 @@ from support import (
     circle_decomposition,
     is_forest_graph,
     random_decomposition,
+    reference_decomposition_error,
+    reference_pbi_fails,
+    reference_pieces,
+    reference_separates,
+    reference_separates_error,
 )
 
 
@@ -380,3 +386,113 @@ def test_pbp_pipeline_on_random_failing_scenarios():
         assert not loop_coordinates(space, f, base, cert.loop_in_space).is_identity
         found += 1
     assert found >= 5
+
+
+# -- the vertex-mask paths against graphs built through the public API -----
+
+UNKNOWN_IDS = ("u0", "zz")
+
+
+@st.composite
+def multigraphs(draw):
+    """Up to 7 vertices and 14 edges, loops and parallel edges included;
+    half of them start from a cycle through every vertex, so deleting
+    vertices often does and often does not separate."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    vs = [f"v{i}" for i in range(n)]
+    ends = []
+    if draw(st.booleans()):
+        ring = draw(st.permutations(vs))
+        ends = [(ring[i], ring[(i + 1) % n]) for i in range(n)]
+    ends += draw(
+        st.lists(st.tuples(st.sampled_from(vs), st.sampled_from(vs)), max_size=14 - len(ends))
+    )
+    return DirectedGraph(vs, [(f"e{j:02d}", s, t) for j, (s, t) in enumerate(ends)])
+
+
+def _ids(data, space):
+    """A sorted id list drawn from the vertices, sometimes with unknown ids."""
+    ids = data.draw(st.lists(st.sampled_from(space.vertices), max_size=space.v_count))
+    if data.draw(st.integers(0, 4)) == 0:
+        ids += data.draw(st.lists(st.sampled_from(UNKNOWN_IDS), min_size=1))
+    return sorted(ids)
+
+
+def _point(data, space):
+    if data.draw(st.integers(0, 9)) == 0:
+        return data.draw(st.sampled_from(UNKNOWN_IDS))
+    return data.draw(st.sampled_from(space.vertices))
+
+
+def _offending_id(exc) -> str:
+    if isinstance(exc, NotACover):
+        return str(exc).split("'")[1]
+    return getattr(exc, "vertex", None) or exc.edge
+
+
+def _expect_error(expected, call):
+    cls, ident = expected
+    with pytest.raises(cls) as info:
+        call()
+    assert type(info.value) is cls
+    assert _offending_id(info.value) == ident
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_separates_matches_built_subgraph_reference(data):
+    space = data.draw(multigraphs())
+    d = _ids(data, space)[: data.draw(st.integers(0, 3))]
+    a, b = _point(data, space), _point(data, space)
+    expected = reference_separates_error(space, d, a, b)
+    if expected is not None:
+        _expect_error(expected, lambda: separates(space, d, a, b))
+    else:
+        assert separates(space, d, a, b) == reference_separates(space, d, a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_pbi_fails_matches_built_subgraph_reference(data):
+    space = data.draw(multigraphs())
+    vs = list(data.draw(st.permutations(space.vertices)))
+    if len(vs) < 2:
+        return
+    a, b = vs[0], vs[1]
+    rest = vs[2:]
+    cut = data.draw(st.integers(0, len(rest)))
+    d = rest[:cut][: data.draw(st.integers(0, 3))]
+    e = rest[cut:][: data.draw(st.integers(0, 3))]
+    try:
+        sc = PbpScenario(space, d, e, a, b)
+    except DeletedSetsAdjacent:
+        return
+    assert pbi_fails(sc) == reference_pbi_fails(space, d, e, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_decomposition_pieces_match_built_subgraph_reference(data):
+    space = data.draw(multigraphs())
+    u, v = set(_ids(data, space)), set(_ids(data, space))
+    if data.draw(st.booleans()):
+        # Repair toward a valid decomposition: cover every vertex, then pull
+        # each straddling edge into U.
+        v |= set(space.vertices) - u
+        for e in space.edge_ids:
+            s, t = space.edge_ends[e]
+            if not ({s, t} <= u or {s, t} <= v):
+                u |= {s, t}
+    expected = reference_decomposition_error(space, u, v)
+    if expected is not None:
+        _expect_error(expected, lambda: Decomposition(space, u, v))
+        return
+    dec = Decomposition(space, u, v)
+    pieces = (dec.piece_u, dec.piece_v, dec.intersection)
+    for got, want in zip(pieces, reference_pieces(space, u, v)):
+        assert got.vertices == want.vertices
+        assert got.edge_ids == want.edge_ids
+        assert got.edge_ends == want.edge_ends
+        assert got == want and hash(got) == hash(want)
+    assert dec == Decomposition(space, sorted(u, reverse=True), list(v))
+    assert hash(dec) == hash(Decomposition(space, list(u), list(v)))
