@@ -14,8 +14,8 @@ import sys
 from typing import Any, Sequence
 
 from .dot import graph_dot
-from .errors import DomainError, InternalInvariant, PbiHolds, SchemaError
-from .graphs import components, spanning_forest
+from .errors import Disconnected, DomainError, InternalInvariant, PbiHolds, SchemaError
+from .graphs import components, graph_pushout_with_origins, spanning_forest
 from .jsonio import (
     dump_certificate,
     dump_instance,
@@ -27,26 +27,13 @@ from .jsonio import (
     parse_instance,
     parse_scenario,
 )
-from .retract import build_retract, rho, witness
+from .retract import _NOT_CONNECTED, build_retract, rho, witness
 from .vankampen import (
     certificate_basepoints_for,
     decomposition_to_instance,
     detect_z_retract,
     pbp_to_decomposition,
 )
-
-COMMANDS = (
-    "components",
-    "forest",
-    "pushout-rank",
-    "retract",
-    "rho",
-    "witness",
-    "vk-instance",
-    "certify",
-    "pbp-check",
-)
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -107,8 +94,8 @@ def _tie_break(flag: str) -> list[str] | None:
 
 def _instance_roles(inst, report):
     """Union graph of both sides plus role sets for DOT styling."""
-    union = inst.union_graph()
-    rev = {orig: wid for wid, orig in inst.union_origins().items()}
+    union, origins = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
+    rev = {orig: wid for wid, orig in origins.items()}
     red = {rev[("A", e)] for e in report.forest_x.tree_edge_ids}
     blue = {rev[("B", e)] for e in report.forest_y.tree_edge_ids}
     return union, rev, red, blue
@@ -151,8 +138,10 @@ def _run(args) -> tuple[Any, str, str | None]:
         return ({"tree_edges": ids}, "\n".join(text), graph_dot(g, red_edges=ids))
     if args.command == "pushout-rank":
         inst = parse_instance(doc)
-        report = build_retract(inst, tie, require_connected=True)
+        report = build_retract(inst, tie)
         k = report.k
+        if k is None:
+            raise Disconnected(_NOT_CONNECTED)
         union, _, red, blue = _instance_roles(inst, report)
         text = f"k = {k}\nn_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}"
         return (

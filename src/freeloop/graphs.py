@@ -329,10 +329,6 @@ def spanning_forest_containing(
     return Forest._accepted(g, accepted)
 
 
-def _as_pushout_graph(x: DirectedGraph | Forest) -> DirectedGraph:
-    return x.as_graph() if isinstance(x, Forest) else x
-
-
 def graph_pushout_with_origins(
     x: DirectedGraph | Forest,
     y: DirectedGraph | Forest,
@@ -341,26 +337,35 @@ def graph_pushout_with_origins(
     """Pushout of ``x <- Z -> y`` over the discrete graph on ``shared_vertices``,
     together with the origin of every output edge as ``(side, original id)``.
 
-    Both inputs must have vertex set exactly ``shared_vertices``; edges are
-    disjointly unioned.  An id occurring on both sides is prefixed with its
-    side tag ("A:" / "B:") to keep the union disjoint.
+    Both inputs must have vertex set exactly ``shared_vertices``; a forest
+    contributes its tree edges.  Edges are disjointly unioned: an id found on
+    one side only keeps its name, and an id found on both sides gets its side
+    tag ("A:" / "B:"), repeated while the result is an id found on one side
+    only (``x`` -> ``A:x`` -> ``A:A:x`` ...).  No two edges share a name: a
+    tagged name is never a one-sided id, and the chains of two two-sided ids
+    such as ``x`` and ``A:x`` cannot meet, since the chain from ``x`` stops
+    at ``A:x``, which is not one-sided.
     """
     shared = sorted({as_id(v) for v in shared_vertices})
-    gx = _as_pushout_graph(x)
-    gy = _as_pushout_graph(y)
-    if list(gx.vertices) != shared:
-        raise VertexSetMismatch("first input's vertex set is not the shared vertex set")
-    if list(gy.vertices) != shared:
-        raise VertexSetMismatch("second input's vertex set is not the shared vertex set")
-    colliding = set(gx.edge_ids) & set(gy.edge_ids)
+    sides = []
+    for which, z in (("first", x), ("second", y)):
+        host = z.host if isinstance(z, Forest) else z
+        if list(host.vertices) != shared:
+            raise VertexSetMismatch(f"{which} input's vertex set is not the shared vertex set")
+        sides.append((z.tree_edge_ids if isinstance(z, Forest) else z.edge_ids, host.edge_ends))
+    (ids_x, ends_x), (ids_y, ends_y) = sides
+    both = set(ids_x) & set(ids_y)
+    one_side = set(ids_x) ^ set(ids_y)
     edges: dict[str, tuple[str, str]] = {}
     origins: dict[str, tuple[str, str]] = {}
-    for side, tag, g in (("A", "A:", gx), ("B", "B:", gy)):
-        for e in g.edge_ids:
-            out = tag + e if e in colliding else e
-            if out in edges:
-                raise DuplicateId("edge", out)
-            edges[out] = g.edge_ends[e]
+    for side, ids, ends in (("A", ids_x, ends_x), ("B", ids_y, ends_y)):
+        for e in ids:
+            out = e
+            if e in both:
+                out = f"{side}:{e}"
+                while out in one_side:
+                    out = f"{side}:{out}"
+            edges[out] = ends[e]
             origins[out] = (side, e)
     return DirectedGraph(shared, edges), origins
 

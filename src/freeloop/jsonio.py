@@ -11,11 +11,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-from .errors import DomainError, SchemaError
+from .errors import SchemaError
 from .graphs import DirectedGraph
 from .retract import GLetter, GWord, PushoutInstance, RetractReport
 from .vankampen import Decomposition, PbpScenario, ZRetractCertificate
-from .words import Letter, Word
+from .words import Word
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -73,29 +73,6 @@ def _parse_sign(value: Any, where: str) -> int:
     if value not in (1, -1) or isinstance(value, bool):
         raise SchemaError(f'{where} "sign" must be 1 or -1')
     return value
-
-
-def parse_word(obj: Any, host: DirectedGraph) -> Word:
-    source = _id_value(_require(obj, "source", "word"), 'word "source"')
-    target = _id_value(_require(obj, "target", "word"), 'word "target"')
-    raw = _require(obj, "letters", "word")
-    if not isinstance(raw, list):
-        raise SchemaError('word "letters" must be a JSON array')
-    letters = []
-    for i, entry in enumerate(raw):
-        where = f"letter #{i}"
-        letters.append(
-            Letter(
-                _id_value(_require(entry, "edge", where), f'{where} "edge"'),
-                _parse_sign(_require(entry, "sign", where), where),
-            )
-        )
-    try:
-        return Word(host, source, target, letters)
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
 
 
 def dump_word(w: Word) -> dict:

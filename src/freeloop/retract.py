@@ -15,7 +15,6 @@ back along the retraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import union_find_labels
@@ -102,19 +101,6 @@ class PushoutInstance:
         if side == "B":
             return self.graph_b
         raise ValueError(f"no generating graph for side {side!r}")
-
-    @cached_property
-    def _union(self) -> tuple[DirectedGraph, dict[str, tuple[str, str]]]:
-        return graph_pushout_with_origins(self.graph_a, self.graph_b, self.objects)
-
-    def union_graph(self) -> DirectedGraph:
-        """Pushout of the two full generating graphs over the objects, built
-        once per instance."""
-        return self._union[0]
-
-    def union_origins(self) -> dict[str, tuple[str, str]]:
-        """The ``(side, original id)`` of every edge of :meth:`union_graph`."""
-        return self._union[1]
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -304,15 +290,18 @@ def check_connected(inst: PushoutInstance) -> bool:
 _NOT_CONNECTED = "the pushout is not connected; build_retract reports per-component ranks"
 
 
-def theorem_rank(inst: PushoutInstance) -> int:
-    """Vertex-group rank of the free retract: ``n_C - n_A - n_B + 1``."""
-    if not check_connected(inst):
-        raise Disconnected(_NOT_CONNECTED)
-    n_a, n_b, n_c = component_counts(inst)
+def _connected_rank(n_a: int, n_b: int, n_c: int) -> int:
     k = n_c - n_a - n_b + 1
     if k < 0:
         raise InternalInvariant(f"rank formula gave k = {k} on a connected pushout")
     return k
+
+
+def theorem_rank(inst: PushoutInstance) -> int:
+    """Vertex-group rank of the free retract: ``n_C - n_A - n_B + 1``."""
+    if not check_connected(inst):
+        raise Disconnected(_NOT_CONNECTED)
+    return _connected_rank(*component_counts(inst))
 
 
 def build_retract(
@@ -320,21 +309,17 @@ def build_retract(
     tie_break: Sequence[str] | None = None,
     required_a: Iterable[str] = (),
     required_b: Iterable[str] = (),
-    *,
-    require_connected: bool = False,
 ) -> RetractReport:
     """Choose spanning forests X, Y, push them out to W, and report ranks.
 
     ``required_a`` / ``required_b`` force particular generator edges into the
     forests (they must be acyclic), which is how a caller pins chosen arrows
-    into the retract.  On a disconnected instance ``k`` is None and the
-    per-component ranks stand in for it, unless ``require_connected`` is
-    set: then it raises :class:`Disconnected`, as :func:`theorem_rank`
-    does, before any forest is built.
+    into the retract.  W's edges are named by :func:`graph_pushout_with_origins`:
+    a forest edge keeps its id unless the other forest has an edge of the same
+    id.  On a disconnected instance ``k`` is None and the per-component ranks
+    stand in for it.
     """
     connected = check_connected(inst)
-    if require_connected and not connected:
-        raise Disconnected(_NOT_CONNECTED)
     forest_x = spanning_forest_containing(inst.graph_a, required_a, tie_break)
     forest_y = spanning_forest_containing(inst.graph_b, required_b, tie_break)
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
@@ -344,12 +329,9 @@ def build_retract(
         raise InternalInvariant("W does not have one vertex per object")
     if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
         raise InternalInvariant("W does not have exactly the two forests' edges")
-    if connected:
-        k = n_c - n_a - n_b + 1
-        if not (len(ranks) == 1 and ranks[0][1] == k):
-            raise InternalInvariant("rank formula disagrees with W")
-    else:
-        k = None
+    k = _connected_rank(n_a, n_b, n_c) if connected else None
+    if k is not None and not (len(ranks) == 1 and ranks[0][1] == k):
+        raise InternalInvariant("rank formula disagrees with W")
     return RetractReport(
         instance=inst,
         forest_x=forest_x,

@@ -473,3 +473,18 @@ def reference_decomposition_error(space: DirectedGraph, u, v):
         if not ({s, t} <= u_set or {s, t} <= v_set):
             return EdgeAcrossPieces, e
     return None
+
+
+def reference_single_tag_origins(ids_x, ids_y):
+    """Pushout edge names under the single-tag rule: an id on both sides gets
+    one side tag ("A:" / "B:"), every other id keeps its name.  Returns the
+    ``{name: (side, id)}`` origins, or None where two names clash."""
+    both = set(ids_x) & set(ids_y)
+    origins = {}
+    for side, ids in (("A", ids_x), ("B", ids_y)):
+        for e in ids:
+            name = f"{side}:{e}" if e in both else e
+            if name in origins:
+                return None
+            origins[name] = (side, e)
+    return origins

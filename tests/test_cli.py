@@ -192,8 +192,9 @@ def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, c
     apart = dict(CIRCLE_INSTANCE, objects=objects)
     for side in ("graph_a", "graph_b"):
         apart[side] = dict(apart[side], vertices=objects)
-    # Side-A ids "x" and "B:x" collide in W with side B's "x" once tagged;
-    # connectivity is still the error reported.
+    # Side-A ids "x" and "B:x" with side B's "x" are tagged without a clash
+    # ("A:x", "B:x", "B:B:x"); on a disconnected instance connectivity is the
+    # error reported.
     clashing = dict(apart, graph_a=dict(apart["graph_a"], edges=[
         {"id": "x", "src": "a", "tgt": "b"},
         {"id": "B:x", "src": "b", "tgt": "c"},
@@ -207,6 +208,98 @@ def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, c
             "build_retract reports per-component ranks\n",
         )
         assert len(calls) == 1
+
+
+def _edges(triples):
+    return [{"id": e, "src": s, "tgt": t} for e, s, t in triples]
+
+
+def _instance(objects, edges_a, edges_b):
+    return {
+        "objects": objects,
+        "graph_a": {"vertices": objects, "edges": _edges(edges_a)},
+        "graph_b": {"vertices": objects, "edges": _edges(edges_b)},
+    }
+
+
+def _retract_json(w_edges, origins, forest_x, forest_y, k, n_a, n_b, n_c):
+    payload = {
+        "edge_origins": {w: {"edge": e, "side": side} for w, (side, e) in origins.items()},
+        "forest_x": forest_x,
+        "forest_y": forest_y,
+        "k": k,
+        "n_a": n_a,
+        "n_b": n_b,
+        "n_c": n_c,
+        "per_component_ranks": [{"component": ["a", "b", "c"], "rank": k}],
+        "w": {"edges": _edges(w_edges), "vertices": ["a", "b", "c"]},
+    }
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def test_tag_colliding_ids_get_a_repeated_tag(tmp_path, capsys):
+    # Side A's "x" and side B's "x" are tagged, and "B:x", already a side-A
+    # id, pushes side B's tag to "B:B:x".
+    doc = _instance(["a", "b", "c"], [("x", "a", "b"), ("B:x", "b", "c")], [("x", "a", "b")])
+    path = write_json(tmp_path / "found.json", doc)
+    word = {
+        "source": "a",
+        "target": "a",
+        "letters": [
+            {"side": "A", "edge": "x", "sign": 1},
+            {"side": "B", "edge": "x", "sign": -1},
+        ],
+    }
+    word_path = write_json(tmp_path / "word.json", word)
+    assert _main(capsys, "retract", path, "--output", "json") == (
+        0,
+        _retract_json(
+            [("A:x", "a", "b"), ("B:B:x", "a", "b"), ("B:x", "b", "c")],
+            {"A:x": ("A", "x"), "B:B:x": ("B", "x"), "B:x": ("A", "B:x")},
+            ["B:x", "x"],
+            ["x"],
+            k=1, n_a=1, n_b=2, n_c=3,
+        ),
+        "",
+    )
+    assert _main(capsys, "rho", path, "--word", word_path) == (
+        0, "rho: a -> a: A:x B:B:x^-1\n", ""
+    )
+    assert _main(capsys, "witness", path, "--a", "a", "--b", "b") == (
+        0, "witness loop at a: A:x B:B:x^-1 (length 2)\n", ""
+    )
+    assert _main(capsys, "pushout-rank", path) == (0, "k = 1\nn_a = 1, n_b = 2, n_c = 3\n", "")
+
+
+def test_tag_heavy_ids_keep_their_single_tag_names(tmp_path, capsys):
+    doc = _instance(
+        ["a", "b", "c"], [("p", "a", "b"), ("A:q", "b", "c")], [("p", "b", "a"), ("q", "c", "a")]
+    )
+    path = write_json(tmp_path / "tagged.json", doc)
+    dot = tmp_path / "tagged.dot"
+    assert _main(capsys, "retract", path, "--output", "json", "--emit-dot", str(dot)) == (
+        0,
+        _retract_json(
+            [("A:p", "a", "b"), ("A:q", "b", "c"), ("B:p", "b", "a"), ("q", "c", "a")],
+            {"A:p": ("A", "p"), "A:q": ("A", "A:q"), "B:p": ("B", "p"), "q": ("B", "q")},
+            ["A:q", "p"],
+            ["p", "q"],
+            k=2, n_a=1, n_b=1, n_c=3,
+        ),
+        "",
+    )
+    assert dot.read_text(encoding="utf-8") == (
+        'digraph "G" {\n'
+        "  node [shape=circle];\n"
+        '  "a";\n'
+        '  "b";\n'
+        '  "c";\n'
+        '  "a" -> "b" [label="A:p", color="#c0392b"];\n'
+        '  "b" -> "c" [label="A:q", color="#c0392b"];\n'
+        '  "b" -> "a" [label="B:p", color="#2980b9"];\n'
+        '  "c" -> "a" [label="q", color="#2980b9"];\n'
+        "}\n"
+    )
 
 
 def test_components_and_forest_commands(tmp_path):

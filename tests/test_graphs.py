@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freeloop.errors import (
     DanglingEndpoint,
@@ -28,7 +29,12 @@ from freeloop.graphs import (
     spanning_forest_containing,
 )
 
-from support import brute_components, is_forest_graph, random_graph
+from support import (
+    brute_components,
+    is_forest_graph,
+    random_graph,
+    reference_single_tag_origins,
+)
 
 
 def cycle_graph(n, prefix="v", eprefix="c"):
@@ -248,6 +254,30 @@ def test_pushout_accepts_forests_and_counts_match():
         w, _ = graph_pushout_with_origins(fx, fy, vs)
         assert w.v_count == n
         assert w.e_count == len(fx.tree_edges) + len(fy.tree_edges)
+
+
+TAG_HEAVY_IDS = ("x", "y", "A:x", "B:x", "A:A:x", "A:B:x", "B:A:x", "B:B:x")
+side_ids = st.lists(st.sampled_from(TAG_HEAVY_IDS), unique=True)
+
+
+@settings(max_examples=400, deadline=None)
+@given(ids_x=side_ids, ids_y=side_ids, data=st.data())
+def test_pushout_naming_is_injective_on_tag_heavy_ids(ids_x, ids_y, data):
+    vs = ["a", "b"]
+    ends = st.tuples(st.sampled_from(vs), st.sampled_from(vs))
+    x = DirectedGraph(vs, {e: data.draw(ends) for e in ids_x})
+    y = DirectedGraph(vs, {e: data.draw(ends) for e in ids_y})
+    w, origins = graph_pushout_with_origins(x, y, vs)
+    assert w.e_count == len(ids_x) + len(ids_y)
+    assert set(origins) == set(w.edge_ids)
+    assert sorted(origins.values()) == sorted(
+        [("A", e) for e in ids_x] + [("B", e) for e in ids_y]
+    )
+    for name, (side, e) in origins.items():
+        assert w.edge_ends[name] == (x if side == "A" else y).edge_ends[e]
+    single_tag = reference_single_tag_origins(ids_x, ids_y)
+    if single_tag is not None:
+        assert origins == single_tag
 
 
 def test_pushout_rejects_vertex_set_mismatch():

@@ -329,16 +329,6 @@ def test_certify_on_circle_gives_one_letter_coordinates():
     assert len(el) == 1
 
 
-def test_union_graph_is_built_once_per_instance():
-    inst = circle_instance()
-    union = inst.union_graph()
-    assert inst.union_graph() is union
-    assert (union, inst.union_origins()) == graph_pushout_with_origins(
-        inst.graph_a, inst.graph_b, inst.objects
-    )
-    assert check_connected(inst) and inst.union_graph() is union
-
-
 def test_check_connected_matches_union_graph_components():
     rng = random.Random(73)
     seen = set()
@@ -352,7 +342,8 @@ def test_check_connected_matches_union_graph_components():
             )
 
         inst = PushoutInstance(vs, side("a"), side("b"))
-        connected = len(components(inst.union_graph())) == 1
+        union, _ = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
+        connected = len(components(union)) == 1
         assert check_connected(inst) == connected
         seen.add(connected)
     assert seen == {True, False}
@@ -363,7 +354,8 @@ def test_rank_never_exceeds_union_euler_rank():
     for _ in range(80):
         inst = random_connected_instance(rng, max_objects=10, max_side_edges=16)
         k = theorem_rank(inst)
-        (_, union_rank), = euler_ranks(inst.union_graph())
+        union, _ = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
+        (_, union_rank), = euler_ranks(union)
         assert 0 <= k <= union_rank
 
 
