@@ -1,9 +1,11 @@
 """Command-line front end: parse JSON inputs, run the engines, report.
 
-Exit codes: 0 on success, 1 on parse or IO failure, 2 on a domain error
-(violated precondition) with the error's code on stderr.  JSON output is
-printed with sorted keys and canonical id order, so identical inputs produce
-byte-identical bytes.
+Exit codes: 0 on success, 1 on parse, encoding or IO failure, 2 on a domain
+error (violated precondition) with the error's code on stderr.  JSON output
+comes from :func:`freeloop.jsonio.canonical_json`: sorted keys, two-space
+indent and canonical id order, so identical inputs produce byte-identical
+bytes.  The DOT rendering, and the union graph and role sets it draws, are
+built only under ``--emit-dot``.
 """
 
 from __future__ import annotations
@@ -11,12 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .dot import graph_dot
 from .errors import Disconnected, DomainError, InternalInvariant, PbiHolds, SchemaError
 from .graphs import components, graph_pushout_with_origins, spanning_forest
 from .jsonio import (
+    canonical_json,
     dump_certificate,
     dump_instance,
     dump_report,
@@ -81,9 +84,16 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return obj
 
 
+class _ParseError(ValueError):
+    """An input file is not UTF-8 JSON that the decoder can read."""
+
+
 def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=_unique_keys)
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            raise _ParseError(exc) from None
 
 
 def _tie_break(flag: str) -> list[str] | None:
@@ -92,31 +102,35 @@ def _tie_break(flag: str) -> list[str] | None:
     return [part for part in flag.split(",") if part]
 
 
-def _instance_roles(inst, report):
-    """Union graph of both sides plus role sets for DOT styling."""
+def _instance_dot(inst, report, word=None) -> str:
+    """The union graph of both sides, forest X red, forest Y blue, and the
+    edges of ``word`` (a word on W) bold."""
     union, origins = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
     rev = {orig: wid for wid, orig in origins.items()}
     red = {rev[("A", e)] for e in report.forest_x.tree_edge_ids}
     blue = {rev[("B", e)] for e in report.forest_y.tree_edge_ids}
-    return union, rev, red, blue
+    bold = () if word is None else {rev[report.origin_of(l.edge)] for l in word.letters}
+    return graph_dot(union, red, blue, bold)
 
 
-def _w_letters_on_union(report, rev, word) -> set[str]:
-    return {rev[report.origin_of(l.edge)] for l in word.letters}
-
-
-def _decomposition_roles(dec):
-    u_only = set(dec.piece_u.edge_ids) - set(dec.piece_v.edge_ids)
-    v_only = set(dec.piece_v.edge_ids) - set(dec.piece_u.edge_ids)
-    return u_only, v_only
+def _decomposition_dot(dec, loop=None) -> str:
+    """The decomposed space, the edges of one piece only red or blue, and the
+    edges of ``loop`` bold."""
+    u, v = set(dec.piece_u.edge_ids), set(dec.piece_v.edge_ids)
+    bold = () if loop is None else {l.edge for l in loop.letters}
+    return graph_dot(dec.space, u - v, v - u, bold)
 
 
 def _fmt_block(block) -> str:
     return "{" + ", ".join(block) + "}"
 
 
-def _run(args) -> tuple[Any, str, str | None]:
-    """Dispatch one command; returns (json payload, text report, DOT or None)."""
+def _run(args) -> tuple[Any, str, Callable[[], str]]:
+    """Dispatch one command; returns (json payload, text report, DOT thunk).
+
+    The thunk renders the DOT text, building the union graph and role sets it
+    draws; it is called only when ``--emit-dot`` asks for it.
+    """
     tie = _tie_break(args.tie_break)
     doc = _load(args.input)
     if args.command == "components":
@@ -127,7 +141,7 @@ def _run(args) -> tuple[Any, str, str | None]:
         return (
             {"components": [list(block) for block in parts.blocks]},
             "\n".join(text),
-            graph_dot(g),
+            lambda: graph_dot(g),
         )
     if args.command == "forest":
         g = parse_graph(doc)
@@ -135,24 +149,22 @@ def _run(args) -> tuple[Any, str, str | None]:
         ids = list(forest.tree_edge_ids)
         text = [f"spanning forest: {len(ids)} tree edge(s) of {g.e_count}"]
         text += [f"  {e}" for e in ids]
-        return ({"tree_edges": ids}, "\n".join(text), graph_dot(g, red_edges=ids))
+        return ({"tree_edges": ids}, "\n".join(text), lambda: graph_dot(g, red_edges=ids))
     if args.command == "pushout-rank":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
         k = report.k
         if k is None:
             raise Disconnected(_NOT_CONNECTED)
-        union, _, red, blue = _instance_roles(inst, report)
         text = f"k = {k}\nn_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}"
         return (
             {"k": k, "n_a": report.n_a, "n_b": report.n_b, "n_c": report.n_c},
             text,
-            graph_dot(union, red_edges=red, blue_edges=blue),
+            lambda: _instance_dot(inst, report),
         )
     if args.command == "retract":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
-        union, _, red, blue = _instance_roles(inst, report)
         text = [
             "k = n/a (disconnected)" if report.k is None else f"k = {report.k}",
             f"n_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}",
@@ -164,28 +176,23 @@ def _run(args) -> tuple[Any, str, str | None]:
             f"  component {_fmt_block(block)}: rank {rank}"
             for block, rank in report.per_component_ranks
         ]
-        return (dump_report(report), "\n".join(text), graph_dot(union, red, blue))
+        return (dump_report(report), "\n".join(text), lambda: _instance_dot(inst, report))
     if args.command == "rho":
         inst = parse_instance(doc)
         gword = parse_gword(_load(args.word), inst)
         report = build_retract(inst, tie)
         image = rho(report, gword)
-        union, rev, red, blue = _instance_roles(inst, report)
-        bold = _w_letters_on_union(report, rev, image)
         text = f"rho: {image.source} -> {image.target}: {image}"
-        return (dump_word(image), text, graph_dot(union, red, blue, bold))
+        return (dump_word(image), text, lambda: _instance_dot(inst, report, image))
     if args.command == "witness":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
         loop = witness(report, args.a, args.b)
-        union, rev, red, blue = _instance_roles(inst, report)
-        bold = _w_letters_on_union(report, rev, loop)
         text = f"witness loop at {loop.source}: {loop} (length {len(loop)})"
-        return (dump_word(loop), text, graph_dot(union, red, blue, bold))
+        return (dump_word(loop), text, lambda: _instance_dot(inst, report, loop))
     if args.command == "vk-instance":
         dec = parse_decomposition(doc)
         inst, translations = decomposition_to_instance(dec, tie)
-        u_only, v_only = _decomposition_roles(dec)
         n_loops = sum(len(ids) for _, ids in inst.c_loops)
         text = [
             f"objects: {', '.join(inst.objects)}",
@@ -200,27 +207,25 @@ def _run(args) -> tuple[Any, str, str | None]:
                 for side, table in translations.items()
             },
         }
-        return (payload, "\n".join(text), graph_dot(dec.space, u_only, v_only))
+        return (payload, "\n".join(text), lambda: _decomposition_dot(dec))
     if args.command == "certify":
         dec = parse_decomposition(doc)
         cert = detect_z_retract(dec, tie)
-        u_only, v_only = _decomposition_roles(dec)
         if cert is None:
             return (
                 {"certificate": None},
                 "no certificate: no basepoint pair is joined inside both pieces",
-                graph_dot(dec.space, u_only, v_only),
+                lambda: _decomposition_dot(dec),
             )
         loop = cert.loop_in_space
         text = (
             f"Z-retract certificate at {loop.source}: "
             f"{loop} (length {len(loop)}); k = {cert.report.k}"
         )
-        bold = {l.edge for l in loop.letters}
         return (
             {"certificate": dump_certificate(cert)},
             text,
-            graph_dot(dec.space, u_only, v_only, bold),
+            lambda: _decomposition_dot(dec, loop),
         )
     if args.command == "pbp-check":
         sc = parse_scenario(doc)
@@ -230,15 +235,13 @@ def _run(args) -> tuple[Any, str, str | None]:
             return (
                 {"pbi_fails": False, "certificate": None},
                 "PBI holds; no certificate.",
-                graph_dot(sc.space),
+                lambda: graph_dot(sc.space),
             )
         prefer = certificate_basepoints_for(dec, sc.a, sc.b)
         cert = detect_z_retract(dec, tie, prefer=prefer)
         if cert is None:
             raise InternalInvariant("separation failure must yield a certificate")
         loop = cert.loop_in_space
-        u_only, v_only = _decomposition_roles(dec)
-        bold = {l.edge for l in loop.letters}
         text = (
             "PBI fails; Z-retract certificate emitted\n"
             f"loop at {loop.source}: {loop} (length {len(loop)}); k = {cert.report.k}"
@@ -246,23 +249,37 @@ def _run(args) -> tuple[Any, str, str | None]:
         return (
             {"pbi_fails": True, "certificate": dump_certificate(cert)},
             text,
-            graph_dot(sc.space, u_only, v_only, bold),
+            lambda: _decomposition_dot(dec, loop),
         )
     raise AssertionError(f"unhandled command {args.command!r}")
+
+
+def _utf8(s: str) -> str:
+    """``s``, once it is known to encode as UTF-8.  An id that is a lone
+    surrogate (JSON ``"\\ud800"``) does not; checking before any write leaves
+    stdout empty and no partial DOT file."""
+    if not s.isascii():
+        s.encode("utf-8")
+    return s
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, text, dot = _run(args)
-        if args.emit_dot and dot is not None:
+        out = _utf8(canonical_json(payload) if args.output == "json" else text)
+        if args.emit_dot:
+            dot_text = _utf8(dot())
             with open(args.emit_dot, "w", encoding="utf-8") as fh:
-                fh.write(dot)
+                fh.write(dot_text)
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 1
-    except json.JSONDecodeError as exc:
+    except _ParseError as exc:
         print(f"ParseError: {exc}", file=sys.stderr)
+        return 1
+    except UnicodeEncodeError as exc:
+        print(f"EncodeError: output is not valid UTF-8: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)
@@ -270,10 +287,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
-    if args.output == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False) + "\n")
-    else:
-        print(text)
+    sys.stdout.write(out + "\n")
     return 0
 
 

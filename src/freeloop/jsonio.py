@@ -9,9 +9,10 @@ relevant domain error from the engine that rejects it.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from json.encoder import encode_basestring
 from typing import Any
 
-from .errors import SchemaError
+from .errors import InternalInvariant, SchemaError
 from .graphs import DirectedGraph
 from .retract import GLetter, GWord, PushoutInstance, RetractReport
 from .vankampen import Decomposition, PbpScenario, ZRetractCertificate
@@ -176,3 +177,50 @@ def dump_certificate(cert: ZRetractCertificate) -> dict:
         "loop_in_space": dump_word(cert.loop_in_space),
         "retract_image": dump_word(cert.retract_image),
     }
+
+
+def canonical_json(payload: Any) -> str:
+    """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2,
+    ensure_ascii=False)`` writes it, for dicts with str keys, lists, str, int,
+    bool and None; strings are quoted by the C ``encode_basestring``.
+
+    Any other type, or a non-str key, is a defect in the caller and raises
+    :class:`InternalInvariant`.
+    """
+    parts: list[str] = []
+    try:
+        _write(payload, "\n", parts.append)
+    except TypeError as exc:  # a non-str key, from sorted() or the quoting
+        raise InternalInvariant(f"canonical_json: {exc}") from None
+    return "".join(parts)
+
+
+def _write(x: Any, newline: str, put) -> None:
+    if isinstance(x, str):
+        put(encode_basestring(x))
+    elif isinstance(x, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            put(sep + encode_basestring(key) + ": ")
+            _write(x[key], inner, put)
+            sep = "," + inner
+        put(newline + "}" if x else "{}")
+    elif isinstance(x, list):
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            put(sep)
+            _write(item, inner, put)
+            sep = "," + inner
+        put(newline + "]" if x else "[]")
+    elif x is None:
+        put("null")
+    elif x is True:
+        put("true")
+    elif x is False:
+        put("false")
+    elif isinstance(x, int):
+        put(int.__repr__(x))
+    else:
+        raise InternalInvariant(f"canonical_json cannot write a {type(x).__name__}")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -458,3 +459,118 @@ def test_emit_dot_writes_deterministic_styled_graph(circle_file, tmp_path):
     assert "#c0392b" in text  # first forest
     assert "#2980b9" in text  # second forest
     assert "penwidth=2.5" in text  # witness highlight
+
+
+GRAPH = {
+    "vertices": ["a", "b", "c"],
+    "edges": [
+        {"id": "x", "src": "a", "tgt": "b"},
+        {"id": "y", "src": "b", "tgt": "a"},
+        {"id": "z", "src": "c", "tgt": "c"},
+    ],
+}
+
+CIRCLE_GWORD = {
+    "source": "a",
+    "target": "a",
+    "letters": [
+        {"side": "A", "edge": "alpha", "sign": 1},
+        {"side": "B", "edge": "beta", "sign": -1},
+    ],
+}
+
+NO_CERTIFICATE = {
+    "space": {"vertices": ["a", "b"], "edges": [{"id": "x", "src": "a", "tgt": "b"}]},
+    "u": ["a", "b"],
+    "v": ["a", "b"],
+}
+
+# Golden name -> (command, input document, extra arguments).  Each command's
+# DOT branch appears at least once; tests/golden_dot/<name>.dot pins its bytes.
+DOT_CASES = {
+    "components": ("components", GRAPH, ()),
+    "forest": ("forest", GRAPH, ("--tie-break", "y")),
+    "pushout-rank": ("pushout-rank", CIRCLE_INSTANCE, ()),
+    "retract": ("retract", CIRCLE_INSTANCE, ()),
+    "rho": ("rho", CIRCLE_INSTANCE, ("--word", CIRCLE_GWORD)),
+    "witness": ("witness", CIRCLE_INSTANCE, ("--a", "a", "--b", "b")),
+    "vk-instance": ("vk-instance", CIRCLE_DECOMPOSITION, ()),
+    "certify": ("certify", CIRCLE_DECOMPOSITION, ()),
+    "certify-absent": ("certify", NO_CERTIFICATE, ()),
+    "pbp-check": ("pbp-check", C8_SCENARIO, ()),
+    "pbp-check-holding": ("pbp-check", dict(C8_SCENARIO, d=[]), ()),
+}
+
+GOLDEN_DOT = Path(__file__).parent / "golden_dot"
+
+
+def _dot_case_argv(tmp_path, name):
+    command, doc, extra = DOT_CASES[name]
+    argv = [command, write_json(tmp_path / f"{name}.json", doc)]
+    for arg in extra:
+        argv.append(write_json(tmp_path / f"{name}-word.json", arg) if isinstance(arg, dict) else arg)
+    return argv
+
+
+def test_dot_is_not_built_without_emit_dot(tmp_path, monkeypatch, capsys):
+    from freeloop import cli
+
+    dot_calls = _counting(monkeypatch, cli, "graph_dot")
+    union_calls = _counting(monkeypatch, cli, "graph_pushout_with_origins")
+    commands = set()
+    for name in DOT_CASES:
+        argv = _dot_case_argv(tmp_path, name)
+        commands.add(argv[0])
+        for output in ("text", "json"):
+            code, out, err = _main(capsys, *argv, "--output", output)
+            assert (code, err) == (0, "") and out
+    assert len(commands) == 9
+    assert (len(dot_calls), len(union_calls)) == (0, 0)
+    _main(capsys, *_dot_case_argv(tmp_path, "retract"), "--emit-dot", str(tmp_path / "g.dot"))
+    assert (len(dot_calls), len(union_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CASES))
+def test_emit_dot_bytes_match_goldens(tmp_path, capsys, name):
+    argv = _dot_case_argv(tmp_path, name)
+    dot = tmp_path / "out.dot"
+    for output in ("text", "json"):
+        plain = _main(capsys, *argv, "--output", output)
+        assert _main(capsys, *argv, "--output", output, "--emit-dot", str(dot)) == plain
+        assert dot.read_bytes() == (GOLDEN_DOT / f"{name}.dot").read_bytes()
+        dot.unlink()
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b'{"objects": ["\xff"]}', b"[" * 100_000 + b"]" * 100_000],
+    ids=["invalid-utf8", "nested-100k"],
+)
+def test_unreadable_json_exits_one_with_parse_error(tmp_path, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    out = run_cli("retract", str(path))
+    assert (out.returncode, out.stdout) == (1, "")
+    assert out.stderr.startswith("ParseError: ")
+    assert "Traceback" not in out.stderr
+
+
+def test_lone_surrogate_id_exits_one_and_writes_nothing(tmp_path):
+    # A lone surrogate decodes from JSON but has no UTF-8 encoding.
+    graph = '{"vertices": ["a", "\\ud800"], "edges": [{"id": "\\udfff", "src": "a", "tgt": "a"}]}'
+    path = tmp_path / "surrogate.json"
+    path.write_text(graph, encoding="ascii")
+    dot = tmp_path / "g.dot"
+    for argv in (
+        ["components", str(path)],
+        ["components", str(path), "--output", "json"],
+        ["components", str(path), "--emit-dot", str(dot)],
+        # The forest has no edge, so only the DOT text holds a surrogate.
+        ["forest", str(path), "--emit-dot", str(dot)],
+    ):
+        out = run_cli(*argv)
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr.startswith("EncodeError: ")
+        assert "Traceback" not in out.stderr
+        assert not dot.exists()
+    assert run_cli("forest", str(path)).stdout == "spanning forest: 0 tree edge(s) of 1\n"
