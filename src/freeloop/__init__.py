@@ -48,7 +48,6 @@ from .vankampen import (
     separates,
 )
 from .words import (
-    FreeGroupElement,
     Letter,
     Word,
     compose,
@@ -98,7 +97,6 @@ __all__ = [
     "pbi_fails",
     "pbp_to_decomposition",
     "separates",
-    "FreeGroupElement",
     "Letter",
     "Word",
     "compose",

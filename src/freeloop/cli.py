@@ -251,15 +251,18 @@ def _run(args) -> tuple[Any, str, Callable[[], str]]:
             text,
             lambda: _decomposition_dot(dec, loop),
         )
-    raise AssertionError(f"unhandled command {args.command!r}")
+    raise InternalInvariant(f"unhandled command {args.command!r}")
 
 
-def _utf8(s: str) -> str:
-    """``s``, once it is known to encode as UTF-8.  An id that is a lone
-    surrogate (JSON ``"\\ud800"``) does not; checking before any write leaves
-    stdout empty and no partial DOT file."""
+def _encodable(s: str, stream=None) -> str:
+    """``s``, once it is known to encode as UTF-8 and, given a ``stream``, as
+    that stream writes (UTF-8 where it has no encoding, as a ``StringIO``).
+    Checking before any write leaves stdout empty and no partial DOT file."""
     if not s.isascii():
         s.encode("utf-8")
+        if stream is not None:
+            encoding = getattr(stream, "encoding", None) or "utf-8"
+            s.encode(encoding, getattr(stream, "errors", None) or "strict")
     return s
 
 
@@ -267,9 +270,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, text, dot = _run(args)
-        out = _utf8(canonical_json(payload) if args.output == "json" else text)
+        out = _encodable(canonical_json(payload) if args.output == "json" else text, sys.stdout)
         if args.emit_dot:
-            dot_text = _utf8(dot())
+            dot_text = _encodable(dot())
             with open(args.emit_dot, "w", encoding="utf-8") as fh:
                 fh.write(dot_text)
     except SchemaError as exc:
@@ -279,7 +282,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"ParseError: {exc}", file=sys.stderr)
         return 1
     except UnicodeEncodeError as exc:
-        print(f"EncodeError: output is not valid UTF-8: {exc}", file=sys.stderr)
+        print(f"EncodeError: output is not valid {exc.encoding.upper()}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"IOError: {exc}", file=sys.stderr)

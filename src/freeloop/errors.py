@@ -69,11 +69,19 @@ class TreeEdgesNotSpanning(DomainError):
 
 # -- words -----------------------------------------------------------------
 
+class BadSign(DomainError):
+    pass
+
+
 class NotComposable(DomainError):
     def __init__(self, position=None, detail=""):
         at = "" if position is None else f" at position {position}"
         super().__init__(f"letters do not compose{at}" + (f": {detail}" if detail else ""))
         self.position = position
+
+
+class NotReduced(DomainError):
+    pass
 
 
 class HostMismatch(DomainError):
@@ -102,6 +110,10 @@ class UnknownLetter(DomainError):
 # -- retract ---------------------------------------------------------------
 
 class EmptyObjectSet(DomainError):
+    pass
+
+
+class UnknownSide(DomainError):
     pass
 
 

@@ -15,10 +15,12 @@ back along the retraction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import union_find_labels
 from .errors import (
+    BadSign,
     Disconnected,
     DuplicateId,
     EmptyObjectSet,
@@ -29,6 +31,7 @@ from .errors import (
     NotComposable,
     NotDistinct,
     UnknownLetter,
+    UnknownSide,
     UnknownVertex,
     VertexSetMismatch,
 )
@@ -42,7 +45,7 @@ from .graphs import (
     spanning_forest,
     spanning_forest_containing,
 )
-from .words import FreeGroupElement, Letter, Word, compose, loop_coordinates, reduce
+from .words import Letter, Word, _chain_end, _reduced, compose, loop_coordinates
 
 SIDES = ("A", "B", "C")
 
@@ -100,7 +103,7 @@ class PushoutInstance:
             return self.graph_a
         if side == "B":
             return self.graph_b
-        raise ValueError(f"no generating graph for side {side!r}")
+        raise UnknownSide(f"no generating graph for side {side!r}")
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -135,9 +138,9 @@ class GLetter:
 
     def __post_init__(self):
         if self.side not in SIDES:
-            raise ValueError(f"side must be one of {SIDES}, got {self.side!r}")
+            raise UnknownSide(f"side must be one of {SIDES}, got {self.side!r}")
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+            raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
 
     def inverse(self) -> GLetter:
         return GLetter(self.side, self.edge, -self.sign)
@@ -174,29 +177,30 @@ class GWord:
         if target not in instance.graph_a._vindex:
             raise UnknownVertex(target)
         letters = tuple(letters)
-        cur = source
-        for i, letter in enumerate(letters):
-            s, t = _gletter_ends(instance, letter)
-            if s != cur:
-                raise NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}")
-            cur = t
-        if cur != target:
-            raise NotComposable(len(letters), f"target {target!r} does not match chain end {cur!r}")
-        self.instance = instance
-        self.source = source
-        self.target = target
-        self.letters = letters
+        end = _chain_end(partial(_gletter_ends, instance), source, letters)
+        if end != target:
+            raise NotComposable(len(letters), f"target {target!r} does not match chain end {end!r}")
+        self._set(instance, source, target, letters)
+
+    @classmethod
+    def _trusted(cls, instance: PushoutInstance, source: str, target: str, letters: tuple) -> GWord:
+        """``GWord(...)`` without its checks, for chains freeloop derived itself."""
+        return cls.__new__(cls)._set(instance, source, target, letters)
+
+    def _set(self, instance: PushoutInstance, source: str, target: str, letters: tuple) -> GWord:
+        self.instance, self.source, self.target, self.letters = instance, source, target, letters
+        return self
 
     def compose(self, other: GWord) -> GWord:
         if self.instance != other.instance:
             raise HostMismatch("words live over different instances")
         if self.target != other.source:
             raise NotComposable(None, f"target {self.target!r} != source {other.source!r}")
-        return GWord(self.instance, self.source, other.target, self.letters + other.letters)
+        return GWord._trusted(self.instance, self.source, other.target, self.letters + other.letters)
 
     def invert(self) -> GWord:
-        return GWord(
-            self.instance, self.target, self.source, [l.inverse() for l in reversed(self.letters)]
+        return GWord._trusted(
+            self.instance, self.target, self.source, tuple(l.inverse() for l in reversed(self.letters))
         )
 
     def __len__(self) -> int:
@@ -384,18 +388,15 @@ def rho(report: RetractReport, g: GWord) -> Word:
         cur = _gletter_ends(report.instance, letter)[1]
     if side is not None:
         raw += _side_path_on_w(report, side, start, cur)
-    return reduce(report.w, g.source, raw)
+    return _reduced(report.w, g.source, g.target, raw)
 
 
 def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    letters = []
-    for letter in w.letters:
-        side, orig = report.origin_of(letter.edge)
-        letters.append(GLetter(side, orig, letter.sign))
-    return GWord(report.instance, w.source, w.target, letters)
+    letters = tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in w.letters)
+    return GWord._trusted(report.instance, w.source, w.target, letters)
 
 
 def witness(report: RetractReport, a: str, b: str) -> Word:
@@ -407,26 +408,24 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     corresponding loop class in G is nontrivial.
     """
     a, b = as_id(a), as_id(b)
-    if a not in report.instance.graph_a._vindex:
-        raise UnknownVertex(a)
-    if b not in report.instance.graph_a._vindex:
-        raise UnknownVertex(b)
-    if a == b:
-        raise NotDistinct(f"objects must be distinct, got {a!r} twice")
+    # same_block raises UnknownVertex for a, then b, before any other check.
     if not components(report.instance.graph_a).same_block(a, b):
         raise NoArrowInA(f"no arrow {a!r} -> {b!r} in A: different components")
     if not components(report.instance.graph_b).same_block(a, b):
         raise NoArrowInB(f"no arrow {a!r} -> {b!r} in B: different components")
-    first = Word(report.w, a, b, _side_path_on_w(report, "A", a, b))
-    second = Word(report.w, b, a, _side_path_on_w(report, "B", b, a))
+    if a == b:
+        raise NotDistinct(f"objects must be distinct, got {a!r} twice")
+    first = Word._trusted(report.w, a, b, tuple(_side_path_on_w(report, "A", a, b)))
+    second = Word._trusted(report.w, b, a, tuple(_side_path_on_w(report, "B", b, a)))
     loop = compose(first, second)
     if not (len(loop) >= 2 and len(loop) == len(first) + len(second)):
         raise InternalInvariant("witness halves cancelled at their junction")
     return loop
 
 
-def certify_rank_at_least_one(report: RetractReport, a: str, b: str) -> FreeGroupElement:
-    """Coordinates of the witness loop in the vertex group of Fr(W) at ``a``.
+def certify_rank_at_least_one(report: RetractReport, a: str, b: str) -> Word:
+    """Coordinates of the witness loop in the vertex group of Fr(W) at ``a``,
+    a reduced word on that group's rose (see :func:`loop_coordinates`).
 
     Nonempty coordinates exhibit an infinite cyclic retract inside that
     vertex group.

@@ -36,9 +36,9 @@ from .errors import (
     SetsNotDisjoint,
     UnknownVertex,
 )
-from .graphs import DirectedGraph, as_id, components, spanning_forest
+from .graphs import DirectedGraph, Forest, as_id, components, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
-from .words import Letter, Word, invert, reduce, rehost, tree_path
+from .words import Letter, Word, _reduced, invert, tree_path
 
 
 def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
@@ -209,6 +209,15 @@ class GeneratorPresentation:
     expansions: Mapping[str, Word] = field(compare=False)
 
 
+def _loop_word(forest: Forest, root: str, e: str) -> Word:
+    """The loop at ``root`` through the non-forest edge ``e``: tree path out
+    to e's source, ``e``, tree path back.  Each tree path is reduced and
+    ``e`` is on neither, so the chain is reduced as it stands."""
+    src, tgt = forest.host.edge_ends[e]
+    out, back = tree_path(forest, root, src), tree_path(forest, tgt, root)
+    return Word._trusted(forest.host, root, root, out.letters + (Letter(e, 1),) + back.letters)
+
+
 def groupoid_generators(
     piece: DirectedGraph,
     basepoints: Iterable[str],
@@ -247,15 +256,10 @@ def groupoid_generators(
     for e in piece.edge_ids:
         if e in tree:
             continue
-        src, tgt = piece.edge_ends[e]
-        root = roots[parts.blocks[parts.block_of(src)]]
+        root = roots[parts.blocks[parts.block_of(piece.edge_ends[e][0])]]
         gen = f"g:{e}"
         edges.append((gen, root, root))
-        out = tree_path(forest, root, src)
-        back = tree_path(forest, tgt, root)
-        expansions[gen] = reduce(
-            piece, root, list(out.letters) + [Letter(e, 1)] + list(back.letters)
-        )
+        expansions[gen] = _loop_word(forest, root, e)
     graph = DirectedGraph(points, edges)
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
@@ -293,20 +297,15 @@ def decomposition_to_instance(
     for e in inter.edge_ids:
         if e in forest_i.tree_edges:
             continue
-        src, tgt = inter.edge_ends[e]
-        block = inter_parts.blocks[inter_parts.block_of(src)]
-        s = block[0]
+        s = inter_parts.blocks[inter_parts.block_of(inter.edge_ends[e][0])][0]
         c_loops.setdefault(s, []).append(e)
-        out = tree_path(forest_i, s, src)
-        back = tree_path(forest_i, tgt, s)
-        c_words[e] = reduce(
-            inter, s, list(out.letters) + [Letter(e, 1)] + list(back.letters)
-        )
+        c_words[e] = _loop_word(forest_i, s, e)
     instance = PushoutInstance(points, pres_a.graph, pres_b.graph, c_loops)
+    # The pieces are induced subgraphs of the space, with its ids and ends,
+    # so their words are words on the space as they stand.
     translations = {
-        "A": {g: rehost(w, dec.space) for g, w in pres_a.expansions.items()},
-        "B": {g: rehost(w, dec.space) for g, w in pres_b.expansions.items()},
-        "C": {g: rehost(w, dec.space) for g, w in c_words.items()},
+        side: {g: Word._trusted(dec.space, w.source, w.target, w.letters) for g, w in table.items()}
+        for side, table in (("A", pres_a.expansions), ("B", pres_b.expansions), ("C", c_words))
     }
     return instance, translations
 
@@ -336,7 +335,7 @@ def _expand_to_space(
         if letter.sign == -1:
             expansion = invert(expansion)
         raw.extend(expansion.letters)
-    return reduce(space, gword.source, raw)
+    return _reduced(space, gword.source, gword.target, raw)
 
 
 def detect_z_retract(

@@ -5,15 +5,31 @@ traverses an edge forwards (sign +1) or backwards (sign -1), with no adjacent
 cancelling pair.  Reduced words are normal forms: two words are equal in the
 free groupoid exactly when they are identical, which is what makes every
 nontriviality claim in this library decidable.
+
+:class:`Word` is the one type for these arrows.  A vertex group of a free
+groupoid is itself the free groupoid on a rose (one vertex, one loop per
+basis edge), so loop coordinates are Words on that rose.  Letters are
+checked where they come from outside (``Word``, :func:`reduce`,
+:func:`rehost`); derived words are built by ``Word._trusted`` and
+``_reduced`` without a re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 from ._kernels import reduce_signed
-from .errors import HostMismatch, NotALoop, NotComposable, UnknownLetter, UnknownVertex
+from .errors import (
+    BadSign,
+    HostMismatch,
+    NotALoop,
+    NotComposable,
+    NotReduced,
+    UnknownLetter,
+    UnknownVertex,
+)
 from .graphs import DirectedGraph, Forest, components
 
 
@@ -26,7 +42,7 @@ class Letter:
 
     def __post_init__(self):
         if self.sign not in (1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
+            raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
 
     def inverse(self) -> Letter:
         return Letter(self.edge, -self.sign)
@@ -53,7 +69,7 @@ class Word:
     operations; the constructor rejects unreduced input.
     """
 
-    __slots__ = ("host", "source", "target", "letters", "_codes")
+    __slots__ = ("host", "source", "target", "letters")
 
     def __init__(self, host: DirectedGraph, source: str, target: str, letters: Sequence[Letter] = ()):
         if not host.has_vertex(source):
@@ -61,28 +77,24 @@ class Word:
         if not host.has_vertex(target):
             raise UnknownVertex(target)
         letters = tuple(letters)
-        cur = source
-        for i, letter in enumerate(letters):
-            s, t = letter_ends(host, letter)
-            if s != cur:
-                raise NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}")
-            if i and letters[i - 1].edge == letter.edge and letters[i - 1].sign == -letter.sign:
-                raise ValueError(f"word is not reduced at position {i}")
-            cur = t
-        if cur != target:
-            raise ValueError(f"target {target!r} does not match chain end {cur!r}")
-        self.host = host
-        self.source = source
-        self.target = target
-        self.letters = letters
-        self._codes: tuple[int, ...] | None = None
+        end = _chain_end(partial(letter_ends, host), source, letters, reduced=True)
+        if end != target:
+            raise NotComposable(len(letters), f"target {target!r} does not match chain end {end!r}")
+        self._set(host, source, target, letters)
+
+    @classmethod
+    def _trusted(cls, host: DirectedGraph, source: str, target: str, letters: tuple) -> Word:
+        """``Word(...)`` without its checks, for reduced chains freeloop derived itself."""
+        return cls.__new__(cls)._set(host, source, target, letters)
+
+    def _set(self, host: DirectedGraph, source: str, target: str, letters: tuple) -> Word:
+        self.host, self.source, self.target, self.letters = host, source, target, letters
+        return self
 
     def codes(self) -> tuple[int, ...]:
         """Letters encoded as nonzero ints: ``sign * (edge index + 1)``."""
-        if self._codes is None:
-            eindex = self.host._eindex
-            self._codes = tuple(l.sign * (eindex[l.edge] + 1) for l in self.letters)
-        return self._codes
+        eindex = self.host._eindex
+        return tuple(l.sign * (eindex[l.edge] + 1) for l in self.letters)
 
     @property
     def is_identity(self) -> bool:
@@ -111,16 +123,34 @@ class Word:
         return f"Word({self.source!r} -> {self.target!r}: {self})"
 
 
+def _chain_end(ends: Callable, source: str, letters: Sequence, reduced: bool = False) -> str:
+    """Where the chain ``letters`` from ``source`` ends, ``ends`` giving each
+    letter's signed (source, target); raises at the first letter that does not
+    compose or, if ``reduced``, cancels the one before it."""
+    cur = source
+    for i, letter in enumerate(letters):
+        s, t = ends(letter)
+        if s != cur:
+            raise NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}")
+        if reduced and i and letters[i - 1].edge == letter.edge and letters[i - 1].sign == -letter.sign:
+            raise NotReduced(f"word is not reduced at position {i}")
+        cur = t
+    return cur
+
+
 def identity(g: DirectedGraph, v: str) -> Word:
     """The identity arrow at ``v``: the empty word from ``v`` to ``v``."""
-    if not g.has_vertex(v):
-        raise UnknownVertex(v)
     return Word(g, v, v)
 
 
-def _decode(g: DirectedGraph, codes) -> list[Letter]:
-    ids = g.edge_ids
-    return [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in codes]
+def _reduced(g: DirectedGraph, source: str, target: str, chain: Sequence[Letter]) -> Word:
+    """The reduced word of ``chain``, a composable chain from ``source`` to
+    ``target`` on ``g`` that freeloop derived itself, so it is not checked.
+    Its letters are the chain's own ``Letter`` objects."""
+    eindex = g._eindex
+    codes = [l.sign * (eindex[l.edge] + 1) for l in chain]
+    letter_of = dict(zip(codes, chain))
+    return Word._trusted(g, source, target, tuple(letter_of[c] for c in reduce_signed(codes)))
 
 
 def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word:
@@ -130,22 +160,10 @@ def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word
     be reduced.  Reduction is a single left-to-right stack pass (free
     reduction is confluent, so the strategy does not affect the result).
     """
-    source = _checked_vertex(g, source)
-    cur = source
-    for i, letter in enumerate(raw_letters):
-        s, t = letter_ends(g, letter)
-        if s != cur:
-            raise NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}")
-        cur = t
-    eindex = g._eindex
-    codes = [l.sign * (eindex[l.edge] + 1) for l in raw_letters]
-    return Word(g, source, cur, _decode(g, reduce_signed(codes)))
-
-
-def _checked_vertex(g: DirectedGraph, v: str) -> str:
-    if not g.has_vertex(v):
-        raise UnknownVertex(v)
-    return v
+    if not g.has_vertex(source):
+        raise UnknownVertex(source)
+    target = _chain_end(partial(letter_ends, g), source, raw_letters)
+    return _reduced(g, source, target, raw_letters)
 
 
 def compose(w1: Word, w2: Word) -> Word:
@@ -154,13 +172,12 @@ def compose(w1: Word, w2: Word) -> Word:
         raise HostMismatch("words live on different graphs")
     if w1.target != w2.source:
         raise NotComposable(None, f"target {w1.target!r} != source {w2.source!r}")
-    codes = reduce_signed(list(w1.codes()) + list(w2.codes()))
-    return Word(w1.host, w1.source, w2.target, _decode(w1.host, codes))
+    return _reduced(w1.host, w1.source, w2.target, w1.letters + w2.letters)
 
 
 def invert(w: Word) -> Word:
     """Inverse arrow: letters reversed with signs flipped."""
-    return Word(w.host, w.target, w.source, [l.inverse() for l in reversed(w.letters)])
+    return Word._trusted(w.host, w.target, w.source, tuple(l.inverse() for l in reversed(w.letters)))
 
 
 def rehost(w: Word, new_host: DirectedGraph) -> Word:
@@ -171,54 +188,19 @@ def rehost(w: Word, new_host: DirectedGraph) -> Word:
 def tree_path(f: Forest, u: str, v: str) -> Word:
     """The unique reduced word from ``u`` to ``v`` through tree edges only."""
     steps = f.path_steps(u, v)
-    return Word(f.host, u, v, [Letter(e, sign) for e, sign in steps])
+    return Word._trusted(f.host, u, v, tuple(Letter(e, sign) for e, sign in steps))
 
 
-@dataclass(frozen=True)
-class FreeGroupElement:
-    """An element of a free group on the listed basis.
+def loop_coordinates(g: DirectedGraph, f: Forest, base: str, w: Word) -> Word:
+    """Coordinates of a loop at ``base`` in the vertex group there.
 
-    ``letters`` is a reduced sequence of ``(basis index, sign)`` pairs.  Used
-    for coordinates of loops in the vertex group at a basepoint, where the
-    basis is the non-forest edges of the basepoint's component.
-    """
-
-    basis: tuple[str, ...]
-    letters: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for i, (idx, sign) in enumerate(self.letters):
-            if not 0 <= idx < len(self.basis):
-                raise ValueError(f"basis index {idx} out of range")
-            if sign not in (1, -1):
-                raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-            if i and self.letters[i - 1] == (idx, -sign):
-                raise ValueError(f"element is not reduced at position {i}")
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __str__(self) -> str:
-        if not self.letters:
-            return "1"
-        return " ".join(
-            self.basis[i] if s == 1 else f"{self.basis[i]}^-1" for i, s in self.letters
-        )
-
-
-def loop_coordinates(g: DirectedGraph, f: Forest, base: str, w: Word) -> FreeGroupElement:
-    """Coordinates of a loop at ``base`` in the free group on non-forest edges.
-
-    The basis element for a non-forest edge ``e`` is the loop
-    ``base -> src(e) -(e)-> tgt(e) -> base`` (tree paths on the outside), so a
-    loop's coordinates are read off by keeping its non-forest letters and
-    dropping the rest; the result is freely reduced.  This realises the vertex
-    group of the free groupoid at ``base`` as a free group of rank
-    ``e - v + 1`` over the basepoint's component.
+    That vertex group is free on the non-forest edges of the basepoint's
+    component: the basis element for such an edge ``e`` is the loop
+    ``base -> src(e) -(e)-> tgt(e) -> base`` (tree paths on the outside).  So
+    the coordinates are a reduced word on the rose at ``base``, the
+    one-vertex graph with one loop per basis edge, read off by keeping the
+    loop's non-forest letters and dropping the rest.  The rose has
+    ``e - v + 1`` edges over the basepoint's component.
     """
     if f.host != g:
         raise HostMismatch("forest does not belong to the given graph")
@@ -228,15 +210,9 @@ def loop_coordinates(g: DirectedGraph, f: Forest, base: str, w: Word) -> FreeGro
         raise UnknownVertex(base)
     if w.source != base or w.target != base:
         raise NotALoop(f"word runs {w.source!r} -> {w.target!r}, expected a loop at {base!r}")
-    block = components(g).block_of(base)
-    basis = tuple(
-        e
-        for e in g.edge_ids
-        if e not in f.tree_edges and components(g).block_of(g.edge_ends[e][0]) == block
-    )
-    bindex = {e: i for i, e in enumerate(basis)}
-    codes = [
-        l.sign * (bindex[l.edge] + 1) for l in w.letters if l.edge in bindex
-    ]
-    reduced = reduce_signed(codes)
-    return FreeGroupElement(basis, tuple((abs(c) - 1, 1 if c > 0 else -1) for c in reduced))
+    parts = components(g)
+    block = parts.block_of(base)
+    tree = f.tree_edges
+    basis = [e for e in g.edge_ids if e not in tree and parts.block_of(g.edge_ends[e][0]) == block]
+    rose = DirectedGraph([base], [(e, base, base) for e in basis])
+    return reduce(rose, base, [l for l in w.letters if l.edge not in tree])

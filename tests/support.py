@@ -369,8 +369,8 @@ def expand_coordinates(g, f, base, element) -> Word:
     basis element for edge e is (tree path to src e) e (tree path from tgt e).
     """
     raw: list[Letter] = []
-    for idx, sign in element.letters:
-        e = element.basis[idx]
+    for letter in element.letters:
+        e, sign = letter.edge, letter.sign
         s, t = g.edge_ends[e]
         loop = (
             list(tree_path(f, base, s).letters)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -574,3 +575,21 @@ def test_lone_surrogate_id_exits_one_and_writes_nothing(tmp_path):
         assert "Traceback" not in out.stderr
         assert not dot.exists()
     assert run_cli("forest", str(path)).stdout == "spanning forest: 0 tree edge(s) of 1\n"
+
+
+def test_output_the_stdout_encoding_cannot_hold_exits_one_and_writes_nothing(tmp_path):
+    graph = {"vertices": ["é"], "edges": []}
+    path = write_json(tmp_path / "g.json", graph)
+    dot = tmp_path / "g.dot"
+    env = {**os.environ, "PYTHONIOENCODING": "ascii"}
+    for output in ("text", "json"):
+        out = subprocess.run(
+            [sys.executable, "-m", "freeloop", "components", path, "--output", output,
+             "--emit-dot", str(dot)],
+            capture_output=True,
+            env=env,
+        )
+        assert (out.returncode, out.stdout) == (1, b"")
+        assert out.stderr.startswith(b"EncodeError: ")
+        assert b"Traceback" not in out.stderr
+        assert not dot.exists()

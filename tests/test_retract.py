@@ -11,6 +11,7 @@ import textwrap
 import pytest
 
 from freeloop.errors import (
+    BadSign,
     Disconnected,
     DuplicateId,
     HostMismatch,
@@ -20,6 +21,7 @@ from freeloop.errors import (
     NotDistinct,
     RequiredEdgesContainCycle,
     UnknownLetter,
+    UnknownSide,
     UnknownVertex,
     VertexSetMismatch,
 )
@@ -139,8 +141,12 @@ def test_gword_validates_chain_and_letters():
         GWord(inst, "a", "b", [GLetter("B", "alpha", 1)])
     with pytest.raises(UnknownVertex):
         GWord(inst, "zz", "zz", [])
-    with pytest.raises(ValueError):
+    with pytest.raises(UnknownSide):
         GLetter("D", "alpha", 1)
+    with pytest.raises(BadSign):
+        GLetter("A", "alpha", 0)
+    with pytest.raises(UnknownSide):
+        inst.side_graph("C")
 
 
 def test_gword_compose_and_invert():
