@@ -26,6 +26,11 @@ class InternalInvariant(DomainError):
 
 # -- graphs ----------------------------------------------------------------
 
+class BadId(DomainError, TypeError):
+    """An id is neither a string nor an integer label.  A ``TypeError`` too,
+    so code that caught the ``TypeError`` this used to be keeps working."""
+
+
 class DanglingEndpoint(DomainError):
     def __init__(self, edge: str, vertex: str):
         super().__init__(f"edge {edge!r} references undeclared vertex {vertex!r}")

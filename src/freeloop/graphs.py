@@ -11,10 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from ._kernels import greedy_forest, union_find_labels
 from .errors import (
+    BadId,
     DanglingEndpoint,
     DifferentTrees,
     DuplicateId,
@@ -34,7 +37,7 @@ def as_id(value) -> str:
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return str(value)
-    raise TypeError(f"id must be a string or integer label, got {type(value).__name__}")
+    raise BadId(f"id must be a string or integer label, got {type(value).__name__}")
 
 
 class DirectedGraph:
@@ -43,6 +46,11 @@ class DirectedGraph:
     Parallel edges and self-loops are permitted.  Vertices and edges are
     stored in canonical id order, so two graphs built from the same data in
     any input order compare (and print) identically.
+
+    ``DirectedGraph(...)`` is the one validating build: it coerces every id
+    with :func:`as_id`, then checks for duplicate vertices, duplicate edges
+    and dangling endpoints, in that order.  Graphs freeloop derives from
+    graphs it already holds are built by ``_trusted`` from index arrays.
     """
 
     def __init__(
@@ -50,34 +58,78 @@ class DirectedGraph:
         vertices: Iterable[str],
         edges: Union[Mapping[str, tuple], Iterable[tuple]] = (),
     ):
-        vs = sorted(as_id(v) for v in vertices)
-        for left, right in zip(vs, vs[1:]):
+        if isinstance(edges, Mapping):
+            items = ((as_id(e), as_id(s), as_id(t)) for e, (s, t) in edges.items())
+        else:
+            items = ((as_id(e), as_id(s), as_id(t)) for e, s, t in edges)
+        # ``items`` is lazy, so a duplicate vertex is reported before a bad edge id.
+        self._check([as_id(v) for v in vertices], items)
+
+    @classmethod
+    def _checked(cls, vertices: list[str], edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
+        """``DirectedGraph(...)`` for ids that are already str: the same
+        checks, errors and order, without the ``as_id`` pass."""
+        return cls.__new__(cls)._check(vertices, edges)
+
+    @classmethod
+    def _trusted(
+        cls,
+        vertices: tuple[str, ...],
+        edge_ids: tuple[str, ...],
+        src_idx: list[int],
+        tgt_idx: list[int],
+    ) -> DirectedGraph:
+        """``DirectedGraph(...)`` without its checks, for graphs freeloop
+        derived itself: ``vertices`` and ``edge_ids`` canonical (str, sorted,
+        distinct), ``src_idx``/``tgt_idx`` indexes into ``vertices``."""
+        vindex = dict(zip(vertices, range(len(vertices))))
+        return cls.__new__(cls)._set(vertices, vindex, edge_ids, src_idx, tgt_idx)
+
+    def _check(self, vertices: list[str], edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
+        vertices.sort()
+        for left, right in zip(vertices, vertices[1:]):
             if left == right:
                 raise DuplicateId("vertex", left)
-        self.vertices: tuple[str, ...] = tuple(vs)
-        self._vindex = {v: i for i, v in enumerate(self.vertices)}
-
-        if isinstance(edges, Mapping):
-            items = [(as_id(e), as_id(s), as_id(t)) for e, (s, t) in edges.items()]
-        else:
-            items = [(as_id(e), as_id(s), as_id(t)) for e, s, t in edges]
-        items.sort(key=lambda it: it[0])
-        for (left, _, _), (right, _, _) in zip(items, items[1:]):
+        items = sorted(edges, key=itemgetter(0))
+        edge_ids = tuple(map(itemgetter(0), items))
+        for left, right in zip(edge_ids, edge_ids[1:]):
             if left == right:
                 raise DuplicateId("edge", left)
-        ends = {}
-        for e, s, t in items:
-            if s not in self._vindex:
-                raise DanglingEndpoint(e, s)
-            if t not in self._vindex:
-                raise DanglingEndpoint(e, t)
-            ends[e] = (s, t)
-        self.edge_ids: tuple[str, ...] = tuple(e for e, _, _ in items)
-        self.edge_ends: dict[str, tuple[str, str]] = ends
-        self._eindex = {e: i for i, e in enumerate(self.edge_ids)}
-        self._src_idx = [self._vindex[ends[e][0]] for e in self.edge_ids]
-        self._tgt_idx = [self._vindex[ends[e][1]] for e in self.edge_ids]
+        vindex = dict(zip(vertices, range(len(vertices))))
+        src_idx = [vindex.get(s, -1) for _, s, _ in items]
+        tgt_idx = [vindex.get(t, -1) for _, _, t in items]
+        if -1 in src_idx or -1 in tgt_idx:
+            for (e, s, t), i, j in zip(items, src_idx, tgt_idx):
+                if i < 0:
+                    raise DanglingEndpoint(e, s)
+                if j < 0:
+                    raise DanglingEndpoint(e, t)
+        return self._set(tuple(vertices), vindex, edge_ids, src_idx, tgt_idx)
+
+    def _set(
+        self,
+        vertices: tuple[str, ...],
+        vindex: dict[str, int],
+        edge_ids: tuple[str, ...],
+        src_idx: list[int],
+        tgt_idx: list[int],
+    ) -> DirectedGraph:
+        self.vertices = vertices
+        self._vindex = vindex
+        self.edge_ids = edge_ids
+        self._eindex = dict(zip(edge_ids, range(len(edge_ids))))
+        self._src_idx = src_idx
+        self._tgt_idx = tgt_idx
         self._components: VertexPartition | None = None
+        return self
+
+    @cached_property
+    def edge_ends(self) -> Mapping[str, tuple[str, str]]:
+        """Read-only map of edge id to (source, target), built on first use."""
+        vertex = self.vertices.__getitem__
+        return MappingProxyType(
+            dict(zip(self.edge_ids, zip(map(vertex, self._src_idx), map(vertex, self._tgt_idx))))
+        )
 
     @property
     def v_count(self) -> int:
@@ -91,7 +143,7 @@ class DirectedGraph:
         return v in self._vindex
 
     def has_edge(self, e: str) -> bool:
-        return e in self.edge_ends
+        return e in self._eindex
 
     def ends(self, edge: str) -> tuple[str, str]:
         try:
@@ -122,7 +174,7 @@ class DirectedGraph:
         return hash((self.vertices, tuple(sorted(self.edge_ends.items()))))
 
     def __repr__(self) -> str:
-        return f"DirectedGraph(vertices={self.vertices!r}, edges={self.edge_ends!r})"
+        return f"DirectedGraph(vertices={self.vertices!r}, edges={dict(self.edge_ends)!r})"
 
 
 @dataclass(frozen=True)
@@ -348,34 +400,45 @@ def graph_pushout_with_origins(
     """
     shared = sorted({as_id(v) for v in shared_vertices})
     sides = []
-    for which, z in (("first", x), ("second", y)):
-        host = z.host if isinstance(z, Forest) else z
+    for which, side, z in (("first", "A", x), ("second", "B", y)):
+        host, ids = (z.host, z.tree_edge_ids) if isinstance(z, Forest) else (z, z.edge_ids)
         if list(host.vertices) != shared:
             raise VertexSetMismatch(f"{which} input's vertex set is not the shared vertex set")
-        sides.append((z.tree_edge_ids if isinstance(z, Forest) else z.edge_ids, host.edge_ends))
-    (ids_x, ends_x), (ids_y, ends_y) = sides
-    both = set(ids_x) & set(ids_y)
-    one_side = set(ids_x) ^ set(ids_y)
-    edges: dict[str, tuple[str, str]] = {}
+        sides.append((side, ids, host))
+    ids_x, ids_y = set(sides[0][1]), set(sides[1][1])
+    both = ids_x & ids_y
+    one_side = ids_x ^ ids_y
+    # Both hosts have the shared vertex set, so they index it alike.
+    edges: list[tuple[str, int, int]] = []
     origins: dict[str, tuple[str, str]] = {}
-    for side, ids, ends in (("A", ids_x, ends_x), ("B", ids_y, ends_y)):
+    for side, ids, host in sides:
+        eindex, src, tgt = host._eindex, host._src_idx, host._tgt_idx
         for e in ids:
             out = e
             if e in both:
                 out = f"{side}:{e}"
                 while out in one_side:
                     out = f"{side}:{out}"
-            edges[out] = ends[e]
+            i = eindex[e]
+            edges.append((out, src[i], tgt[i]))
             origins[out] = (side, e)
-    return DirectedGraph(shared, edges), origins
+    edges.sort()
+    w = DirectedGraph._trusted(
+        tuple(shared),
+        tuple(e for e, _, _ in edges),
+        [s for _, s, _ in edges],
+        [t for _, _, t in edges],
+    )
+    return w, origins
 
 
 def euler_ranks(g: DirectedGraph) -> list[tuple[tuple[str, ...], int]]:
     """Per-component cycle rank ``e - v + 1``, paired with the block's vertices."""
     part = components(g)
     edge_counts = [0] * len(part)
-    for e in g.edge_ids:
-        edge_counts[part.block_of(g.edge_ends[e][0])] += 1
+    index, vertices = part.index, g.vertices
+    for s in g._src_idx:
+        edge_counts[index[vertices[s]]] += 1
     out = []
     for i, block in enumerate(part.blocks):
         rank = edge_counts[i] - len(block) + 1

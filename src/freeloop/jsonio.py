@@ -43,12 +43,24 @@ def _id_value(value: Any, where: str) -> str:
 
 
 def parse_graph(obj: Any) -> DirectedGraph:
+    """The graph document ``obj``, checked in one pass over its edges.
+
+    An edge object whose three fields are strings is taken as it stands;
+    any other entry gets the per-field checks, so the first bad edge raises
+    the same :class:`SchemaError` either way.  The ids are then str, and
+    the graph checks run without coercing them again.
+    """
     vertices = _id_list(_require(obj, "vertices", "graph"), 'graph "vertices"')
     raw_edges = _require(obj, "edges", "graph")
     if not isinstance(raw_edges, list):
         raise SchemaError('graph "edges" must be a JSON array')
     edges = []
     for i, entry in enumerate(raw_edges):
+        if type(entry) is dict:
+            e, s, t = entry.get("id"), entry.get("src"), entry.get("tgt")
+            if type(e) is str and type(s) is str and type(t) is str:
+                edges.append((e, s, t))
+                continue
         where = f"edge #{i}"
         edges.append(
             (
@@ -57,15 +69,16 @@ def parse_graph(obj: Any) -> DirectedGraph:
                 _id_value(_require(entry, "tgt", where), f'{where} "tgt"'),
             )
         )
-    return DirectedGraph(vertices, edges)
+    return DirectedGraph._checked(list(map(str, vertices)), edges)
 
 
 def dump_graph(g: DirectedGraph) -> dict:
+    vertex = g.vertices.__getitem__
     return {
         "vertices": list(g.vertices),
         "edges": [
-            {"id": e, "src": g.edge_ends[e][0], "tgt": g.edge_ends[e][1]}
-            for e in g.edge_ids
+            {"id": e, "src": vertex(s), "tgt": vertex(t)}
+            for e, s, t in zip(g.edge_ids, g._src_idx, g._tgt_idx)
         ],
     }
 

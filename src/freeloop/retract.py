@@ -242,8 +242,12 @@ class RetractReport:
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
     _w_edges: dict[str, dict[str, str]] = field(init=False, repr=False, compare=False)
+    _gletters: dict[tuple[str, int], GLetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # (W edge id, sign) -> its GLetter, filled by ``include_f`` as it
+        # meets them; GLetters are frozen, so words share them.
+        self._gletters = {}
         # Side -> {side edge id: W edge id}, the inverse of ``edge_origins``.
         self._w_edges = {"A": {}, "B": {}}
         for w_edge, (side, edge) in self.edge_origins.items():
@@ -375,19 +379,23 @@ def rho(report: RetractReport, g: GWord) -> Word:
     """
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
+    inst = report.instance
     raw: list[Letter] = []
-    side = None
-    start = cur = g.source
+    side = last = None
+    start = g.source
     for letter in g.letters:
         if letter.side == "C":
             continue
         if letter.side != side:
             if side is not None:
-                raw += _side_path_on_w(report, side, start, cur)
-            side, start = letter.side, cur
-        cur = _gletter_ends(report.instance, letter)[1]
+                # The run ends where its last letter does.
+                end = _gletter_ends(inst, last)[1]
+                raw += _side_path_on_w(report, side, start, end)
+                start = end
+            side = letter.side
+        last = letter
     if side is not None:
-        raw += _side_path_on_w(report, side, start, cur)
+        raw += _side_path_on_w(report, side, start, _gletter_ends(inst, last)[1])
     return _reduced(report.w, g.source, g.target, raw)
 
 
@@ -395,8 +403,15 @@ def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    letters = tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in w.letters)
-    return GWord._trusted(report.instance, w.source, w.target, letters)
+    shared = report._gletters
+    letters = []
+    for l in w.letters:
+        key = (l.edge, l.sign)
+        letter = shared.get(key)
+        if letter is None:
+            letter = shared[key] = GLetter(*report.origin_of(l.edge), l.sign)
+        letters.append(letter)
+    return GWord._trusted(report.instance, w.source, w.target, tuple(letters))
 
 
 def witness(report: RetractReport, a: str, b: str) -> Word:

@@ -16,7 +16,7 @@ certificate is guaranteed to exist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, compress
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
@@ -70,13 +70,16 @@ def induced_subgraph(
     """
     if mask is None:
         mask = _vertex_mask(space, _vertex_subset(space, vertex_set))
-    verts = space.vertices
-    edges = [
-        (e, verts[s], verts[t])
-        for e, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx)
-        if mask[s] and mask[t]
-    ]
-    return DirectedGraph(compress(verts, mask), edges)
+    src, tgt = space._src_idx, space._tgt_idx
+    keep = [mask[s] and mask[t] for s, t in zip(src, tgt)]
+    # A member's index in the subgraph: the number of members before it.
+    renumber = list(accumulate(map(bool, mask), initial=0))
+    return DirectedGraph._trusted(
+        tuple(compress(space.vertices, mask)),
+        tuple(compress(space.edge_ids, keep)),
+        [renumber[s] for s in compress(src, keep)],
+        [renumber[t] for t in compress(tgt, keep)],
+    )
 
 
 class Decomposition:
@@ -244,23 +247,33 @@ def groupoid_generators(
         roots[block] = inside[0]
     forest = spanning_forest(piece, tie_break)
     tree = forest.tree_edges
-    edges: list[tuple[str, str, str]] = []
+    index = {v: i for i, v in enumerate(points)}
+    paths: list[tuple[str, int, int]] = []
+    loops: list[tuple[str, int, int]] = []
     expansions: dict[str, Word] = {}
     for s in points:
         root = roots[parts.blocks[parts.block_of(s)]]
         if s == root:
             continue
         gen = f"t:{s}"
-        edges.append((gen, root, s))
+        paths.append((gen, index[root], index[s]))
         expansions[gen] = tree_path(forest, root, s)
     for e in piece.edge_ids:
         if e in tree:
             continue
         root = roots[parts.blocks[parts.block_of(piece.edge_ends[e][0])]]
         gen = f"g:{e}"
-        edges.append((gen, root, root))
+        loops.append((gen, index[root], index[root]))
         expansions[gen] = _loop_word(forest, root, e)
-    graph = DirectedGraph(points, edges)
+    # Each list is in id order and every "g:" id sorts before every "t:" id,
+    # so the generators are in canonical order.
+    gens = loops + paths
+    graph = DirectedGraph._trusted(
+        points,
+        tuple(gen for gen, _, _ in gens),
+        [s for _, s, _ in gens],
+        [t for _, _, t in gens],
+    )
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
     return GeneratorPresentation(graph, expansions)

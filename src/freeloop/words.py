@@ -214,5 +214,5 @@ def loop_coordinates(g: DirectedGraph, f: Forest, base: str, w: Word) -> Word:
     block = parts.block_of(base)
     tree = f.tree_edges
     basis = [e for e in g.edge_ids if e not in tree and parts.block_of(g.edge_ends[e][0]) == block]
-    rose = DirectedGraph([base], [(e, base, base) for e in basis])
+    rose = DirectedGraph._trusted((base,), tuple(basis), [0] * len(basis), [0] * len(basis))
     return reduce(rose, base, [l for l in w.letters if l.edge not in tree])

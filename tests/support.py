@@ -16,9 +16,11 @@ from freeloop.errors import (
     NotACover,
     PieceMissesIntersection,
     PointInDeletedSet,
+    SchemaError,
     UnknownVertex,
 )
 from freeloop.graphs import DirectedGraph, components
+from freeloop.jsonio import _id_list, _id_value, _require
 from freeloop.retract import GLetter, GWord, PushoutInstance
 from freeloop.vankampen import Decomposition, decomposition_to_instance
 from freeloop.words import Letter, Word, tree_path
@@ -488,3 +490,22 @@ def reference_single_tag_origins(ids_x, ids_y):
                 return None
             origins[name] = (side, e)
     return origins
+
+
+def reference_parse_graph(obj) -> DirectedGraph:
+    """A graph document parsed the long way: every field of every edge through
+    the schema checks, then every id through the public ``DirectedGraph``."""
+    vertices = _id_list(_require(obj, "vertices", "graph"), 'graph "vertices"')
+    raw_edges = _require(obj, "edges", "graph")
+    if not isinstance(raw_edges, list):
+        raise SchemaError('graph "edges" must be a JSON array')
+    edges = []
+    for i, entry in enumerate(raw_edges):
+        where = f"edge #{i}"
+        edges.append(
+            tuple(
+                _id_value(_require(entry, key, where), f'{where} "{key}"')
+                for key in ("id", "src", "tgt")
+            )
+        )
+    return DirectedGraph(vertices, edges)

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -56,6 +60,54 @@ def test_graph_accepts_integer_labels():
     g = DirectedGraph([2, 10], [(1, 2, 10)])
     assert g.vertices == ("10", "2")
     assert g.edge_ends["1"] == ("2", "10")
+
+
+def test_edge_ends_is_read_only_and_prints_as_a_dict():
+    g = DirectedGraph(["b", "a"], [("x", "a", "b"), ("l", "b", "b")])
+    with pytest.raises(TypeError):
+        g.edge_ends["x"] = ("b", "a")
+    with pytest.raises(TypeError):
+        g.edge_ends["new"] = ("a", "a")
+    with pytest.raises(TypeError):
+        del g.edge_ends["l"]
+    assert dict(g.edge_ends) == {"l": ("b", "b"), "x": ("a", "b")}
+    assert repr(g) == "DirectedGraph(vertices=('a', 'b'), edges={'l': ('b', 'b'), 'x': ('a', 'b')})"
+    same = DirectedGraph(["a", "b"], {"x": ("a", "b"), "l": ("b", "b")})
+    assert g == same and hash(g) == hash(same)
+    assert g != DirectedGraph(["a", "b"], [("x", "b", "a"), ("l", "b", "b")])
+
+
+def test_bad_id_has_a_stable_code_and_is_still_a_type_error():
+    script = textwrap.dedent(
+        """
+        from freeloop.errors import BadId, DomainError
+        from freeloop.graphs import DirectedGraph, as_id
+
+        for bad in (1.5, None, True, ["a"]):
+            for build in (
+                lambda: as_id(bad),
+                lambda: DirectedGraph(["a", bad]),
+                lambda: DirectedGraph(["a"], [("x", "a", bad)]),
+            ):
+                try:
+                    build()
+                except TypeError as exc:
+                    if isinstance(exc, BadId) and isinstance(exc, DomainError):
+                        print(exc.code, exc)
+        """
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for flags in ([], ["-O"]):
+        out = subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert (out.returncode, out.stderr) == (0, "")
+        assert out.stdout.splitlines() == [
+            f"BadId id must be a string or integer label, got {name}"
+            for name in ("float", "NoneType", "bool", "list")
+            for _ in range(3)
+        ]
 
 
 def test_graph_rejects_duplicate_vertex():

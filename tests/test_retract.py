@@ -275,6 +275,18 @@ def test_include_f_tags_letters_with_their_side():
         include_f(report, identity(inst.graph_a, "a"))
 
 
+def test_include_f_shares_one_gletter_per_w_letter():
+    inst = random_connected_instance(random.Random(67), max_objects=10, max_side_edges=16)
+    report = build_retract(inst)
+    fresh = build_retract(inst)
+    w = random_reduced_word(random.Random(68), report.w)
+    first, again = include_f(report, w), include_f(report, w)
+    assert first == again
+    assert all(a is b for a, b in zip(first.letters, again.letters))
+    assert first == include_f(fresh, w)
+    assert report == fresh and repr(report) == repr(fresh)
+
+
 def test_witness_on_circle_is_the_two_letter_loop():
     report = build_retract(circle_instance())
     loop = witness(report, "a", "b")
