@@ -2,6 +2,15 @@
 
 Letter codes handed to ``reduce_signed`` are nonzero ints: a signed edge is
 encoded as ``sign * (index + 1)``.
+
+The union-find of ``union_find_labels`` and ``greedy_forest`` is inlined, so
+no step makes a Python call.  Finds use path halving (each visited node is
+relinked to its grandparent, ``parent[x] = x = parent[parent[x]]``), and a
+union always links the larger root under the smaller one.  So every parent
+index is at most its child's, and a root is the smallest member of its set:
+one ascending pass ``parent[i] = parent[parent[i]]`` then leaves each vertex
+labelled by that member.  Which edges a scan accepts depends only on whether
+their ends already share a set, never on which root survives a union.
 """
 
 from __future__ import annotations
@@ -18,32 +27,22 @@ def reduce_signed(codes):
     return stack
 
 
-def _find(parent, x):
-    """Root of ``x`` in the union-find forest ``parent``, compressing the path."""
-    root = x
-    while parent[root] != root:
-        root = parent[root]
-    while parent[x] != root:
-        parent[x], x = root, parent[x]
-    return root
-
-
 def union_find_labels(n, src, tgt):
     """Merge ``src[i] - tgt[i]``; label each vertex by its set's smallest member."""
     parent = list(range(n))
     for a, b in zip(src, tgt):
-        ra, rb = _find(parent, a), _find(parent, b)
-        if ra != rb:
-            parent[rb] = ra
-
-    labels = [0] * n
-    first = {}
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # parent[i] <= i, so parent[i]'s own root is already final when i is reached.
     for i in range(n):
-        r = _find(parent, i)
-        if r not in first:
-            first[r] = i
-        labels[i] = first[r]
-    return labels
+        parent[i] = parent[parent[i]]
+    return parent
 
 
 def greedy_forest(n, src, tgt, order):
@@ -51,8 +50,15 @@ def greedy_forest(n, src, tgt, order):
     parent = list(range(n))
     accepted = []
     for idx in order:
-        ra, rb = _find(parent, src[idx]), _find(parent, tgt[idx])
-        if ra != rb:
-            parent[rb] = ra
+        a, b = src[idx], tgt[idx]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
             accepted.append(idx)
     return accepted

@@ -11,6 +11,7 @@ built only under ``--emit-dot``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Any, Callable, Sequence
@@ -38,6 +39,7 @@ from .vankampen import (
     pbp_to_decomposition,
 )
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="freeloop",
@@ -92,7 +94,11 @@ def _load(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        except SchemaError:
+            raise
+        # ValueError covers a malformed document, bytes that are not UTF-8 and
+        # an integer literal longer than the interpreter converts.
+        except (ValueError, RecursionError) as exc:
             raise _ParseError(exc) from None
 
 

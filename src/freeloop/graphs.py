@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -207,12 +208,16 @@ class VertexPartition:
 def components(g: DirectedGraph) -> VertexPartition:
     """Weak-connectivity partition of ``g`` (edge direction ignored)."""
     if g._components is None:
-        labels = union_find_labels(g.v_count, g._src_idx, g._tgt_idx)
-        grouped: dict[int, list[str]] = {}
-        for i, v in enumerate(g.vertices):
-            grouped.setdefault(labels[i], []).append(v)
-        blocks = tuple(tuple(grouped[lbl]) for lbl in sorted(grouped))
-        g._components = VertexPartition(blocks)
+        # Labels are smallest members, so a stable sort by label lists the
+        # blocks by smallest vertex, each block in vertex order.
+        label = union_find_labels(g.v_count, g._src_idx, g._tgt_idx).__getitem__
+        vertex = g.vertices.__getitem__
+        g._components = VertexPartition(
+            tuple(
+                tuple(map(vertex, block))
+                for _, block in groupby(sorted(range(g.v_count), key=label), label)
+            )
+        )
     return g._components
 
 
@@ -238,6 +243,8 @@ class Forest:
         self.host = host
         self.tree_edges: frozenset[str] = frozenset(edge_ids)
         self.tree_edge_ids: tuple[str, ...] = tuple(edge_ids)
+        # Host edge ids are sorted, so the indexes of sorted ids ascend too.
+        self._tree_idx: list[int] = order
 
     @classmethod
     def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
@@ -246,7 +253,8 @@ class Forest:
         checks of ``__init__`` are skipped."""
         forest = cls.__new__(cls)
         forest.host = host
-        forest.tree_edge_ids = tuple(host.edge_ids[i] for i in sorted(accepted))
+        forest._tree_idx = sorted(accepted)
+        forest.tree_edge_ids = tuple(map(host.edge_ids.__getitem__, forest._tree_idx))
         forest.tree_edges = frozenset(forest.tree_edge_ids)
         return forest
 
@@ -261,15 +269,21 @@ class Forest:
     def _nav(self) -> tuple[list[int], list[int], list[int], list[int]]:
         # Per-vertex navigation, indexed like ``host.vertices``: the parent
         # vertex, the signed edge code (sign * (edge index + 1)) of the step
-        # to the parent, the depth, and the root of the vertex's tree.
+        # to the parent, the depth, and the root of the vertex's tree.  The
+        # trees are searched breadth first from their smallest vertex, over
+        # flat per-vertex ``[code, neighbour, code, neighbour, ...]`` lists.
         host = self.host
         n = host.v_count
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for e in self.tree_edge_ids:
-            i = host._eindex[e]
-            s, t = host._src_idx[i], host._tgt_idx[i]
-            adj[s].append((i + 1, t))
-            adj[t].append((-(i + 1), s))
+        src, tgt = host._src_idx, host._tgt_idx
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i in self._tree_idx:
+            s, t = src[i], tgt[i]
+            half_edges = adj[s]
+            half_edges.append(i + 1)
+            half_edges.append(t)
+            half_edges = adj[t]
+            half_edges.append(-(i + 1))
+            half_edges.append(s)
         parent = list(range(n))
         up = [0] * n
         depth = [0] * n
@@ -278,20 +292,19 @@ class Forest:
             if root[start] >= 0:
                 continue
             root[start] = start
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for u in frontier:
-                    d = depth[u] + 1
-                    for code, w in adj[u]:
-                        if root[w] >= 0:
-                            continue
-                        root[w] = start
-                        depth[w] = d
-                        parent[w] = u
-                        up[w] = -code  # traversing w -> u inverts the step
-                        nxt.append(w)
-                frontier = nxt
+            queue = [start]
+            for u in queue:  # the queue grows while it is read: FIFO order
+                d = depth[u] + 1
+                half_edges = iter(adj[u])
+                for code in half_edges:
+                    w = next(half_edges)
+                    if root[w] >= 0:
+                        continue
+                    root[w] = start
+                    depth[w] = d
+                    parent[w] = u
+                    up[w] = -code  # traversing w -> u inverts the step
+                    queue.append(w)
         return parent, up, depth, root
 
     def tree_of(self, v: str) -> str:
@@ -370,9 +383,11 @@ def spanning_forest_containing(
     for e in req_ids:
         if not g.has_edge(e):
             raise UnknownEdge(e)
-    req_set = set(req_ids)
     head = [g.edge_index(e) for e in req_ids]
-    scan = head + [i for i in edge_scan_order(g, tie_break) if g.edge_ids[i] not in req_set]
+    scan = edge_scan_order(g, tie_break)
+    if head:
+        req_set = set(req_ids)
+        scan = head + [i for i in scan if g.edge_ids[i] not in req_set]
     accepted = greedy_forest(g.v_count, g._src_idx, g._tgt_idx, scan)
     # The required edges lead the scan, so they are all in the forest exactly
     # when the scan accepted each of them.

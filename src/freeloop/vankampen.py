@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate, compress
-from operator import and_, or_
+from operator import and_, not_, or_
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import union_find_labels
@@ -42,10 +42,12 @@ from .words import Letter, Word, _reduced, invert, tree_path
 
 
 def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
-    out = sorted({as_id(v) for v in vs})
-    for v in out:
-        if not g.has_vertex(v):
-            raise UnknownVertex(v)
+    """``vs`` as sorted distinct vertex ids of ``g``.  A bad id raises
+    ``BadId`` at the first offender in ``vs``; then the smallest id that is
+    not a vertex raises ``UnknownVertex``."""
+    out = sorted(set(map(as_id, vs)))
+    if not all(map(g._vindex.__contains__, out)):
+        raise UnknownVertex(next(v for v in out if v not in g._vindex))
     return tuple(out)
 
 
@@ -407,10 +409,10 @@ def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
         raise PbiHolds(
             "neither-separates-but-union-does fails; no decomposition is induced"
         )
-    d, e = set(sc.d_set), set(sc.e_set)
-    u = [v for v in sc.space.vertices if v not in d]
-    v = [w for w in sc.space.vertices if w not in e]
-    dec = Decomposition(sc.space, u, v)
+    space = sc.space
+    u = compress(space.vertices, map(not_, _vertex_mask(space, sc.d_set)))
+    v = compress(space.vertices, map(not_, _vertex_mask(space, sc.e_set)))
+    dec = Decomposition(space, u, v)
     if components(dec.intersection).same_block(sc.a, sc.b):
         raise InternalInvariant("marked points share an intersection component")
     if not components(dec.piece_u).same_block(sc.a, sc.b):

@@ -68,6 +68,19 @@ def brute_components(g: DirectedGraph):
     return tuple(sorted(blocks))
 
 
+def reference_kruskal(n, src, tgt, order):
+    """Greedy forest scan without union-find: accept an edge whose ends carry
+    different block labels, then relabel the whole of one block."""
+    block = list(range(n))
+    accepted = []
+    for idx in order:
+        keep, drop = block[src[idx]], block[tgt[idx]]
+        if keep != drop:
+            block = [keep if b == drop else b for b in block]
+            accepted.append(idx)
+    return accepted
+
+
 def is_forest_graph(g: DirectedGraph) -> bool:
     """Acyclicity by counting: e = v - #components holds exactly for forests."""
     return g.e_count == g.v_count - len(brute_components(g))

@@ -544,8 +544,13 @@ def test_emit_dot_bytes_match_goldens(tmp_path, capsys, name):
 
 @pytest.mark.parametrize(
     "raw",
-    [b'{"objects": ["\xff"]}', b"[" * 100_000 + b"]" * 100_000],
-    ids=["invalid-utf8", "nested-100k"],
+    [
+        b'{"objects": ["\xff"]}',
+        b"[" * 100_000 + b"]" * 100_000,
+        # Longer than the interpreter's int conversion limit of 4,300 digits.
+        b'{"objects": [' + b"9" * 5000 + b"]}",
+    ],
+    ids=["invalid-utf8", "nested-100k", "int-5000-digits"],
 )
 def test_unreadable_json_exits_one_with_parse_error(tmp_path, raw):
     path = tmp_path / "raw.json"

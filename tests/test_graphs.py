@@ -272,6 +272,27 @@ def test_path_steps_endpoints_on_random_forests():
                 )
 
 
+def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
+    """Forests of many trees and isolated vertices, ids shuffled against the
+    shape: ``tree_of`` names each tree's smallest vertex, and the
+    sort-grouped ``components`` agrees with BFS."""
+    rng = random.Random(29)
+    for _ in range(150):
+        n = rng.randint(1, 60)
+        vs = [f"v{x:03d}" for x in rng.sample(range(1000), n)]
+        edges = []
+        for i in range(1, n):
+            if rng.random() < 0.6:
+                s, t = vs[i], vs[rng.randrange(i)]
+                edges.append((f"e{len(edges):03d}", *((s, t) if rng.random() < 0.5 else (t, s))))
+        g = DirectedGraph(vs, edges)
+        blocks = brute_components(g)
+        assert components(g).blocks == blocks
+        for f in (Forest(g, g.edge_ids), spanning_forest(g)):
+            for block in blocks:
+                assert {f.tree_of(v) for v in block} == {block[0]}
+
+
 def test_pushout_disjointly_unions_edges_over_shared_vertices():
     x = DirectedGraph(["a", "b"], [("p", "a", "b")])
     y = DirectedGraph(["a", "b"], [("q", "b", "a")])

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
 from freeloop import _kernels
 from freeloop._kernels import _pure
 
-from support import brute_components, naive_reduce
+from support import brute_components, naive_reduce, reference_kruskal
 
 BACKEND_PARAMS = pytest.mark.parametrize("kernel", [_pure], ids=["pure"])
 
@@ -115,6 +117,65 @@ def test_greedy_forest_is_maximal_acyclic_subsequence(kernel, data):
     fsrc = [src[i] for i in accepted]
     ftgt = [tgt[i] for i in accepted]
     assert _index_blocks(n, fsrc, ftgt) == blocks
+
+
+@BACKEND_PARAMS
+@given(data=index_graphs(), choice=st.data())
+def test_greedy_forest_matches_reference_kruskal_in_any_order(kernel, data, choice):
+    """Linking roots by smaller index changes no acceptance: on a permuted
+    scan, and on a scan led by required edges as in
+    ``spanning_forest_containing``, the kernel accepts what a union-find-free
+    Kruskal accepts."""
+    n, src, tgt = data
+    order = choice.draw(st.permutations(range(len(src))))
+    assert list(kernel.greedy_forest(n, src, tgt, order)) == reference_kruskal(n, src, tgt, order)
+    required = choice.draw(st.lists(st.sampled_from(order), unique=True) if order else st.just([]))
+    order = required + [i for i in order if i not in required]
+    assert list(kernel.greedy_forest(n, src, tgt, order)) == reference_kruskal(n, src, tgt, order)
+
+
+def _python_calls_inside(fn, *args):
+    """``fn(*args)`` and the number of Python-level calls made under it."""
+    calls = []
+    previous = sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+    try:
+        result = fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return result, len(calls) - 1  # the first call event is fn itself
+
+
+LONG = 100_000
+
+
+def _long_shape(shape, direction):
+    """A 100k-vertex path or a 100k-leaf star, edges ascending or descending."""
+    if shape == "path":
+        src, tgt = list(range(LONG - 1)), list(range(1, LONG))
+    else:
+        src, tgt = [0] * LONG, list(range(1, LONG + 1))
+    if direction == "descending":
+        src.reverse()
+        tgt.reverse()
+    return max(tgt) + 1, src, tgt
+
+
+@BACKEND_PARAMS
+@pytest.mark.parametrize("direction", ["ascending", "descending"])
+@pytest.mark.parametrize("shape", ["path", "star"])
+def test_kernels_on_long_paths_and_stars_make_no_python_calls(kernel, shape, direction):
+    """Each find is inlined, so the chains that a descending path builds
+    neither recurse nor cost a call per step."""
+    n, src, tgt = _long_shape(shape, direction)
+    labels, calls = _python_calls_inside(kernel.union_find_labels, n, src, tgt)
+    assert calls == 0
+    assert _blocks_from_labels(labels) == _index_blocks(n, src, tgt) == [tuple(range(n))]
+    assert labels == [0] * n
+    order = list(range(len(src)))
+    accepted, calls = _python_calls_inside(kernel.greedy_forest, n, src, tgt, order)
+    assert calls == 0
+    assert accepted == order
 
 
 def test_selected_backend_is_exported():
