@@ -45,7 +45,6 @@ from .vankampen import (
     induced_subgraph,
     pbi_fails,
     pbp_to_decomposition,
-    separates,
 )
 from .words import (
     Letter,
@@ -96,7 +95,6 @@ __all__ = [
     "induced_subgraph",
     "pbi_fails",
     "pbp_to_decomposition",
-    "separates",
     "Letter",
     "Word",
     "compose",

@@ -75,9 +75,14 @@ class PushoutInstance:
             raise VertexSetMismatch("graph_b's vertex set is not the object set")
         loops: list[tuple[str, tuple[str, ...]]] = []
         owner: dict[str, str] = {}
+        previous = None
         for v in sorted((c_loops or {}), key=as_id):
             ids = sorted(as_id(x) for x in (c_loops or {})[v])
             v = as_id(v)
+            # Sorted by id, so keys that coerce to one id (1, "1") are adjacent.
+            if v == previous:
+                raise DuplicateId("C loop object", v)
+            previous = v
             if v not in graph_a._vindex:
                 raise UnknownVertex(v)
             for x in ids:
@@ -324,10 +329,10 @@ def build_retract(
     forests (they must be acyclic), which is how a caller pins chosen arrows
     into the retract.  W's edges are named by :func:`graph_pushout_with_origins`:
     a forest edge keeps its id unless the other forest has an edge of the same
-    id.  On a disconnected instance ``k`` is None and the per-component ranks
-    stand in for it.
+    id.  Each forest spans its side's components, so the pushout is connected
+    exactly when W is; on a disconnected instance ``k`` is None and the
+    per-component ranks stand in for it.
     """
-    connected = check_connected(inst)
     forest_x = spanning_forest_containing(inst.graph_a, required_a, tie_break)
     forest_y = spanning_forest_containing(inst.graph_b, required_b, tie_break)
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
@@ -337,8 +342,8 @@ def build_retract(
         raise InternalInvariant("W does not have one vertex per object")
     if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
         raise InternalInvariant("W does not have exactly the two forests' edges")
-    k = _connected_rank(n_a, n_b, n_c) if connected else None
-    if k is not None and not (len(ranks) == 1 and ranks[0][1] == k):
+    k = _connected_rank(n_a, n_b, n_c) if len(ranks) == 1 else None
+    if k is not None and ranks[0][1] != k:
         raise InternalInvariant("rank formula disagrees with W")
     return RetractReport(
         instance=inst,

@@ -7,10 +7,10 @@ one per component of U intersect V.  When the instance's free retract has a
 witness loop, it translates back to an explicit reduced loop in the space,
 certifying that the space's fundamental group retracts onto Z.
 
-The Phragmen-Brouwer predicates feed this pipeline: when disjoint vertex sets
-D, E each fail to separate a from b but their union separates, the
-complements U = X - D, V = X - E form such a decomposition and the
-certificate is guaranteed to exist.
+The Phragmen-Brouwer predicate feeds this pipeline: disjoint vertex sets D, E
+give the complements U = X - D, V = X - E, and the property fails when a and
+b share a component of U and one of V but lie apart in U intersect V.  That
+decomposition's certificate is then guaranteed to exist.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from itertools import accumulate, compress
 from operator import and_, not_, or_
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import union_find_labels
 from .errors import (
     ComponentWithoutBasepoint,
     DeletedSetsAdjacent,
@@ -61,17 +60,9 @@ def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
     return mask
 
 
-def induced_subgraph(
-    space: DirectedGraph, vertex_set: Iterable[str] = (), *, mask: bytearray | None = None
-) -> DirectedGraph:
-    """The full subgraph on ``vertex_set``: every edge with both ends inside.
-
-    A caller that already holds the set as a ``mask`` (one byte per vertex
-    of ``space``, in ``space.vertices`` order, nonzero for members) passes
-    that instead of ``vertex_set``; it is not checked.
-    """
-    if mask is None:
-        mask = _vertex_mask(space, _vertex_subset(space, vertex_set))
+def _induced(space: DirectedGraph, mask: bytearray) -> DirectedGraph:
+    """The full subgraph on the vertices ``mask`` marks: one byte per vertex
+    of ``space``, in ``space.vertices`` order, nonzero for members."""
     src, tgt = space._src_idx, space._tgt_idx
     keep = [mask[s] and mask[t] for s, t in zip(src, tgt)]
     # A member's index in the subgraph: the number of members before it.
@@ -82,6 +73,11 @@ def induced_subgraph(
         [renumber[s] for s in compress(src, keep)],
         [renumber[t] for t in compress(tgt, keep)],
     )
+
+
+def induced_subgraph(space: DirectedGraph, vertex_set: Iterable[str]) -> DirectedGraph:
+    """The full subgraph on ``vertex_set``: every edge with both ends inside."""
+    return _induced(space, _vertex_mask(space, _vertex_subset(space, vertex_set)))
 
 
 class Decomposition:
@@ -105,9 +101,9 @@ class Decomposition:
         self.space = space
         self.u_vertices = u
         self.v_vertices = v
-        self.piece_u = induced_subgraph(space, mask=in_u)
-        self.piece_v = induced_subgraph(space, mask=in_v)
-        self.intersection = induced_subgraph(space, mask=bytearray(map(and_, in_u, in_v)))
+        self.piece_u = _induced(space, in_u)
+        self.piece_v = _induced(space, in_v)
+        self.intersection = _induced(space, bytearray(map(and_, in_u, in_v)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
@@ -175,34 +171,26 @@ class PbpScenario:
         )
 
 
-def separates(space: DirectedGraph, d_set: Iterable[str], a: str, b: str) -> bool:
-    """Whether a and b land in distinct components once ``d_set`` is deleted.
-
-    Union-find runs on the space's edge arrays less the edges that touch a
-    deleted vertex; no subgraph is built.
-    """
-    d = _vertex_subset(space, d_set)
-    deleted = _vertex_mask(space, d)
-    a, b = as_id(a), as_id(b)
-    for point in (a, b):
-        if not space.has_vertex(point):
-            raise UnknownVertex(point)
-        if deleted[space._vindex[point]]:
-            raise PointInDeletedSet(point)
-    src, tgt = space._src_idx, space._tgt_idx
-    kept = [not (deleted[s] or deleted[t]) for s, t in zip(src, tgt)]
-    labels = union_find_labels(space.v_count, list(compress(src, kept)), list(compress(tgt, kept)))
-    return labels[space._vindex[a]] != labels[space._vindex[b]]
+def _complement(sc: PbpScenario) -> tuple[Decomposition, bool]:
+    """The decomposition U = X - D, V = X - E, and whether a and b share a
+    component of each piece but lie apart in the intersection.  Every vertex
+    is outside D or E, and no edge joins D to E, so the pieces cover X."""
+    space, a, b = sc.space, sc.a, sc.b
+    u = compress(space.vertices, map(not_, _vertex_mask(space, sc.d_set)))
+    v = compress(space.vertices, map(not_, _vertex_mask(space, sc.e_set)))
+    dec = Decomposition(space, u, v)
+    return dec, (
+        components(dec.piece_u).same_block(a, b)
+        and components(dec.piece_v).same_block(a, b)
+        and not components(dec.intersection).same_block(a, b)
+    )
 
 
 def pbi_fails(sc: PbpScenario) -> bool:
-    """True when neither deleted set separates the marked points but their
-    union does: the conjunction whose truth refutes the separation property."""
-    if separates(sc.space, sc.d_set, sc.a, sc.b):
-        return False
-    if separates(sc.space, sc.e_set, sc.a, sc.b):
-        return False
-    return separates(sc.space, sc.d_set + sc.e_set, sc.a, sc.b)
+    """True when the separation property fails: neither D nor E separates the
+    marked points but their union does, that is, a and b share a component
+    of U = X - D and one of V = X - E but lie apart in U intersect V."""
+    return _complement(sc)[1]
 
 
 @dataclass(frozen=True)
@@ -353,6 +341,27 @@ def _expand_to_space(
     return _reduced(space, gword.source, gword.target, raw)
 
 
+def _joined_pair(
+    instance: PushoutInstance, prefer: tuple[str, str] | None
+) -> tuple[str, str] | None:
+    """The first pair of distinct objects joined in both A and B: ``prefer``
+    when it qualifies, else the least pair of object indexes that does."""
+    parts_a, parts_b = components(instance.graph_a), components(instance.graph_b)
+    # Objects are joined in both sides exactly when their keys agree.
+    keys = {o: (parts_a.block_of(o), parts_b.block_of(o)) for o in instance.objects}
+    if prefer is not None:
+        a, b = as_id(prefer[0]), as_id(prefer[1])
+        if a != b and a in keys and keys[a] == keys.get(b):
+            return a, b
+    # The least pair (i, j): i is the first object whose key recurs and j the
+    # next object with that key, so one scan finds both.
+    first: dict[tuple[int, int], str] = {}
+    second: dict[tuple[int, int], str] = {}
+    for o, key in keys.items():
+        (second if key in first else first).setdefault(key, o)
+    return next(((a, second[key]) for key, a in first.items() if key in second), None)
+
+
 def detect_z_retract(
     dec: Decomposition,
     tie_break: Sequence[str] | None = None,
@@ -360,42 +369,29 @@ def detect_z_retract(
 ) -> ZRetractCertificate | None:
     """Search the decomposition for a witness pair and certify it in the space.
 
-    Scans basepoint pairs in canonical order (after ``prefer``, when given)
-    for one joined inside both pieces; absent such a pair there is nothing to
-    certify and the result is None.
+    Takes the first basepoint pair in canonical order (after ``prefer``, when
+    given) that is joined inside both pieces; absent such a pair there is
+    nothing to certify and the result is None.
     """
     if len(components(dec.space)) != 1:
         raise Disconnected("the space is not connected")
     instance, translations = decomposition_to_instance(dec, tie_break)
     report = build_retract(instance, tie_break)
-    parts_a = components(instance.graph_a)
-    parts_b = components(instance.graph_b)
-    objs = instance.objects
-    pairs: list[tuple[str, str]] = []
-    if prefer is not None:
-        pairs.append((as_id(prefer[0]), as_id(prefer[1])))
-    pairs.extend(
-        (objs[i], objs[j]) for i in range(len(objs)) for j in range(i + 1, len(objs))
+    pair = _joined_pair(instance, prefer)
+    if pair is None:
+        return None
+    loop = witness(report, *pair)
+    gword = include_f(report, loop)
+    loop_in_space = _expand_to_space(translations, dec.space, gword)
+    if len(loop_in_space) == 0:
+        raise InternalInvariant("witness expansion collapsed in the space")
+    inter_blocks = components(dec.intersection).blocks
+    return ZRetractCertificate(
+        report=report,
+        basepoints=tuple((block, block[0]) for block in inter_blocks),
+        loop_in_space=loop_in_space,
+        retract_image=loop,
     )
-    for a, b in pairs:
-        if a == b or a not in objs or b not in objs:
-            continue
-        if not (parts_a.same_block(a, b) and parts_b.same_block(a, b)):
-            continue
-        loop = witness(report, a, b)
-        gword = include_f(report, loop)
-        loop_in_space = _expand_to_space(translations, dec.space, gword)
-        if len(loop_in_space) == 0:
-            raise InternalInvariant("witness expansion collapsed in the space")
-        inter_blocks = components(dec.intersection).blocks
-        basepoints = tuple((block, block[0]) for block in inter_blocks)
-        return ZRetractCertificate(
-            report=report,
-            basepoints=basepoints,
-            loop_in_space=loop_in_space,
-            retract_image=loop,
-        )
-    return None
 
 
 def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
@@ -405,20 +401,11 @@ def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
     conjunction gives exactly the witness preconditions at the marked
     points' intersection components, so a certificate always follows.
     """
-    if not pbi_fails(sc):
+    dec, fails = _complement(sc)
+    if not fails:
         raise PbiHolds(
             "neither-separates-but-union-does fails; no decomposition is induced"
         )
-    space = sc.space
-    u = compress(space.vertices, map(not_, _vertex_mask(space, sc.d_set)))
-    v = compress(space.vertices, map(not_, _vertex_mask(space, sc.e_set)))
-    dec = Decomposition(space, u, v)
-    if components(dec.intersection).same_block(sc.a, sc.b):
-        raise InternalInvariant("marked points share an intersection component")
-    if not components(dec.piece_u).same_block(sc.a, sc.b):
-        raise InternalInvariant("marked points are apart in piece U")
-    if not components(dec.piece_v).same_block(sc.a, sc.b):
-        raise InternalInvariant("marked points are apart in piece V")
     return dec
 
 

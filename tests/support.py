@@ -15,7 +15,6 @@ from freeloop.errors import (
     EmptyIntersection,
     NotACover,
     PieceMissesIntersection,
-    PointInDeletedSet,
     SchemaError,
     UnknownVertex,
 )
@@ -456,20 +455,6 @@ def reference_pieces(space: DirectedGraph, u, v):
 def _first_unknown(space: DirectedGraph, ids):
     unknown = sorted(set(ids) - set(space.vertices))
     return (UnknownVertex, unknown[0]) if unknown else None
-
-
-def reference_separates_error(space: DirectedGraph, d_set, a: str, b: str):
-    """(error class, offending id) that ``separates`` must raise, or None:
-    the smallest unknown id of ``d_set``, then ``a`` before ``b``."""
-    found = _first_unknown(space, d_set)
-    if found:
-        return found
-    for point in (a, b):
-        if point not in space.vertices:
-            return UnknownVertex, point
-        if point in set(d_set):
-            return PointInDeletedSet, point
-    return None
 
 
 def reference_decomposition_error(space: DirectedGraph, u, v):

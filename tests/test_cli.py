@@ -171,25 +171,28 @@ def test_pbp_check_evaluates_separation_once(tmp_path, monkeypatch, capsys, d, t
 
     path = write_json(tmp_path / "sc.json", dict(C8_SCENARIO, d=d))
     for output, expected in (("text", text), ("json", json_out)):
-        calls = _counting(monkeypatch, vankampen, "separates")
+        calls = _counting(monkeypatch, vankampen, "_complement")
         code, out, err = _main(capsys, "pbp-check", path, "--output", output)
         assert (code, err) == (0, "")
-        assert len(calls) == 3
+        assert len(calls) == 1
         if expected is not None:
             assert out == expected
         monkeypatch.undo()
 
 
 def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, circle_file):
-    from freeloop import retract
+    from freeloop import graphs, retract
 
-    calls = _counting(monkeypatch, retract, "check_connected")
+    # One union-find per graph: A and B for their component counts, W for
+    # connectivity and ranks.
+    calls = _counting(monkeypatch, graphs, "union_find_labels")
+    monkeypatch.setattr(retract, "union_find_labels", graphs.union_find_labels)
     assert _main(capsys, "pushout-rank", circle_file) == (
         0,
         "k = 1\nn_a = 1, n_b = 1, n_c = 2\n",
         "",
     )
-    assert len(calls) == 1
+    assert len(calls) == 3
     objects = ["a", "b", "c", "d"]
     apart = dict(CIRCLE_INSTANCE, objects=objects)
     for side in ("graph_a", "graph_b"):
@@ -209,7 +212,7 @@ def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, c
             "Disconnected: the pushout is not connected; "
             "build_retract reports per-component ranks\n",
         )
-        assert len(calls) == 1
+        assert len(calls) == 3
 
 
 def _edges(triples):
@@ -541,6 +544,40 @@ def test_emit_dot_bytes_match_goldens(tmp_path, capsys, name):
         assert dot.read_bytes() == (GOLDEN_DOT / f"{name}.dot").read_bytes()
         dot.unlink()
 
+
+# Runs each argv (a JSON list) through ``cli.main`` in one process and prints
+# the exit codes and stdout texts as JSON.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from freeloop import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed(tmp_path):
+    runs = [
+        _dot_case_argv(tmp_path, name) + ["--output", output]
+        for name in sorted(DOT_CASES)
+        for output in ("text", "json")
+    ]
+    assert len({argv[0] for argv in runs}) == 9
+    stdout = [
+        subprocess.run(
+            [sys.executable, "-c", _RUN_ALL, json.dumps(runs)],
+            capture_output=True,
+            check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert stdout[0] == stdout[1]
+    assert all(code == 0 and out for code, out in json.loads(stdout[0]))
 
 @pytest.mark.parametrize(
     "raw",

@@ -78,8 +78,6 @@ def test_induced_subgraph_is_the_public_build(data):
         keep, [(e, s, t) for e, (s, t) in space.edge_ends.items() if s in keep and t in keep]
     )
     assert_same_graph(induced_subgraph(space, keep), want)
-    mask = bytearray(v in keep for v in space.vertices)
-    assert_same_graph(induced_subgraph(space, mask=mask), want)
 
 
 @settings(max_examples=300, deadline=None)

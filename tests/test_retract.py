@@ -81,6 +81,15 @@ def test_instance_validates_vertex_sets_and_loop_ids():
         PushoutInstance(["a", "b"], g, g, {"a": ["l1"], "b": ["l1"]})
 
 
+def test_instance_rejects_c_loop_keys_that_coerce_to_one_id():
+    g = DirectedGraph(["1", "2"], [])
+    for c_loops in ({1: ["p"], "1": ["q"]}, {"1": [], 1: ["q"]}):
+        with pytest.raises(DuplicateId, match="'1'"):
+            PushoutInstance(["1", "2"], g, g, c_loops)
+    assert PushoutInstance(["1", "2"], g, g, {1: ["q", "p"]}) == PushoutInstance(
+        ["1", "2"], g, g, {"1": ["p", "q"]}
+    )
+
 def test_component_counts_on_circle():
     assert component_counts(circle_instance()) == (1, 1, 2)
 

@@ -21,7 +21,14 @@ from freeloop.errors import (
     SetsNotDisjoint,
     UnknownVertex,
 )
-from freeloop.graphs import DirectedGraph, components, euler_ranks, spanning_forest
+from freeloop.graphs import (
+    DirectedGraph,
+    VertexPartition,
+    components,
+    euler_ranks,
+    spanning_forest,
+)
+from freeloop.retract import witness
 from freeloop.vankampen import (
     Decomposition,
     PbpScenario,
@@ -32,7 +39,6 @@ from freeloop.vankampen import (
     induced_subgraph,
     pbi_fails,
     pbp_to_decomposition,
-    separates,
 )
 from freeloop.words import loop_coordinates
 
@@ -45,7 +51,6 @@ from support import (
     reference_pbi_fails,
     reference_pieces,
     reference_separates,
-    reference_separates_error,
 )
 
 
@@ -70,15 +75,6 @@ def test_induced_subgraph_cycle_minus_vertex_is_a_path():
 def test_induced_subgraph_rejects_unknown_vertices():
     with pytest.raises(UnknownVertex):
         induced_subgraph(c8_space(), ["nope"])
-
-
-def test_separates_on_the_cycle():
-    g = c8_space()
-    assert not separates(g, ["v0"], "v2", "v6")
-    assert separates(g, ["v0", "v4"], "v2", "v6")
-    assert not separates(g, [], "v2", "v6")
-    with pytest.raises(PointInDeletedSet):
-        separates(g, ["v2"], "v2", "v6")
 
 
 def test_scenario_validation():
@@ -118,7 +114,7 @@ def test_pbi_fails_is_false_on_path_spaces():
         [(f"e{i}", f"n{i}", f"n{i + 1}") for i in range(4)],
     )
     sc = PbpScenario(p5, ["n1"], ["n3"], "n0", "n4")
-    assert separates(p5, sc.d_set, sc.a, sc.b)
+    assert reference_separates(p5, sc.d_set, sc.a, sc.b)
     assert not pbi_fails(sc)
 
 
@@ -300,6 +296,95 @@ def test_detect_z_retract_on_theta_space():
     assert not coords.is_identity
 
 
+def _double_loop_pair(instance, prefer=None):
+    """The pair a scan of ``prefer``, then every (objs[i], objs[j]) with
+    i < j, meets first among distinct objects joined in both sides."""
+    objs = instance.objects
+    parts_a, parts_b = components(instance.graph_a), components(instance.graph_b)
+    pairs = [] if prefer is None else [prefer]
+    pairs += [(objs[i], objs[j]) for i in range(len(objs)) for j in range(i + 1, len(objs))]
+    for a, b in pairs:
+        if a != b and a in objs and b in objs:
+            if parts_a.same_block(a, b) and parts_b.same_block(a, b):
+                return a, b
+    return None
+
+
+def random_many_basepoint_decomposition(rng: random.Random) -> Decomposition:
+    """Pieces that meet in up to eight basepoints: each piece adds its own
+    vertices and edges from them to either kind, and a few edges join two
+    basepoints.  Draws that are disconnected or leave a piece component
+    without a basepoint are redrawn."""
+    while True:
+        points = [f"b{i}" for i in range(rng.randint(2, 8))]
+        pieces, edges = [], []
+        for side in "uv":
+            own = [f"{side}{i}" for i in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(len(own), 3 * len(own))):
+                edges.append((rng.choice(own), rng.choice(points + own)))
+            pieces.append(points + own)
+        edges += [tuple(rng.sample(points, 2)) for _ in range(rng.randint(0, 2))]
+        space = DirectedGraph(
+            pieces[0] + pieces[1][len(points) :],
+            [(f"e{i:02d}", s, t) for i, (s, t) in enumerate(edges)],
+        )
+        if len(components(space)) != 1:
+            continue
+        dec = Decomposition(space, *pieces)
+        try:
+            decomposition_to_instance(dec)
+        except PieceMissesIntersection:
+            continue
+        return dec
+
+
+def test_detect_z_retract_takes_the_double_loop_pair():
+    rng = random.Random(29)
+    found = 0
+    for _ in range(120):
+        dec = random_many_basepoint_decomposition(rng)
+        instance, _ = decomposition_to_instance(dec)
+        objs = instance.objects
+        for prefer in (None, (rng.choice(objs), rng.choice(objs)), (objs[-1], "zz")):
+            want = _double_loop_pair(instance, prefer)
+            cert = detect_z_retract(dec, prefer=prefer)
+            if want is None:
+                assert cert is None
+            else:
+                # The witness word names both ends of its pair.
+                assert cert.retract_image == witness(cert.report, *want)
+                found += want != (objs[0], objs[1])
+    assert found >= 20
+
+
+def caterpillar_decomposition(m: int) -> Decomposition:
+    """A spine of m vertices, each with one leaf; U is everything, V the
+    leaves, so the m basepoints share one A block and no B block."""
+    spine = [f"s{i:04d}" for i in range(m)]
+    leaves = [f"t{i:04d}" for i in range(m)]
+    edges = [(f"p{i:04d}", spine[i], spine[i + 1]) for i in range(m - 1)]
+    edges += [(f"q{i:04d}", spine[i], leaves[i]) for i in range(m)]
+    space = DirectedGraph(spine + leaves, edges)
+    return Decomposition(space, space.vertices, leaves)
+
+
+def test_detect_z_retract_scan_is_linear_in_basepoints(monkeypatch):
+    calls = []
+    block_of = VertexPartition.block_of
+
+    def counted(self, v):
+        calls.append(v)
+        return block_of(self, v)
+
+    monkeypatch.setattr(VertexPartition, "block_of", counted)
+    counts = []
+    for m in (50, 100, 200):
+        calls.clear()
+        assert detect_z_retract(caterpillar_decomposition(m)) is None
+        counts.append(len(calls))
+    # Each added basepoint costs the same fixed number of lookups.
+    assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) <= 8 * 100
+
 def test_certificates_on_random_decompositions_are_sound():
     """Whenever a certificate appears, its space loop survives the
     independent coordinate oracle; k never exceeds the space's cycle rank."""
@@ -418,12 +503,6 @@ def _ids(data, space):
     return sorted(ids)
 
 
-def _point(data, space):
-    if data.draw(st.integers(0, 9)) == 0:
-        return data.draw(st.sampled_from(UNKNOWN_IDS))
-    return data.draw(st.sampled_from(space.vertices))
-
-
 def _offending_id(exc) -> str:
     if isinstance(exc, NotACover):
         return str(exc).split("'")[1]
@@ -436,19 +515,6 @@ def _expect_error(expected, call):
         call()
     assert type(info.value) is cls
     assert _offending_id(info.value) == ident
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_separates_matches_built_subgraph_reference(data):
-    space = data.draw(multigraphs())
-    d = _ids(data, space)[: data.draw(st.integers(0, 3))]
-    a, b = _point(data, space), _point(data, space)
-    expected = reference_separates_error(space, d, a, b)
-    if expected is not None:
-        _expect_error(expected, lambda: separates(space, d, a, b))
-    else:
-        assert separates(space, d, a, b) == reference_separates(space, d, a, b)
 
 
 @settings(max_examples=300, deadline=None)
