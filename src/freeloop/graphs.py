@@ -314,11 +314,15 @@ class Forest:
 
     def path_steps(self, u: str, v: str) -> list[tuple[str, int]]:
         """Signed edges of the unique tree path from ``u`` to ``v``."""
+        codes = self._path_codes(self.host.vertex_index(u), self.host.vertex_index(v))
+        ids = self.host.edge_ids
+        return [(ids[c - 1], 1) if c > 0 else (ids[-c - 1], -1) for c in codes]
+
+    def _path_codes(self, i: int, j: int) -> list[int]:
+        """Signed edge codes of the tree path between vertex indexes i and j."""
         parent, up, depth, root = self._nav
-        i = self.host.vertex_index(u)
-        j = self.host.vertex_index(v)
         if root[i] != root[j]:
-            raise DifferentTrees(u, v)
+            raise DifferentTrees(self.host.vertices[i], self.host.vertices[j])
         ascent: list[int] = []
         descent: list[int] = []
         while depth[i] > depth[j]:
@@ -332,9 +336,7 @@ class Forest:
             i = parent[i]
             descent.append(-up[j])
             j = parent[j]
-        ascent += reversed(descent)
-        ids = self.host.edge_ids
-        return [(ids[c - 1], 1) if c > 0 else (ids[-c - 1], -1) for c in ascent]
+        return ascent + descent[::-1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Forest):

@@ -9,7 +9,8 @@ yields an explicit nontrivial witness loop, certifying rank >= 1.
 
 Equality in G itself is never decided: nontriviality is always certified on
 the retract side, where free reduction solves the word problem, and carried
-back along the retraction.
+back along the retraction.  There, :func:`rho` and :func:`witness` carry
+letters as signed W codes and make each ``Letter`` once per report.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import union_find_labels
+from ._kernels import reduce_signed, union_find_labels
 from .errors import (
     BadSign,
     Disconnected,
@@ -45,7 +46,7 @@ from .graphs import (
     spanning_forest,
     spanning_forest_containing,
 )
-from .words import Letter, Word, _chain_end, _reduced, compose, loop_coordinates
+from .words import Letter, Word, _chain_end, loop_coordinates
 
 SIDES = ("A", "B", "C")
 
@@ -246,17 +247,16 @@ class RetractReport:
     k: int | None
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
-    _w_edges: dict[str, dict[str, str]] = field(init=False, repr=False, compare=False)
+    _w_codes: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
+    _letters: dict[int, Letter] = field(init=False, repr=False, compare=False)
     _gletters: dict[tuple[str, int], GLetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # (W edge id, sign) -> its GLetter, filled by ``include_f`` as it
-        # meets them; GLetters are frozen, so words share them.
+        # Filled on first use: the side code tables of ``_side_codes``, and the
+        # frozen Letter of each signed W code and GLetter of each (W edge, sign).
+        self._w_codes = None
+        self._letters = {}
         self._gletters = {}
-        # Side -> {side edge id: W edge id}, the inverse of ``edge_origins``.
-        self._w_edges = {"A": {}, "B": {}}
-        for w_edge, (side, edge) in self.edge_origins.items():
-            self._w_edges[side][edge] = w_edge
 
     @property
     def connected(self) -> bool:
@@ -270,9 +270,23 @@ class RetractReport:
 
     def w_edge_for(self, side: str, edge: str) -> str:
         try:
-            return self._w_edges[side][edge]
+            code = self._side_codes(side)[self.instance.side_graph(side)._eindex[edge] + 1]
         except KeyError:
-            raise UnknownLetter(edge, side=side) from None
+            code = 0
+        if code:
+            return self.w.edge_ids[code - 1]
+        raise UnknownLetter(edge, side=side)
+
+    def _side_codes(self, side: str) -> list[int]:
+        """Signed edge code ``c`` of ``side`` -> signed W code, at list index
+        ``c`` of ``[0, w_1 .. w_m, -w_m .. -w_1]``; 0 off the side's forest."""
+        if self._w_codes is None:
+            tables = {s: [0] * self.instance.side_graph(s).e_count for s in ("A", "B")}
+            for code, w_edge in enumerate(self.w.edge_ids, 1):
+                s, edge = self.edge_origins[w_edge]
+                tables[s][self.instance.side_graph(s)._eindex[edge]] = code
+            self._w_codes = {s: [0, *t, *(-c for c in reversed(t))] for s, t in tables.items()}
+        return self._w_codes[side]
 
 
 def component_counts(inst: PushoutInstance) -> tuple[int, int, int]:
@@ -359,11 +373,19 @@ def build_retract(
     )
 
 
-def _side_path_on_w(report: RetractReport, side: str, u: str, v: str) -> list[Letter]:
-    """Tree path u -> v in the side's forest, relabelled to W edge ids."""
+def _w_path(report: RetractReport, side: str, u: str, v: str) -> list[int]:
+    """Tree path u -> v in the side's forest, as signed W codes."""
     forest = report.forest_x if side == "A" else report.forest_y
-    to_w = report._w_edges[side]
-    return [Letter(to_w[e], sign) for e, sign in forest.path_steps(u, v)]
+    path = forest._path_codes(forest.host._vindex[u], forest.host._vindex[v])
+    return list(map(report._side_codes(side).__getitem__, path))
+
+
+def _w_word(report: RetractReport, source: str, target: str, codes: list[int]) -> Word:
+    """The word on W of reduced signed W ``codes``, in the report's Letters."""
+    shared = report._letters
+    for c in set(codes).difference(shared):
+        shared[c] = Letter(report.w.edge_ids[abs(c) - 1], 1 if c > 0 else -1)
+    return Word._trusted(report.w, source, target, tuple(map(shared.__getitem__, codes)))
 
 
 def rho(report: RetractReport, g: GWord) -> Word:
@@ -379,13 +401,14 @@ def rho(report: RetractReport, g: GWord) -> Word:
     start to its end.  This is exact because the reduced word between two
     vertices of a forest is unique, so the letter-by-letter tree paths of a
     run reduce to that one path, and because C-letters are loops, which move
-    no endpoint and so do not end a run.  One reduction then cancels across
-    run boundaries, and the cost is one tree path per run, not per letter.
+    no endpoint and so do not end a run.  One reduction of signed W codes
+    then cancels across run boundaries, and the cost is one tree path per
+    run, not per letter; only the reduced result becomes (shared) Letters.
     """
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
     inst = report.instance
-    raw: list[Letter] = []
+    codes: list[int] = []
     side = last = None
     start = g.source
     for letter in g.letters:
@@ -395,13 +418,13 @@ def rho(report: RetractReport, g: GWord) -> Word:
             if side is not None:
                 # The run ends where its last letter does.
                 end = _gletter_ends(inst, last)[1]
-                raw += _side_path_on_w(report, side, start, end)
+                codes += _w_path(report, side, start, end)
                 start = end
             side = letter.side
         last = letter
     if side is not None:
-        raw += _side_path_on_w(report, side, start, _gletter_ends(inst, last)[1])
-    return _reduced(report.w, g.source, g.target, raw)
+        codes += _w_path(report, side, start, _gletter_ends(inst, last)[1])
+    return _w_word(report, g.source, g.target, reduce_signed(codes))
 
 
 def include_f(report: RetractReport, w: Word) -> GWord:
@@ -425,7 +448,8 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     Nontrivial whenever defined: the two halves are nonempty words over
     disjoint edge alphabets, so nothing cancels at the junction.  Its
     nontriviality in Fr(W) certifies, through the retraction, that the
-    corresponding loop class in G is nontrivial.
+    corresponding loop class in G is nontrivial.  Like :func:`rho`, it works
+    in signed W codes and returns the report's shared ``Letter``s.
     """
     a, b = as_id(a), as_id(b)
     # same_block raises UnknownVertex for a, then b, before any other check.
@@ -435,12 +459,11 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
         raise NoArrowInB(f"no arrow {a!r} -> {b!r} in B: different components")
     if a == b:
         raise NotDistinct(f"objects must be distinct, got {a!r} twice")
-    first = Word._trusted(report.w, a, b, tuple(_side_path_on_w(report, "A", a, b)))
-    second = Word._trusted(report.w, b, a, tuple(_side_path_on_w(report, "B", b, a)))
-    loop = compose(first, second)
-    if not (len(loop) >= 2 and len(loop) == len(first) + len(second)):
+    codes = _w_path(report, "A", a, b) + _w_path(report, "B", b, a)
+    loop = reduce_signed(codes)
+    if not (len(loop) >= 2 and len(loop) == len(codes)):
         raise InternalInvariant("witness halves cancelled at their junction")
-    return loop
+    return _w_word(report, a, a, loop)
 
 
 def certify_rank_at_least_one(report: RetractReport, a: str, b: str) -> Word:

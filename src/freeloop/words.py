@@ -91,11 +91,6 @@ class Word:
         self.host, self.source, self.target, self.letters = host, source, target, letters
         return self
 
-    def codes(self) -> tuple[int, ...]:
-        """Letters encoded as nonzero ints: ``sign * (edge index + 1)``."""
-        eindex = self.host._eindex
-        return tuple(l.sign * (eindex[l.edge] + 1) for l in self.letters)
-
     @property
     def is_identity(self) -> bool:
         return not self.letters

@@ -149,6 +149,45 @@ def random_connected_instance(
     )
 
 
+def tagged_instance(rng: random.Random, max_objects=10, max_side_edges=16, share=0.3) -> PushoutInstance:
+    """:func:`random_connected_instance` with edge ids on both sides, so W
+    tags them: a ``share`` of B's edges take ids of A edges, one A edge
+    becomes ``x`` and two B edges become ``x`` and ``A:x``, which W names
+    ``A:A:x``, ``B:x`` and ``A:x`` when all three are forest edges.  The
+    last three are spanning-tree edges (``t##``) where the side has them,
+    so a tie-break listing ``x`` and ``A:x`` first puts them in the forests.
+    """
+    inst = random_connected_instance(rng, max_objects, max_side_edges)
+    a_ids, b_ids = list(inst.graph_a.edge_ids), list(inst.graph_b.edge_ids)
+    for ids in (a_ids, b_ids):
+        rng.shuffle(ids)
+        ids.sort(key=lambda e: not e.startswith("t"))
+    rename_a = dict(zip(a_ids, ["x"]))
+    rename_b = dict(zip(b_ids, ["x", "A:x"]))
+    taken = a_ids[1:]
+    for e in b_ids[2:]:
+        if taken and rng.random() < share:
+            rename_b[e] = taken.pop()
+
+    def renamed(g: DirectedGraph, names: dict[str, str]) -> DirectedGraph:
+        return DirectedGraph(g.vertices, [(names.get(e, e), *g.edge_ends[e]) for e in g.edge_ids])
+
+    return PushoutInstance(
+        inst.objects, renamed(inst.graph_a, rename_a), renamed(inst.graph_b, rename_b), dict(inst.c_loops)
+    )
+
+
+def joined_pairs(inst: PushoutInstance) -> list[tuple[str, str]]:
+    """Ordered pairs of distinct objects joined in both sides."""
+    parts_a, parts_b = components(inst.graph_a), components(inst.graph_b)
+    return [
+        (a, b)
+        for a in inst.objects
+        for b in inst.objects
+        if a != b and parts_a.same_block(a, b) and parts_b.same_block(a, b)
+    ]
+
+
 def random_reduced_word(rng: random.Random, g: DirectedGraph, source=None, max_len=12) -> Word:
     """Non-backtracking random walk, so the word is reduced by construction."""
     adj = signed_adjacency(g)
@@ -270,14 +309,10 @@ def _tree_bfs_path(adj, u: str, v: str) -> list[int]:
     return path[::-1]
 
 
-def naive_rho(report, g: GWord) -> Word:
-    """The retraction letter by letter, sharing no code with ``rho``.
-
-    Each A- or B-letter becomes the BFS path between its ends through its
+def _w_tree_adjacency(report) -> dict[str, dict[str, list[tuple[int, str]]]]:
+    """Per side, each object's (signed W code, neighbour) steps along the
     side's tree edges (``forest.tree_edge_ids``, relabelled to W by
-    ``edge_origins``), C-letters vanish, and the concatenation is reduced
-    by :func:`naive_reduce`.
-    """
+    ``edge_origins``)."""
     to_w = {origin: w_edge for w_edge, origin in report.edge_origins.items()}
     w_code = {e: i + 1 for i, e in enumerate(report.w.edge_ids)}
     adj = {}
@@ -290,6 +325,24 @@ def naive_rho(report, g: GWord) -> Word:
             nbrs[s].append((code, t))
             nbrs[t].append((-code, s))
         adj[side] = nbrs
+    return adj
+
+
+def _w_word(report, source: str, target: str, codes: list[int]) -> Word:
+    """The checked word on W of raw signed W codes, reduced by :func:`naive_reduce`."""
+    ids = report.w.edge_ids
+    letters = [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in naive_reduce(codes)]
+    return Word(report.w, source, target, letters)
+
+
+def naive_rho(report, g: GWord) -> Word:
+    """The retraction letter by letter, sharing no code with ``rho``.
+
+    Each A- or B-letter becomes the BFS path between its ends through its
+    side's tree edges, C-letters vanish, and the concatenation is reduced
+    by :func:`naive_reduce`.
+    """
+    adj = _w_tree_adjacency(report)
     codes: list[int] = []
     for letter in g.letters:
         if letter.side == "C":
@@ -298,9 +351,14 @@ def naive_rho(report, g: GWord) -> Word:
         if letter.sign == -1:
             s, t = t, s
         codes += _tree_bfs_path(adj[letter.side], s, t)
-    ids = report.w.edge_ids
-    letters = [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in naive_reduce(codes)]
-    return Word(report.w, g.source, g.target, letters)
+    return _w_word(report, g.source, g.target, codes)
+
+
+def naive_witness(report, a: str, b: str) -> Word:
+    """The witness loop from BFS halves, X-tree a -> b then Y-tree b -> a,
+    reduced by :func:`naive_reduce`."""
+    adj = _w_tree_adjacency(report)
+    return _w_word(report, a, a, _tree_bfs_path(adj["A"], a, b) + _tree_bfs_path(adj["B"], b, a))
 
 
 def random_connected_space(rng: random.Random, max_v=10, max_extra=8) -> DirectedGraph:
@@ -341,6 +399,37 @@ def random_decomposition(rng: random.Random, max_v=10, max_extra=8) -> Decomposi
         try:
             decomposition_to_instance(dec)
         except (EmptyIntersection, PieceMissesIntersection):
+            continue
+        return dec
+
+
+def random_many_basepoint_decomposition(rng: random.Random, min_basepoints=1) -> Decomposition:
+    """Pieces that meet in up to eight basepoints: each piece adds its own
+    vertices and edges from them to either kind, and a few edges join two
+    basepoints.  Draws that are disconnected, leave a piece component
+    without a basepoint or have fewer than ``min_basepoints`` intersection
+    components are redrawn."""
+    while True:
+        points = [f"b{i}" for i in range(rng.randint(2, 8))]
+        pieces, edges = [], []
+        for side in "uv":
+            own = [f"{side}{i}" for i in range(rng.randint(1, 5))]
+            for _ in range(rng.randint(len(own), 3 * len(own))):
+                edges.append((rng.choice(own), rng.choice(points + own)))
+            pieces.append(points + own)
+        edges += [tuple(rng.sample(points, 2)) for _ in range(rng.randint(0, 2))]
+        space = DirectedGraph(
+            pieces[0] + pieces[1][len(points) :],
+            [(f"e{i:02d}", s, t) for i, (s, t) in enumerate(edges)],
+        )
+        if len(components(space)) != 1:
+            continue
+        dec = Decomposition(space, *pieces)
+        if len(components(dec.intersection)) < min_basepoints:
+            continue
+        try:
+            decomposition_to_instance(dec)
+        except PieceMissesIntersection:
             continue
         return dec
 

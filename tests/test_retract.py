@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 
 import pytest
 
@@ -48,11 +49,14 @@ from freeloop.words import identity
 
 from support import (
     circle_instance,
+    joined_pairs,
     long_run_gword,
     naive_rho,
+    naive_witness,
     random_connected_instance,
     random_gword,
     random_reduced_word,
+    tagged_instance,
     with_c_loop_everywhere,
 )
 
@@ -293,6 +297,45 @@ def test_include_f_shares_one_gletter_per_w_letter():
     assert first == again
     assert all(a is b for a, b in zip(first.letters, again.letters))
     assert first == include_f(fresh, w)
+    assert report == fresh and repr(report) == repr(fresh)
+
+
+def test_rho_witness_and_include_f_on_tagged_w_edges():
+    rng = random.Random(83)
+    tags = Counter()
+    for _ in range(80):
+        inst = with_c_loop_everywhere(tagged_instance(rng))
+        report = build_retract(inst, tie_break=rng.choice([None, ["x", "A:x"]]))
+        tags.update(e.rpartition(":")[0] for e in report.w.edge_ids)
+        for _ in range(3):
+            g = random_gword(rng, inst, max_len=40)
+            assert rho(report, g) == naive_rho(report, g)
+            w = random_reduced_word(rng, report.w, max_len=20)
+            assert rho(report, include_f(report, w)) == w
+        for pair in joined_pairs(inst):
+            assert witness(report, *pair) == naive_witness(report, *pair)
+    assert min(tags["A"], tags["B"], tags["A:A"]) >= 10
+
+
+def test_rho_and_witness_share_one_letter_per_w_letter():
+    rng = random.Random(89)
+    inst = with_c_loop_everywhere(tagged_instance(rng, max_objects=12, max_side_edges=24))
+    report = build_retract(inst)
+    fresh = build_retract(inst)
+    # build_retract alone builds no code table and no Letter.
+    assert report._w_codes is None and not report._letters
+    g = long_run_gword(rng, inst, 200)
+    pair = joined_pairs(inst)[0]
+    image, image_again = rho(report, g), rho(report, g)
+    loop, loop_again = witness(report, *pair), witness(report, *pair)
+    assert len(image) > 0
+    for first, again in ((image, image_again), (loop, loop_again)):
+        assert first == again
+        assert all(a is b for a, b in zip(first.letters, again.letters))
+    one = {}
+    for letter in image.letters + loop.letters:
+        assert one.setdefault((letter.edge, letter.sign), letter) is letter
+    assert image == rho(fresh, g) and loop == witness(fresh, *pair)
     assert report == fresh and repr(report) == repr(fresh)
 
 

@@ -40,13 +40,16 @@ from freeloop.vankampen import (
     pbi_fails,
     pbp_to_decomposition,
 )
-from freeloop.words import loop_coordinates
+from freeloop.words import Word, loop_coordinates
 
 from support import (
     c8_space,
     circle_decomposition,
     is_forest_graph,
+    joined_pairs,
+    naive_reduce,
     random_decomposition,
+    random_many_basepoint_decomposition,
     reference_decomposition_error,
     reference_pbi_fails,
     reference_pieces,
@@ -310,34 +313,6 @@ def _double_loop_pair(instance, prefer=None):
     return None
 
 
-def random_many_basepoint_decomposition(rng: random.Random) -> Decomposition:
-    """Pieces that meet in up to eight basepoints: each piece adds its own
-    vertices and edges from them to either kind, and a few edges join two
-    basepoints.  Draws that are disconnected or leave a piece component
-    without a basepoint are redrawn."""
-    while True:
-        points = [f"b{i}" for i in range(rng.randint(2, 8))]
-        pieces, edges = [], []
-        for side in "uv":
-            own = [f"{side}{i}" for i in range(rng.randint(1, 5))]
-            for _ in range(rng.randint(len(own), 3 * len(own))):
-                edges.append((rng.choice(own), rng.choice(points + own)))
-            pieces.append(points + own)
-        edges += [tuple(rng.sample(points, 2)) for _ in range(rng.randint(0, 2))]
-        space = DirectedGraph(
-            pieces[0] + pieces[1][len(points) :],
-            [(f"e{i:02d}", s, t) for i, (s, t) in enumerate(edges)],
-        )
-        if len(components(space)) != 1:
-            continue
-        dec = Decomposition(space, *pieces)
-        try:
-            decomposition_to_instance(dec)
-        except PieceMissesIntersection:
-            continue
-        return dec
-
-
 def test_detect_z_retract_takes_the_double_loop_pair():
     rng = random.Random(29)
     found = 0
@@ -355,6 +330,25 @@ def test_detect_z_retract_takes_the_double_loop_pair():
                 assert cert.retract_image == witness(cert.report, *want)
                 found += want != (objs[0], objs[1])
     assert found >= 20
+
+
+def test_detect_z_retract_certifies_every_joined_basepoint_pair():
+    rng = random.Random(37)
+    certified = 0
+    for _ in range(100):
+        dec = random_many_basepoint_decomposition(rng, min_basepoints=3)
+        instance, _ = decomposition_to_instance(dec)
+        assert len(instance.objects) >= 3
+        for a, b in joined_pairs(instance):
+            cert = detect_z_retract(dec, prefer=(a, b))
+            assert cert.retract_image == witness(cert.report, a, b)
+            loop = cert.loop_in_space
+            # The checking constructor accepts it as a closed reduced walk at a.
+            assert Word(dec.space, a, a, loop.letters) == loop and len(loop) > 0
+            codes = [l.sign * (dec.space.edge_index(l.edge) + 1) for l in loop.letters]
+            assert naive_reduce(codes) == codes
+            certified += 1
+    assert certified >= 150
 
 
 def caterpillar_decomposition(m: int) -> Decomposition:
