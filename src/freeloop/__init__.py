@@ -15,10 +15,8 @@ from .graphs import (
     Forest,
     VertexPartition,
     components,
-    euler_ranks,
     graph_pushout_with_origins,
     spanning_forest,
-    spanning_forest_containing,
 )
 from .retract import (
     GLetter,
@@ -26,23 +24,16 @@ from .retract import (
     PushoutInstance,
     RetractReport,
     build_retract,
-    certify_rank_at_least_one,
-    check_connected,
-    component_counts,
     include_f,
     rho,
-    theorem_rank,
     witness,
 )
 from .vankampen import (
     Decomposition,
-    GeneratorPresentation,
     PbpScenario,
     ZRetractCertificate,
     decomposition_to_instance,
     detect_z_retract,
-    groupoid_generators,
-    induced_subgraph,
     pbi_fails,
     pbp_to_decomposition,
 )
@@ -52,10 +43,7 @@ from .words import (
     compose,
     identity,
     invert,
-    letter_ends,
-    loop_coordinates,
     reduce,
-    rehost,
     tree_path,
 )
 
@@ -69,30 +57,21 @@ __all__ = [
     "Forest",
     "VertexPartition",
     "components",
-    "euler_ranks",
     "graph_pushout_with_origins",
     "spanning_forest",
-    "spanning_forest_containing",
     "GLetter",
     "GWord",
     "PushoutInstance",
     "RetractReport",
     "build_retract",
-    "certify_rank_at_least_one",
-    "check_connected",
-    "component_counts",
     "include_f",
     "rho",
-    "theorem_rank",
     "witness",
     "Decomposition",
-    "GeneratorPresentation",
     "PbpScenario",
     "ZRetractCertificate",
     "decomposition_to_instance",
     "detect_z_retract",
-    "groupoid_generators",
-    "induced_subgraph",
     "pbi_fails",
     "pbp_to_decomposition",
     "Letter",
@@ -100,10 +79,6 @@ __all__ = [
     "compose",
     "identity",
     "invert",
-    "letter_ends",
-    "loop_coordinates",
     "reduce",
-    "rehost",
     "tree_path",
-    "__version__",
 ]

@@ -31,13 +31,16 @@ from .jsonio import (
     parse_instance,
     parse_scenario,
 )
-from .retract import _NOT_CONNECTED, build_retract, rho, witness
+from .retract import build_retract, rho, witness
 from .vankampen import (
     certificate_basepoints_for,
     decomposition_to_instance,
     detect_z_retract,
     pbp_to_decomposition,
 )
+
+_NOT_CONNECTED = "the pushout is not connected; build_retract reports per-component ranks"
+
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:

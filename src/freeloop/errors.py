@@ -100,10 +100,6 @@ class DifferentTrees(DomainError):
         self.v = v
 
 
-class NotALoop(DomainError):
-    pass
-
-
 class UnknownLetter(DomainError):
     def __init__(self, edge: str, side=None):
         where = f" on side {side}" if side else ""

@@ -146,12 +146,6 @@ class DirectedGraph:
     def has_edge(self, e: str) -> bool:
         return e in self._eindex
 
-    def ends(self, edge: str) -> tuple[str, str]:
-        try:
-            return self.edge_ends[edge]
-        except KeyError:
-            raise UnknownEdge(edge) from None
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vindex[v]
@@ -257,13 +251,6 @@ class Forest:
         forest.tree_edge_ids = tuple(map(host.edge_ids.__getitem__, forest._tree_idx))
         forest.tree_edges = frozenset(forest.tree_edge_ids)
         return forest
-
-    def as_graph(self) -> DirectedGraph:
-        """The forest as a graph: all host vertices, tree edges only."""
-        return DirectedGraph(
-            self.host.vertices,
-            {e: self.host.edge_ends[e] for e in self.tree_edge_ids},
-        )
 
     @cached_property
     def _nav(self) -> tuple[list[int], list[int], list[int], list[int]]:

@@ -4,8 +4,11 @@ Given a span A <- C -> B in generating-graph form (C totally disconnected,
 both maps bijective on objects), the pushout G retracts onto the free
 groupoid on W, where W is the graph pushout of spanning forests of the two
 sides.  When G is connected the vertex groups of that retract are free of
-rank ``k = n_C - n_A - n_B + 1``, and a pair of objects joined on both sides
-yields an explicit nontrivial witness loop, certifying rank >= 1.
+rank ``k = n_C - n_A - n_B + 1``; :func:`build_retract` is the one place that
+works it out, and checks it against the Euler rank of W.  A pair of objects
+joined on both sides yields a witness loop, a nonempty reduced closed word
+on W.  Reduced words are normal forms, so that loop is nontrivial and
+certifies rank >= 1.
 
 Equality in G itself is never decided: nontriviality is always certified on
 the retract side, where free reduction solves the word problem, and carried
@@ -19,10 +22,9 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import reduce_signed, union_find_labels
+from ._kernels import reduce_signed
 from .errors import (
     BadSign,
-    Disconnected,
     DuplicateId,
     EmptyObjectSet,
     HostMismatch,
@@ -43,10 +45,9 @@ from .graphs import (
     components,
     euler_ranks,
     graph_pushout_with_origins,
-    spanning_forest,
     spanning_forest_containing,
 )
-from .words import Letter, Word, _chain_end, loop_coordinates
+from .words import Letter, Word, _chain_end
 
 SIDES = ("A", "B", "C")
 
@@ -268,15 +269,6 @@ class RetractReport:
         except KeyError:
             raise UnknownLetter(w_edge) from None
 
-    def w_edge_for(self, side: str, edge: str) -> str:
-        try:
-            code = self._side_codes(side)[self.instance.side_graph(side)._eindex[edge] + 1]
-        except KeyError:
-            code = 0
-        if code:
-            return self.w.edge_ids[code - 1]
-        raise UnknownLetter(edge, side=side)
-
     def _side_codes(self, side: str) -> list[int]:
         """Signed edge code ``c`` of ``side`` -> signed W code, at list index
         ``c`` of ``[0, w_1 .. w_m, -w_m .. -w_1]``; 0 off the side's forest."""
@@ -287,48 +279,6 @@ class RetractReport:
                 tables[s][self.instance.side_graph(s)._eindex[edge]] = code
             self._w_codes = {s: [0, *t, *(-c for c in reversed(t))] for s, t in tables.items()}
         return self._w_codes[side]
-
-
-def component_counts(inst: PushoutInstance) -> tuple[int, int, int]:
-    """(n_A, n_B, n_C): component counts of the three groupoids.
-
-    C is totally disconnected, so every object is its own C-component.
-    """
-    n_a = len(components(inst.graph_a))
-    n_b = len(components(inst.graph_b))
-    return n_a, n_b, len(inst.objects)
-
-
-def check_connected(inst: PushoutInstance) -> bool:
-    """Whether the pushout groupoid G is connected.
-
-    G's generators are the images of both edge sets plus C's loops, so this
-    is exactly connectivity of the union graph over the objects.  Both sides
-    index the objects alike, so union-find runs on their joined edge arrays
-    and the union graph itself is never built here.
-    """
-    a, b = inst.graph_a, inst.graph_b
-    labels = union_find_labels(
-        len(inst.objects), a._src_idx + b._src_idx, a._tgt_idx + b._tgt_idx
-    )
-    return all(label == 0 for label in labels)
-
-
-_NOT_CONNECTED = "the pushout is not connected; build_retract reports per-component ranks"
-
-
-def _connected_rank(n_a: int, n_b: int, n_c: int) -> int:
-    k = n_c - n_a - n_b + 1
-    if k < 0:
-        raise InternalInvariant(f"rank formula gave k = {k} on a connected pushout")
-    return k
-
-
-def theorem_rank(inst: PushoutInstance) -> int:
-    """Vertex-group rank of the free retract: ``n_C - n_A - n_B + 1``."""
-    if not check_connected(inst):
-        raise Disconnected(_NOT_CONNECTED)
-    return _connected_rank(*component_counts(inst))
 
 
 def build_retract(
@@ -350,15 +300,20 @@ def build_retract(
     forest_x = spanning_forest_containing(inst.graph_a, required_a, tie_break)
     forest_y = spanning_forest_containing(inst.graph_b, required_b, tie_break)
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
-    n_a, n_b, n_c = component_counts(inst)
+    # C is totally disconnected, so every object is its own C-component.
+    n_a, n_b, n_c = len(components(inst.graph_a)), len(components(inst.graph_b)), len(inst.objects)
     ranks = tuple(euler_ranks(w))
     if w.v_count != n_c:
         raise InternalInvariant("W does not have one vertex per object")
     if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
         raise InternalInvariant("W does not have exactly the two forests' edges")
-    k = _connected_rank(n_a, n_b, n_c) if len(ranks) == 1 else None
-    if k is not None and ranks[0][1] != k:
-        raise InternalInvariant("rank formula disagrees with W")
+    k = None
+    if len(ranks) == 1:
+        k = n_c - n_a - n_b + 1
+        if k < 0:
+            raise InternalInvariant(f"rank formula gave k = {k} on a connected pushout")
+        if ranks[0][1] != k:
+            raise InternalInvariant("rank formula disagrees with W")
     return RetractReport(
         instance=inst,
         forest_x=forest_x,
@@ -464,18 +419,3 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     if not (len(loop) >= 2 and len(loop) == len(codes)):
         raise InternalInvariant("witness halves cancelled at their junction")
     return _w_word(report, a, a, loop)
-
-
-def certify_rank_at_least_one(report: RetractReport, a: str, b: str) -> Word:
-    """Coordinates of the witness loop in the vertex group of Fr(W) at ``a``,
-    a reduced word on that group's rose (see :func:`loop_coordinates`).
-
-    Nonempty coordinates exhibit an infinite cyclic retract inside that
-    vertex group.
-    """
-    loop = witness(report, a, b)
-    forest_w = spanning_forest(report.w)
-    element = loop_coordinates(report.w, forest_w, as_id(a), loop)
-    if element.is_identity:
-        raise InternalInvariant("witness loop has trivial coordinates")
-    return element

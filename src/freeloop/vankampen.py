@@ -75,11 +75,6 @@ def _induced(space: DirectedGraph, mask: bytearray) -> DirectedGraph:
     )
 
 
-def induced_subgraph(space: DirectedGraph, vertex_set: Iterable[str]) -> DirectedGraph:
-    """The full subgraph on ``vertex_set``: every edge with both ends inside."""
-    return _induced(space, _vertex_mask(space, _vertex_subset(space, vertex_set)))
-
-
 class Decomposition:
     """Two vertex subsets covering the space, with no edge straddling them.
 

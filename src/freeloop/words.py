@@ -6,12 +6,12 @@ cancelling pair.  Reduced words are normal forms: two words are equal in the
 free groupoid exactly when they are identical, which is what makes every
 nontriviality claim in this library decidable.
 
-:class:`Word` is the one type for these arrows.  A vertex group of a free
-groupoid is itself the free groupoid on a rose (one vertex, one loop per
-basis edge), so loop coordinates are Words on that rose.  Letters are
-checked where they come from outside (``Word``, :func:`reduce`,
-:func:`rehost`); derived words are built by ``Word._trusted`` and
-``_reduced`` without a re-check.
+:class:`Word` is the one type for these arrows, and :func:`reduce`,
+:func:`compose`, :func:`invert`, :func:`identity` and :func:`tree_path` are
+how a caller builds and compares them.  A nonempty reduced closed word is a
+nontrivial loop, so a certificate needs no other coordinates.  Letters are
+checked where they come from outside (``Word``, :func:`reduce`); derived
+words are built by ``Word._trusted`` and ``_reduced`` without a re-check.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ from ._kernels import reduce_signed
 from .errors import (
     BadSign,
     HostMismatch,
-    NotALoop,
     NotComposable,
     NotReduced,
     UnknownLetter,
     UnknownVertex,
 )
-from .graphs import DirectedGraph, Forest, components
+from .graphs import DirectedGraph, Forest
 
 
 @dataclass(frozen=True)
@@ -175,39 +174,7 @@ def invert(w: Word) -> Word:
     return Word._trusted(w.host, w.target, w.source, tuple(l.inverse() for l in reversed(w.letters)))
 
 
-def rehost(w: Word, new_host: DirectedGraph) -> Word:
-    """The same word viewed on a larger host sharing the edge ids."""
-    return Word(new_host, w.source, w.target, w.letters)
-
-
 def tree_path(f: Forest, u: str, v: str) -> Word:
     """The unique reduced word from ``u`` to ``v`` through tree edges only."""
     steps = f.path_steps(u, v)
     return Word._trusted(f.host, u, v, tuple(Letter(e, sign) for e, sign in steps))
-
-
-def loop_coordinates(g: DirectedGraph, f: Forest, base: str, w: Word) -> Word:
-    """Coordinates of a loop at ``base`` in the vertex group there.
-
-    That vertex group is free on the non-forest edges of the basepoint's
-    component: the basis element for such an edge ``e`` is the loop
-    ``base -> src(e) -(e)-> tgt(e) -> base`` (tree paths on the outside).  So
-    the coordinates are a reduced word on the rose at ``base``, the
-    one-vertex graph with one loop per basis edge, read off by keeping the
-    loop's non-forest letters and dropping the rest.  The rose has
-    ``e - v + 1`` edges over the basepoint's component.
-    """
-    if f.host != g:
-        raise HostMismatch("forest does not belong to the given graph")
-    if w.host != g:
-        raise HostMismatch("word does not live on the given graph")
-    if not g.has_vertex(base):
-        raise UnknownVertex(base)
-    if w.source != base or w.target != base:
-        raise NotALoop(f"word runs {w.source!r} -> {w.target!r}, expected a loop at {base!r}")
-    parts = components(g)
-    block = parts.block_of(base)
-    tree = f.tree_edges
-    basis = [e for e in g.edge_ids if e not in tree and parts.block_of(g.edge_ends[e][0]) == block]
-    rose = DirectedGraph._trusted((base,), tuple(basis), [0] * len(basis), [0] * len(basis))
-    return reduce(rose, base, [l for l in w.letters if l.edge not in tree])

@@ -1,9 +1,8 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles deliberately avoid the code paths they check: connectivity by
-plain BFS instead of union-find, acyclicity by edge counting, free reduction
-by repeated single-pair deletion, and coordinate expansion by literal
-substitution.
+The oracles deliberately avoid the code paths they check: connectivity and
+the retract's rank by plain BFS instead of union-find, acyclicity by edge
+counting, and free reduction by repeated single-pair deletion.
 """
 
 from __future__ import annotations
@@ -22,8 +21,7 @@ from freeloop.graphs import DirectedGraph, components
 from freeloop.jsonio import _id_list, _id_value, _require
 from freeloop.retract import GLetter, GWord, PushoutInstance
 from freeloop.vankampen import Decomposition, decomposition_to_instance
-from freeloop.words import Letter, Word, tree_path
-from freeloop.words import reduce as reduce_word
+from freeloop.words import Letter, Word
 
 
 def naive_reduce(codes):
@@ -65,6 +63,40 @@ def brute_components(g: DirectedGraph):
         seen |= block
         blocks.append(tuple(sorted(block)))
     return tuple(sorted(blocks))
+
+
+def brute_rank(inst: PushoutInstance):
+    """``((n_A, n_B, n_C), connected, k)`` of a pushout instance, from BFS.
+
+    C is totally disconnected, so n_C is the object count.  The pushout G is
+    connected exactly when the union of both sides' edges is; then ``k`` is
+    ``n_C - n_A - n_B + 1``, and otherwise None.
+    """
+    a, b = inst.graph_a, inst.graph_b
+    union = DirectedGraph(
+        inst.objects,
+        [(f"A:{e}", *a.edge_ends[e]) for e in a.edge_ids]
+        + [(f"B:{e}", *b.edge_ends[e]) for e in b.edge_ids],
+    )
+    counts = (len(brute_components(a)), len(brute_components(b)), len(inst.objects))
+    connected = len(brute_components(union)) == 1
+    k = counts[2] - counts[0] - counts[1] + 1 if connected else None
+    return counts, connected, k
+
+
+def is_nonempty_reduced_loop(w: Word) -> bool:
+    """Whether ``w`` is closed and nonempty and :func:`naive_reduce` leaves
+    its signed codes unchanged.  Reduced words are normal forms, so such a
+    loop is a nontrivial element of its vertex group."""
+    code = {e: i + 1 for i, e in enumerate(w.host.edge_ids)}
+    codes = [l.sign * code[l.edge] for l in w.letters]
+    return w.source == w.target and bool(codes) and naive_reduce(codes) == codes
+
+
+def forest_graph(f) -> DirectedGraph:
+    """A forest as a graph through the public constructor: every host
+    vertex, tree edges only."""
+    return DirectedGraph(f.host.vertices, [(e, *f.host.edge_ends[e]) for e in f.tree_edge_ids])
 
 
 def reference_kruskal(n, src, tgt, order):
@@ -463,27 +495,6 @@ def random_cycle_split(rng: random.Random, max_inner=5) -> Decomposition:
     return Decomposition(
         space, ["k0", "k1"] + u_inner + extra_u, ["k0", "k1"] + w_inner
     )
-
-
-def expand_coordinates(g, f, base, element) -> Word:
-    """Substitute each coordinate letter by its defining loop and reduce.
-
-    Inverse of loop coordinates by construction, with no shared code: the
-    basis element for edge e is (tree path to src e) e (tree path from tgt e).
-    """
-    raw: list[Letter] = []
-    for letter in element.letters:
-        e, sign = letter.edge, letter.sign
-        s, t = g.edge_ends[e]
-        loop = (
-            list(tree_path(f, base, s).letters)
-            + [Letter(e, 1)]
-            + list(tree_path(f, t, base).letters)
-        )
-        if sign == -1:
-            loop = [l.inverse() for l in reversed(loop)]
-        raw.extend(loop)
-    return reduce_word(g, base, raw)
 
 
 def circle_instance() -> PushoutInstance:

@@ -15,15 +15,7 @@ import sys
 import time
 
 from freeloop.graphs import components, euler_ranks, spanning_forest
-from freeloop.retract import (
-    build_retract,
-    certify_rank_at_least_one,
-    component_counts,
-    include_f,
-    rho,
-    theorem_rank,
-    witness,
-)
+from freeloop.retract import build_retract, include_f, rho, witness
 from freeloop.vankampen import (
     PbpScenario,
     certificate_basepoints_for,
@@ -32,14 +24,17 @@ from freeloop.vankampen import (
     pbi_fails,
     pbp_to_decomposition,
 )
-from freeloop.words import Word, compose, loop_coordinates, tree_path
+from freeloop.words import Word, compose, tree_path
 
 from support import (
+    brute_rank,
     c8_space,
     circle_decomposition,
     circle_instance,
     enumerate_reduced_words,
+    forest_graph,
     is_forest_graph,
+    is_nonempty_reduced_loop,
     random_connected_instance,
     random_cycle_split,
     random_decomposition,
@@ -66,7 +61,7 @@ def criterion(n, description):
     return deco
 
 
-@criterion(1, "rank formula equals euler rank of W on 500 random connected instances")
+@criterion(1, "BFS rank formula, report.k and euler rank of W agree on 500 random connected instances")
 def test_criterion_1_rank_formula_equivalence():
     rng = random.Random(2026)
     started = time.perf_counter()
@@ -74,24 +69,24 @@ def test_criterion_1_rank_formula_equivalence():
         inst = random_connected_instance(rng, max_objects=20, max_side_edges=40)
         report = build_retract(inst)
         (_, w_rank), = report.per_component_ranks
-        assert theorem_rank(inst) == w_rank
+        counts, connected, k = brute_rank(inst)
+        assert connected and k == report.k == w_rank
+        assert counts == (report.n_a, report.n_b, report.n_c)
         assert report.per_component_ranks == tuple(euler_ranks(report.w))
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     return f"{elapsed:.2f}s for 500 instances"
 
 
-@criterion(2, "circle instance: counts (1,1,2), k=1, witness length 2, nonempty coordinates")
+@criterion(2, "circle instance: counts (1,1,2), k=1, witness a nonempty reduced loop of length 2")
 def test_criterion_2_circle_benchmark():
     inst = circle_instance()
-    n_a, n_b, n_c = component_counts(inst)
-    k = theorem_rank(inst)
-    assert (n_a, n_b, n_c, k) == (1, 1, 2, 1)
+    assert brute_rank(inst) == ((1, 1, 2), True, 1)
     report = build_retract(inst)
+    assert (report.n_a, report.n_b, report.n_c, report.k) == (1, 1, 2, 1)
     loop = witness(report, "a", "b")
     assert len(loop) == 2
-    element = certify_rank_at_least_one(report, "a", "b")
-    assert not element.is_identity
+    assert is_nonempty_reduced_loop(loop)
 
 
 @criterion(3, "retraction identity and functoriality, 1000 samples each")
@@ -123,16 +118,16 @@ def test_criterion_4_forest_groupoid_oracle():
     pairs_checked = 0
     for _ in range(100):
         g = random_graph(rng, max_v=8, max_e=12)
-        forest_graph = spanning_forest(g).as_graph()
-        forest = spanning_forest(forest_graph)
-        words = enumerate_reduced_words(forest_graph)
-        parts = components(forest_graph)
-        for u in forest_graph.vertices:
-            for v in forest_graph.vertices:
+        fg = forest_graph(spanning_forest(g))
+        forest = spanning_forest(fg)
+        words = enumerate_reduced_words(fg)
+        parts = components(fg)
+        for u in fg.vertices:
+            for v in fg.vertices:
                 if parts.same_block(u, v):
                     candidates = words[(u, v)]
                     assert len(candidates) == 1
-                    assert Word(forest_graph, u, v, candidates[0]) == tree_path(
+                    assert Word(fg, u, v, candidates[0]) == tree_path(
                         forest, u, v
                     )
                 else:
@@ -149,7 +144,8 @@ def test_criterion_5_retract_bound():
     forest_cases = 0
     for dec in decs:
         inst, _ = decomposition_to_instance(dec)
-        k = theorem_rank(inst)
+        _, _, k = brute_rank(inst)
+        assert k == build_retract(inst).k
         (_, space_rank), = euler_ranks(dec.space)
         assert 0 <= k <= space_rank
         if is_forest_graph(dec.piece_u) and is_forest_graph(dec.piece_v):
@@ -159,7 +155,7 @@ def test_criterion_5_retract_bound():
     assert is_forest_graph(circle.piece_u) and is_forest_graph(circle.piece_v)
     inst, _ = decomposition_to_instance(circle)
     (_, circle_rank), = euler_ranks(circle.space)
-    assert theorem_rank(inst) == circle_rank == 1
+    assert brute_rank(inst)[2] == build_retract(inst).k == circle_rank == 1
     assert forest_cases > 0
     return f"100 decompositions, {forest_cases} with forest pieces"
 
@@ -172,16 +168,11 @@ def test_criterion_6_pbp_pipeline():
     dec = pbp_to_decomposition(sc)
     cert = detect_z_retract(dec, prefer=certificate_basepoints_for(dec, "v2", "v6"))
     assert cert is not None
-    coords = loop_coordinates(
-        space,
-        spanning_forest(space),
-        cert.loop_in_space.source,
-        cert.loop_in_space,
-    )
-    assert not coords.is_identity
+    assert is_nonempty_reduced_loop(cert.loop_in_space)
+    assert is_nonempty_reduced_loop(cert.retract_image)
     control = PbpScenario(space, [], ["v4"], "v2", "v6")
     assert not pbi_fails(control)
-    return "certificate loop survives the free-groupoid oracle"
+    return "certificate loops are nonempty and reduced under the naive oracle"
 
 
 @criterion(7, "the three CLI examples are byte-identical across repeated runs")

@@ -17,7 +17,6 @@ from freeloop.retract import (
     GWord,
     PushoutInstance,
     build_retract,
-    certify_rank_at_least_one,
     include_f,
     rho,
     witness,
@@ -28,10 +27,11 @@ from freeloop.vankampen import (
     detect_z_retract,
     groupoid_generators,
 )
-from freeloop.words import Word, compose, invert, loop_coordinates, reduce, tree_path
+from freeloop.words import Word, compose, invert, reduce, tree_path
 
 from support import (
     circle_instance,
+    is_nonempty_reduced_loop,
     long_run_gword,
     random_connected_instance,
     signed_adjacency,
@@ -85,9 +85,6 @@ def test_word_operations_build_what_the_constructor_accepts(data):
     loop = compose(w1, reduce(g, end, list(tree_path(f, end, source).letters)))
     for w in (w1, w2, compose(w1, w2), invert(w1), tree_path(f, source, v), loop):
         assert_checked(w)
-    coords = loop_coordinates(g, f, source, loop)
-    assert_checked(coords)
-    assert coords.host.vertices == (source,)
 
 
 @settings(max_examples=200, deadline=None)
@@ -195,13 +192,13 @@ def test_derived_words_never_run_the_checking_constructors(tmp_path, monkeypatch
     assert calls == []
 
 
-def _rose_cases():
-    yield pytest.param(circle_instance(), ("a", "b"), "beta^-1", id="circle")
+def _witness_cases():
+    yield pytest.param(circle_instance(), ("a", "b"), "alpha beta^-1", id="circle")
     expected = {
-        3: [(("o00", "o01"), "b02 t01^-1"), (("o00", "o02"), "t01^-1")],
-        5: [(("o00", "o01"), "t03^-1 t02"), (("o00", "o04"), "t03^-1")],
-        8: [(("o00", "o01"), "b02"), (("o00", "o02"), "b01^-1")],
-        13: [(("o00", "o02"), "t04"), (("o00", "o03"), "t02^-1")],
+        3: [(("o00", "o01"), "a04^-1 b02 t01^-1"), (("o00", "o02"), "a05^-1 t01^-1")],
+        5: [(("o00", "o01"), "t03^-1 t02 b02"), (("o00", "o04"), "t03^-1 t01 b01^-1 b02")],
+        8: [(("o00", "o01"), "a00 a03^-1 b02"), (("o00", "o02"), "a00 a06^-1 b01^-1")],
+        13: [(("o00", "o02"), "a00^-1 t04 b00 t01"), (("o00", "o03"), "a00^-1 t02^-1 t01")],
     }
     for seed, cases in expected.items():
         inst = random_connected_instance(random.Random(seed), max_objects=8, max_side_edges=12)
@@ -209,21 +206,12 @@ def _rose_cases():
             yield pytest.param(inst, pair, text, id=f"seed{seed}-{pair[1]}")
 
 
-@pytest.mark.parametrize("inst, pair, text", list(_rose_cases()))
-def test_certified_coordinates_are_a_word_on_the_rose(inst, pair, text):
+@pytest.mark.parametrize("inst, pair, text", list(_witness_cases()))
+def test_certified_witness_is_a_nonempty_reduced_loop(inst, pair, text):
     report = build_retract(inst)
-    coords = certify_rank_at_least_one(report, *pair)
-    a = pair[0]
-    forest = spanning_forest(report.w)
-    parts = components(report.w)
-    basis = tuple(
-        e
-        for e in report.w.edge_ids
-        if e not in forest.tree_edges and parts.same_block(report.w.edge_ends[e][0], a)
-    )
-    assert isinstance(coords, Word)
-    assert (coords.source, coords.target) == (a, a)
-    assert coords.host.vertices == (a,)
-    assert coords.host.edge_ids == basis
-    assert all(coords.host.edge_ends[e] == (a, a) for e in basis)
-    assert str(coords) == text
+    loop = witness(report, *pair)
+    assert_checked(loop)
+    assert loop.host is report.w
+    assert (loop.source, loop.target) == (pair[0], pair[0])
+    assert is_nonempty_reduced_loop(loop)
+    assert str(loop) == text

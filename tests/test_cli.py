@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from freeloop import cli, errors
 
 CIRCLE_INSTANCE = {
     "objects": ["a", "b"],
@@ -181,12 +187,11 @@ def test_pbp_check_evaluates_separation_once(tmp_path, monkeypatch, capsys, d, t
 
 
 def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, circle_file):
-    from freeloop import graphs, retract
+    from freeloop import graphs
 
     # One union-find per graph: A and B for their component counts, W for
     # connectivity and ranks.
     calls = _counting(monkeypatch, graphs, "union_find_labels")
-    monkeypatch.setattr(retract, "union_find_labels", graphs.union_find_labels)
     assert _main(capsys, "pushout-rank", circle_file) == (
         0,
         "k = 1\nn_a = 1, n_b = 1, n_c = 2\n",
@@ -635,3 +640,159 @@ def test_output_the_stdout_encoding_cannot_hold_exits_one_and_writes_nothing(tmp
         assert out.stderr.startswith(b"EncodeError: ")
         assert b"Traceback" not in out.stderr
         assert not dot.exists()
+
+
+# -- fuzz: every input ends in an exit code and a stable stderr code ----------
+
+# The first token of stderr on a failing run.
+ERROR_CODES = {"ParseError", "SchemaError", "EncodeError", "IOError"} | {
+    obj.__name__
+    for obj in vars(errors).values()
+    if isinstance(obj, type) and issubclass(obj, errors.DomainError)
+}
+SEED_DOCS = (GRAPH, CIRCLE_INSTANCE, CIRCLE_DECOMPOSITION, C8_SCENARIO, NO_CERTIFICATE, CIRCLE_GWORD)
+RAW_SEEDS = (
+    b"{not json",
+    b'{"objects": ["\xff"]}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"objects": [' + b"9" * 5000 + b"]}",
+    b'{"vertices": ["a", "\\ud800"], "edges": [{"id": "\\udfff", "src": "a", "tgt": "a"}]}',
+    json.dumps(CIRCLE_INSTANCE).replace('"id": "alpha"', '"id": "x", "id": "y"').encode(),
+)
+# Ids and keys the seed documents use, a few ints, tag-like and odd strings.
+ID_POOL = ("a", "b", "v0", "v2", "v4", "alpha", "beta", "e1", "x", "A:x", "B:x", "t:b", "", "é", 0, 1)
+KEYS = (
+    "vertices", "edges", "id", "src", "tgt", "objects", "graph_a", "graph_b", "c_loops",
+    "space", "u", "v", "d", "e", "source", "target", "letters", "edge", "sign", "side",
+)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(ID_POOL),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _mutated(draw, rng, value, odds):
+    """``value`` with about one node in ``odds`` replaced, and some entries
+    dropped, duplicated or added; ``rng`` makes the choices, so each one has
+    its stated odds, and ``draw`` the new values."""
+    roll = rng.randrange(odds)
+    if roll == 0:
+        return draw(JSON_VALUES)
+    if isinstance(value, dict):
+        out = {k: _mutated(draw, rng, v, odds) for k, v in value.items() if rng.randrange(odds)}
+        if roll == 1:
+            out[draw(st.sampled_from(KEYS))] = draw(JSON_VALUES)
+        return out
+    if isinstance(value, list):
+        out = [_mutated(draw, rng, v, odds) for v in value if rng.randrange(odds)]
+        if roll == 1:
+            out.insert(rng.randint(0, len(out)), draw(JSON_VALUES))
+        if roll == 2 and out:
+            out.append(out[0])
+        return out
+    if roll == 1:
+        return rng.choice(ID_POOL)
+    return value
+
+
+# The documents each command reads; a case uses another one now and then.
+COMMAND_DOCS = {
+    "components": (GRAPH,),
+    "forest": (GRAPH,),
+    "pushout-rank": (CIRCLE_INSTANCE,),
+    "retract": (CIRCLE_INSTANCE,),
+    "rho": (CIRCLE_INSTANCE,),
+    "witness": (CIRCLE_INSTANCE,),
+    "vk-instance": (CIRCLE_DECOMPOSITION,),
+    "certify": (CIRCLE_DECOMPOSITION, NO_CERTIFICATE),
+    "pbp-check": (C8_SCENARIO, dict(C8_SCENARIO, d=[])),
+}
+
+
+@st.composite
+def _documents(draw, seeds) -> bytes:
+    """One of ``seeds`` (or of any seed document), mutated, then sometimes
+    cut short or with one byte changed; or one of the raw seeds."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.randrange(20)
+    if pick == 0:
+        return rng.choice(RAW_SEEDS)
+    doc = rng.choice(SEED_DOCS if pick == 1 else seeds)
+    raw = json.dumps(_mutated(draw, rng, doc, rng.choice((10_000, 150, 30)))).encode()
+    edit = rng.randrange(20)
+    if edit == 0:
+        raw = raw[: rng.randint(0, len(raw))]
+    elif edit == 1:
+        i = rng.randint(0, len(raw))
+        raw = raw[:i] + bytes([rng.randrange(256)]) + raw[i + 1 :]
+    return raw
+
+
+@st.composite
+def _cli_cases(draw):
+    """(command, input bytes, word bytes, flags, --a, --b, --emit-dot kind):
+    ``--word``, ``--a`` and ``--b`` are passed only where the command takes
+    them, and the kind is ``"file"``, ``"missing-dir"`` or None."""
+    command = draw(st.sampled_from(sorted(COMMAND_DOCS)))
+    flags = ["--output", draw(st.sampled_from(("text", "json")))]
+    if draw(st.booleans()):
+        tie = draw(st.one_of(st.text(max_size=6), st.sampled_from(("lex", "beta,alpha", "x,,A:x"))))
+        flags.append(f"--tie-break={tie}")
+    ids = st.one_of(st.sampled_from(ID_POOL).map(str), st.text(max_size=3))
+    return (
+        command,
+        draw(_documents(COMMAND_DOCS[command])),
+        draw(_documents((CIRCLE_GWORD,))),
+        flags,
+        draw(ids),
+        draw(ids),
+        draw(st.sampled_from((None, "file", "missing-dir"))),
+    )
+
+
+def _seeded(test):
+    """``test`` with the pinned inputs above as explicit examples."""
+    for command, doc, extra in DOT_CASES.values():
+        word = extra[1] if command == "rho" else CIRCLE_GWORD
+        flags = [] if command in ("rho", "witness") else list(extra)
+        case = (command, json.dumps(doc).encode(), json.dumps(word).encode(), flags, "a", "b", "file")
+        test = example(case=case)(test)
+    for raw in RAW_SEEDS:
+        test = example(case=("retract", raw, b"{}", [], "a", "b", None))(test)
+    return test
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=1000, deadline=None)
+@_seeded
+@given(case=_cli_cases())
+def test_cli_fuzz_ends_in_an_exit_code_and_a_stable_error_code(fuzz_dir, case):
+    command, doc, word, flags, a, b, dot = case
+    (fuzz_dir / "in.json").write_bytes(doc)
+    (fuzz_dir / "word.json").write_bytes(word)
+    argv = [command, str(fuzz_dir / "in.json"), *flags]
+    if command == "rho":
+        argv.append(f"--word={fuzz_dir / 'word.json'}")
+    if command == "witness":
+        argv += [f"--a={a}", f"--b={b}"]
+    if dot is not None:
+        target = fuzz_dir / ("g.dot" if dot == "file" else "no-such-dir/g.dot")
+        argv.append(f"--emit-dot={target}")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue()
+    else:
+        assert code in (1, 2) and out.getvalue() == ""
+        assert err.getvalue().split(":", 1)[0] in ERROR_CODES, err.getvalue()[:200]
+    assert "Traceback" not in err.getvalue()

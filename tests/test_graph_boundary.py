@@ -19,10 +19,9 @@ from freeloop.graphs import (
     spanning_forest,
 )
 from freeloop.jsonio import dump_instance, parse_graph
-from freeloop.vankampen import groupoid_generators, induced_subgraph
-from freeloop.words import compose, loop_coordinates, reduce, tree_path
+from freeloop.vankampen import Decomposition, groupoid_generators
 
-from support import random_connected_instance, reference_parse_graph, signed_adjacency
+from support import random_connected_instance, reference_parse_graph
 
 # Ids whose side tags collide with each other, plus ints and their str forms.
 TAG_HEAVY = ["x", "y", "A:x", "B:x", "A:A:x", "B:B:x", "A:y", "B:y", "A:", "0", "1", ""]
@@ -77,7 +76,10 @@ def test_induced_subgraph_is_the_public_build(data):
     want = DirectedGraph(
         keep, [(e, s, t) for e, (s, t) in space.edge_ends.items() if s in keep and t in keep]
     )
-    assert_same_graph(induced_subgraph(space, keep), want)
+    # The second piece is the whole space, so no edge straddles the pieces.
+    dec = Decomposition(space, keep, space.vertices)
+    assert_same_graph(dec.piece_u, want)
+    assert_same_graph(dec.intersection, want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -100,25 +102,12 @@ def test_pushout_is_the_public_build(data):
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
-def test_generator_graph_and_rose_are_canonical(data):
+def test_generator_graph_is_canonical(data):
     piece = draw_graph(data)
     points = set(data.draw(st.lists(st.sampled_from(piece.vertices), min_size=1)))
     points |= {block[0] for block in components(piece).blocks if not points & set(block)}
     graph = groupoid_generators(piece, points).graph
     assert_same_graph(graph, DirectedGraph(graph.vertices, dict(graph.edge_ends)))
-
-    forest = spanning_forest(piece)
-    base = data.draw(st.sampled_from(piece.vertices))
-    adj = signed_adjacency(piece)
-    letters, cur = [], base
-    for _ in range(data.draw(st.integers(0, 8))):
-        if not adj[cur]:
-            break
-        letter, cur = data.draw(st.sampled_from(adj[cur]))
-        letters.append(letter)
-    loop = compose(reduce(piece, base, letters), tree_path(forest, cur, base))
-    rose = loop_coordinates(piece, forest, base, loop).host
-    assert_same_graph(rose, DirectedGraph(rose.vertices, dict(rose.edge_ends)))
 
 
 # -- error order -------------------------------------------------------------

@@ -35,6 +35,7 @@ from freeloop.graphs import (
 
 from support import (
     brute_components,
+    forest_graph,
     is_forest_graph,
     random_graph,
     reference_single_tag_origins,
@@ -133,7 +134,7 @@ def test_graph_allows_loops_and_parallel_edges():
 def test_unknown_edge_and_vertex_accessors():
     g = DirectedGraph(["a"], [])
     with pytest.raises(UnknownEdge):
-        g.ends("nope")
+        g.edge_index("nope")
     with pytest.raises(UnknownVertex):
         g.vertex_index("nope")
 
@@ -155,8 +156,9 @@ def test_spanning_forest_properties_on_random_graphs():
     for _ in range(200):
         g = random_graph(rng, max_v=9, max_e=16)
         f = spanning_forest(g)
-        assert is_forest_graph(f.as_graph())
-        assert components(f.as_graph()).blocks == components(g).blocks
+        fg = forest_graph(f)
+        assert is_forest_graph(fg)
+        assert components(fg).blocks == components(g).blocks
         assert len(f.tree_edges) == g.v_count - len(components(g))
 
 

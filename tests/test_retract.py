@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import random
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from freeloop.errors import (
     BadSign,
-    Disconnected,
     DuplicateId,
     HostMismatch,
     NoArrowInA,
@@ -31,24 +32,23 @@ from freeloop.graphs import (
     components,
     euler_ranks,
     graph_pushout_with_origins,
+    spanning_forest,
 )
 from freeloop.retract import (
     GLetter,
     GWord,
     PushoutInstance,
     build_retract,
-    certify_rank_at_least_one,
-    check_connected,
-    component_counts,
     include_f,
     rho,
-    theorem_rank,
     witness,
 )
 from freeloop.words import identity
 
 from support import (
+    brute_rank,
     circle_instance,
+    is_nonempty_reduced_loop,
     joined_pairs,
     long_run_gword,
     naive_rho,
@@ -95,21 +95,30 @@ def test_instance_rejects_c_loop_keys_that_coerce_to_one_id():
     )
 
 def test_component_counts_on_circle():
-    assert component_counts(circle_instance()) == (1, 1, 2)
+    report = build_retract(circle_instance())
+    assert (report.n_a, report.n_b, report.n_c) == (1, 1, 2)
+    assert brute_rank(circle_instance())[0] == (1, 1, 2)
 
 
 def test_theorem_rank_matches_hand_arithmetic():
-    assert theorem_rank(circle_instance()) == 1
-    assert theorem_rank(theta_instance()) == 1
-    assert theorem_rank(path_instance()) == 0
+    for make, k in ((circle_instance, 1), (theta_instance, 1), (path_instance, 0)):
+        assert build_retract(make()).k == k
+        assert brute_rank(make())[2] == k
 
 
-def test_theorem_rank_rejects_disconnected_pushouts():
+def test_theorem_rank_rejects_disconnected_pushouts(tmp_path, capsys):
+    from freeloop import cli
+    from freeloop.jsonio import canonical_json, dump_instance
+
     g = DirectedGraph(["a", "b"], [])
     inst = PushoutInstance(["a", "b"], g, g)
-    assert not check_connected(inst)
-    with pytest.raises(Disconnected):
-        theorem_rank(inst)
+    assert brute_rank(inst) == ((2, 2, 2), False, None)
+    report = build_retract(inst)
+    assert report.k is None and not report.connected
+    path = tmp_path / "apart.json"
+    path.write_text(canonical_json(dump_instance(inst)), encoding="utf-8")
+    assert cli.main(["pushout-rank", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("Disconnected: ")
 
 
 def test_build_retract_reports_per_component_ranks_when_disconnected():
@@ -130,7 +139,7 @@ def test_build_retract_counts_and_rank_formula_agree():
         assert report.w.e_count == len(report.forest_x.tree_edges) + len(
             report.forest_y.tree_edges
         )
-        assert report.k == theorem_rank(inst)
+        assert report.k == brute_rank(inst)[2]
         assert report.per_component_ranks == tuple(euler_ranks(report.w))
 
 
@@ -194,9 +203,8 @@ def test_rho_on_single_forest_letter_is_that_letter():
     inst = circle_instance()
     report = build_retract(inst)
     image = rho(report, GWord(inst, "a", "b", [GLetter("A", "alpha", 1)]))
-    assert [(l.edge, l.sign) for l in image.letters] == [
-        (report.w_edge_for("A", "alpha"), 1)
-    ]
+    assert [(l.edge, l.sign) for l in image.letters] == [("alpha", 1)]
+    assert report.origin_of("alpha") == ("A", "alpha")
 
 
 def test_rho_kills_c_letters_everywhere():
@@ -389,17 +397,24 @@ def test_witness_mixes_both_forests_whenever_defined():
         assert len(loop) >= 2
         sides = {report.origin_of(l.edge)[0] for l in loop.letters}
         assert sides == {"A", "B"}
-        assert not certify_rank_at_least_one(report, *pair).is_identity
+        assert is_nonempty_reduced_loop(loop)
         found += 1
 
 
 def test_certify_on_circle_gives_one_letter_coordinates():
+    """The circle's witness is a nonempty reduced loop, and one of its
+    letters lies off a spanning tree of W: one basis loop of the vertex
+    group at a."""
     report = build_retract(circle_instance())
-    el = certify_rank_at_least_one(report, "a", "b")
-    assert len(el) == 1
+    loop = witness(report, "a", "b")
+    assert is_nonempty_reduced_loop(loop)
+    tree = spanning_forest(report.w).tree_edges
+    assert len([l for l in loop.letters if l.edge not in tree]) == 1
 
 
 def test_check_connected_matches_union_graph_components():
+    """The report's connectivity, decided from W, and the BFS oracle's, from
+    the union of both sides, both match the union graph's components."""
     rng = random.Random(73)
     seen = set()
     for _ in range(200):
@@ -414,7 +429,7 @@ def test_check_connected_matches_union_graph_components():
         inst = PushoutInstance(vs, side("a"), side("b"))
         union, _ = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
         connected = len(components(union)) == 1
-        assert check_connected(inst) == connected
+        assert build_retract(inst).connected == brute_rank(inst)[1] == connected
         seen.add(connected)
     assert seen == {True, False}
 
@@ -423,7 +438,8 @@ def test_rank_never_exceeds_union_euler_rank():
     rng = random.Random(71)
     for _ in range(80):
         inst = random_connected_instance(rng, max_objects=10, max_side_edges=16)
-        k = theorem_rank(inst)
+        k = build_retract(inst).k
+        assert k == brute_rank(inst)[2]
         union, _ = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
         (_, union_rank), = euler_ranks(union)
         assert 0 <= k <= union_rank
@@ -467,3 +483,17 @@ def test_internal_invariants_survive_python_dash_o():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "InternalInvariant\n" * 2
+
+
+def test_engine_has_no_assert_statements():
+    """Every invariant is an explicit error, so none vanishes under ``-O``."""
+    src = Path(__file__).resolve().parent.parent / "src" / "freeloop"
+    modules = sorted(src.rglob("*.py"))
+    assert modules
+    found = [
+        f"{path.relative_to(src)}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -26,9 +26,8 @@ from freeloop.graphs import (
     VertexPartition,
     components,
     euler_ranks,
-    spanning_forest,
 )
-from freeloop.retract import witness
+from freeloop.retract import build_retract, witness
 from freeloop.vankampen import (
     Decomposition,
     PbpScenario,
@@ -36,16 +35,17 @@ from freeloop.vankampen import (
     decomposition_to_instance,
     detect_z_retract,
     groupoid_generators,
-    induced_subgraph,
     pbi_fails,
     pbp_to_decomposition,
 )
-from freeloop.words import Word, loop_coordinates
+from freeloop.words import Word
 
 from support import (
+    brute_rank,
     c8_space,
     circle_decomposition,
     is_forest_graph,
+    is_nonempty_reduced_loop,
     joined_pairs,
     naive_reduce,
     random_decomposition,
@@ -59,8 +59,8 @@ from support import (
 
 def test_induced_subgraph_on_full_and_empty_sets():
     g = c8_space()
-    assert induced_subgraph(g, g.vertices) == g
-    empty = induced_subgraph(g, [])
+    assert Decomposition(g, g.vertices, g.vertices).piece_u == g
+    empty = Decomposition(g, [], g.vertices).piece_u
     assert empty.v_count == 0 and empty.e_count == 0
 
 
@@ -69,7 +69,7 @@ def test_induced_subgraph_cycle_minus_vertex_is_a_path():
         ["a", "b", "c", "d"],
         [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "d"), ("e4", "d", "a")],
     )
-    p = induced_subgraph(c4, ["a", "b", "c"])
+    p = Decomposition(c4, ["a", "b", "c"], c4.vertices).piece_u
     assert p.vertices == ("a", "b", "c")
     assert p.edge_ids == ("e1", "e2")
     assert is_forest_graph(p)
@@ -77,7 +77,7 @@ def test_induced_subgraph_cycle_minus_vertex_is_a_path():
 
 def test_induced_subgraph_rejects_unknown_vertices():
     with pytest.raises(UnknownVertex):
-        induced_subgraph(c8_space(), ["nope"])
+        Decomposition(c8_space(), ["nope"], c8_space().vertices)
 
 
 def test_scenario_validation():
@@ -194,9 +194,7 @@ def test_decomposition_to_instance_on_the_circle():
     assert inst.graph_a.edge_ids == ("t:b",)
     assert inst.graph_b.edge_ids == ("t:b",)
     assert inst.c_loops == ()
-    from freeloop.retract import theorem_rank
-
-    assert theorem_rank(inst) == 1
+    assert build_retract(inst).k == brute_rank(inst)[2] == 1
     u_word = translations["A"]["t:b"]
     assert u_word.host == dec.space
     assert [(l.edge, l.sign) for l in u_word.letters] == [("e1", 1), ("e2", 1)]
@@ -209,9 +207,7 @@ def test_decomposition_to_instance_contractible_single_edge():
     dec = Decomposition(space, ["a", "b"], ["a", "b"])
     inst, _ = decomposition_to_instance(dec)
     assert inst.objects == ("a",)
-    from freeloop.retract import theorem_rank
-
-    assert theorem_rank(inst) == 0
+    assert build_retract(inst).k == brute_rank(inst)[2] == 0
 
 
 def test_decomposition_to_instance_error_cases():
@@ -294,9 +290,7 @@ def test_detect_z_retract_on_theta_space():
     cert = detect_z_retract(dec)
     assert cert is not None
     assert cert.report.k == 1
-    f = spanning_forest(space)
-    coords = loop_coordinates(space, f, cert.loop_in_space.source, cert.loop_in_space)
-    assert not coords.is_identity
+    assert is_nonempty_reduced_loop(cert.loop_in_space)
 
 
 def _double_loop_pair(instance, prefer=None):
@@ -380,10 +374,10 @@ def test_detect_z_retract_scan_is_linear_in_basepoints(monkeypatch):
     assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) <= 8 * 100
 
 def test_certificates_on_random_decompositions_are_sound():
-    """Whenever a certificate appears, its space loop survives the
-    independent coordinate oracle; k never exceeds the space's cycle rank."""
+    """Whenever a certificate appears, its space loop and its image on W are
+    nonempty reduced loops under the naive oracle; k agrees with the BFS
+    oracle and never exceeds the space's cycle rank."""
     from support import random_cycle_split
-    from freeloop.retract import theorem_rank
 
     rng = random.Random(83)
     certified = 0
@@ -391,22 +385,16 @@ def test_certificates_on_random_decompositions_are_sound():
     samples += [random_cycle_split(rng) for _ in range(25)]
     for dec in samples:
         inst, _ = decomposition_to_instance(dec)
-        k = theorem_rank(inst)
+        k = build_retract(inst).k
+        assert k == brute_rank(inst)[2]
         (_, space_rank), = euler_ranks(dec.space)
         assert 0 <= k <= space_rank
         cert = detect_z_retract(dec)
         if cert is None:
             continue
         certified += 1
-        f = spanning_forest(dec.space)
-        base = cert.loop_in_space.source
-        assert not loop_coordinates(dec.space, f, base, cert.loop_in_space).is_identity
-        assert not loop_coordinates(
-            cert.report.w,
-            spanning_forest(cert.report.w),
-            cert.retract_image.source,
-            cert.retract_image,
-        ).is_identity
+        assert is_nonempty_reduced_loop(cert.loop_in_space)
+        assert is_nonempty_reduced_loop(cert.retract_image)
     assert certified >= 25
 
 
@@ -460,9 +448,7 @@ def test_pbp_pipeline_on_random_failing_scenarios():
         dec = pbp_to_decomposition(sc)
         cert = detect_z_retract(dec, prefer=certificate_basepoints_for(dec, a, b))
         assert cert is not None
-        f = spanning_forest(space)
-        base = cert.loop_in_space.source
-        assert not loop_coordinates(space, f, base, cert.loop_in_space).is_identity
+        assert is_nonempty_reduced_loop(cert.loop_in_space)
         found += 1
     assert found >= 5
 

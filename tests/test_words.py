@@ -1,4 +1,4 @@
-"""Free groupoid words: reduction, composition laws, tree paths, coordinates."""
+"""Free groupoid words: reduction, composition laws, tree paths."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ import pytest
 from freeloop.errors import (
     BadSign,
     HostMismatch,
-    NotALoop,
     NotComposable,
     NotReduced,
     UnknownLetter,
@@ -23,15 +22,13 @@ from freeloop.words import (
     identity,
     invert,
     letter_ends,
-    loop_coordinates,
-    rehost,
     tree_path,
 )
 from freeloop.words import reduce as reduce_word
 
 from support import (
     enumerate_reduced_words,
-    expand_coordinates,
+    forest_graph,
     naive_reduce,
     random_graph,
     random_reduced_word,
@@ -141,17 +138,19 @@ def test_group_laws_on_random_words():
 
 
 def test_rehost_moves_words_between_equal_edge_sets():
+    """A word's letters build the same word on a larger host sharing the
+    edge ids, and are refused by a host without one of them."""
     g = two_cycle()
     bigger = DirectedGraph(
         ["a", "b", "c"], [("x", "a", "b"), ("y", "b", "a"), ("z", "b", "c")]
     )
     w = Word(g, "a", "a", [Letter("x", 1), Letter("y", 1)])
-    moved = rehost(w, bigger)
+    moved = Word(bigger, w.source, w.target, w.letters)
     assert moved.host is bigger
     assert moved.letters == w.letters
     same_vertices = DirectedGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "a")])
     with pytest.raises(UnknownLetter):
-        rehost(Word(bigger, "b", "c", [Letter("z", 1)]), same_vertices)
+        Word(same_vertices, "b", "c", [Letter("z", 1)])
 
 
 def test_tree_path_is_the_unique_reduced_word_on_forests():
@@ -161,7 +160,7 @@ def test_tree_path_is_the_unique_reduced_word_on_forests():
     for _ in range(60):
         g = random_graph(rng, max_v=7, max_e=10)
         f = spanning_forest(g)
-        fg = f.as_graph()
+        fg = forest_graph(f)
         fgf = spanning_forest(fg)
         words = enumerate_reduced_words(fg)
         for u in fg.vertices:
@@ -173,51 +172,3 @@ def test_tree_path_is_the_unique_reduced_word_on_forests():
                 assert len(words[key]) == 1
                 expected = Word(fg, u, v, words[key][0])
                 assert tree_path(fgf, u, v) == expected
-
-
-def test_loop_coordinates_on_known_cycle():
-    g = DirectedGraph(
-        ["a", "b", "c"],
-        [("p", "a", "b"), ("q", "b", "c"), ("r", "c", "a")],
-    )
-    f = spanning_forest(g)
-    assert f.tree_edge_ids == ("p", "q")
-    loop = Word(g, "a", "a", [Letter("p", 1), Letter("q", 1), Letter("r", 1)])
-    el = loop_coordinates(g, f, "a", loop)
-    assert el.host == DirectedGraph(["a"], [("r", "a", "a")])
-    assert (el.source, el.target) == ("a", "a")
-    assert el.letters == (Letter("r", 1),)
-    assert str(el) == "r"
-
-
-def test_loop_coordinates_rejects_non_loops_and_foreign_words():
-    g = two_cycle()
-    f = spanning_forest(g)
-    w = Word(g, "a", "b", [Letter("x", 1)])
-    with pytest.raises(NotALoop):
-        loop_coordinates(g, f, "a", w)
-    other = DirectedGraph(["a", "b"], [("x", "a", "b"), ("y", "b", "a"), ("w", "a", "a")])
-    with pytest.raises(HostMismatch):
-        loop_coordinates(g, spanning_forest(other), "a", w)
-
-
-def test_loop_coordinates_of_tree_loops_are_empty():
-    g = DirectedGraph(["a", "b"], [("x", "a", "b")])
-    f = spanning_forest(g)
-    assert loop_coordinates(g, f, "a", identity(g, "a")).is_identity
-
-
-def test_loop_coordinates_roundtrip_through_substitution():
-    """Expanding the coordinates reproduces the original reduced loop."""
-    rng = random.Random(43)
-    checked = 0
-    while checked < 200:
-        g = random_graph(rng, max_v=6, max_e=12)
-        f = spanning_forest(g)
-        base = rng.choice(g.vertices)
-        w = random_reduced_word(rng, g, source=base, max_len=14)
-        if w.target != base:
-            continue
-        el = loop_coordinates(g, f, base, w)
-        assert expand_coordinates(g, f, base, el) == w
-        checked += 1
