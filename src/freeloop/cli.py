@@ -1,11 +1,11 @@
 """Command-line front end: parse JSON inputs, run the engines, report.
 
 Exit codes: 0 on success, 1 on parse, encoding or IO failure, 2 on a domain
-error (violated precondition) with the error's code on stderr.  JSON output
-comes from :func:`freeloop.jsonio.canonical_json`: sorted keys, two-space
-indent and canonical id order, so identical inputs produce byte-identical
-bytes.  The DOT rendering, and the union graph and role sets it draws, are
-built only under ``--emit-dot``.
+error (violated precondition) or a usage error, with the error's code on
+stderr.  JSON output comes from :func:`freeloop.jsonio.canonical_json`:
+sorted keys, two-space indent and canonical id order, so identical inputs
+produce byte-identical bytes.  The DOT rendering, and the union graph and
+role sets it draws, are built only under ``--emit-dot``.
 """
 
 from __future__ import annotations
@@ -42,9 +42,17 @@ from .vankampen import (
 _NOT_CONNECTED = "the pushout is not connected; build_retract reports per-component ranks"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, ``UsageError: <message>``,
+    and exits 2; subcommand parsers are built from this class too."""
+
+    def error(self, message: str):
+        self.exit(2, f"UsageError: {message}\n")
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freeloop",
         description="free-groupoid retracts of graph pushouts, and their loops",
     )

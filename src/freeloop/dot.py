@@ -25,14 +25,12 @@ def graph_dot(
     red_edges: Iterable[str] = (),
     blue_edges: Iterable[str] = (),
     bold_edges: Iterable[str] = (),
-    name: str = "G",
 ) -> str:
     """Render ``g`` as a DOT digraph, one node and edge per line."""
     red = set(red_edges)
     blue = set(blue_edges)
     bold = set(bold_edges)
-    lines = [f"digraph {_quote(name)} {{"]
-    lines.append("  node [shape=circle];")
+    lines = ['digraph "G" {', "  node [shape=circle];"]
     for v in g.vertices:
         lines.append(f"  {_quote(v)};")
     for e in g.edge_ids:

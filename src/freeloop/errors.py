@@ -60,10 +60,6 @@ class VertexSetMismatch(DomainError):
     pass
 
 
-class RequiredEdgesContainCycle(DomainError):
-    pass
-
-
 class TreeEdgesContainCycle(DomainError):
     pass
 
@@ -163,10 +159,6 @@ class EdgeAcrossPieces(DomainError):
     def __init__(self, edge: str):
         super().__init__(f"edge {edge!r} has endpoints in neither piece entirely")
         self.edge = edge
-
-
-class ComponentWithoutBasepoint(DomainError):
-    pass
 
 
 class PieceMissesIntersection(DomainError):

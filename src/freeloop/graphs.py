@@ -23,7 +23,6 @@ from .errors import (
     DifferentTrees,
     DuplicateId,
     InternalInvariant,
-    RequiredEdgesContainCycle,
     TreeEdgesContainCycle,
     TreeEdgesNotSpanning,
     UnknownEdge,
@@ -294,11 +293,6 @@ class Forest:
                     queue.append(w)
         return parent, up, depth, root
 
-    def tree_of(self, v: str) -> str:
-        """Root vertex identifying the tree containing ``v``."""
-        root = self._nav[3]
-        return self.host.vertices[root[self.host.vertex_index(v)]]
-
     def path_steps(self, u: str, v: str) -> list[tuple[str, int]]:
         """Signed edges of the unique tree path from ``u`` to ``v``."""
         codes = self._path_codes(self.host.vertex_index(u), self.host.vertex_index(v))
@@ -359,30 +353,8 @@ def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str] | None) -> list[i
 
 def spanning_forest(g: DirectedGraph, tie_break: Sequence[str] | None = None) -> Forest:
     """Greedy spanning forest, scanning edges in tie-break order."""
-    return spanning_forest_containing(g, (), tie_break)
-
-
-def spanning_forest_containing(
-    g: DirectedGraph,
-    required: Iterable[str],
-    tie_break: Sequence[str] | None = None,
-) -> Forest:
-    """Spanning forest forced to include ``required``, completed greedily."""
-    req_ids = sorted({as_id(e) for e in required})
-    for e in req_ids:
-        if not g.has_edge(e):
-            raise UnknownEdge(e)
-    head = [g.edge_index(e) for e in req_ids]
     scan = edge_scan_order(g, tie_break)
-    if head:
-        req_set = set(req_ids)
-        scan = head + [i for i in scan if g.edge_ids[i] not in req_set]
-    accepted = greedy_forest(g.v_count, g._src_idx, g._tgt_idx, scan)
-    # The required edges lead the scan, so they are all in the forest exactly
-    # when the scan accepted each of them.
-    if accepted[: len(head)] != head:
-        raise RequiredEdgesContainCycle("required edges contain an undirected cycle")
-    return Forest._accepted(g, accepted)
+    return Forest._accepted(g, greedy_forest(g.v_count, g._src_idx, g._tgt_idx, scan))
 
 
 def graph_pushout_with_origins(

@@ -84,7 +84,7 @@ def dump_graph(g: DirectedGraph) -> dict:
 
 
 def _parse_sign(value: Any, where: str) -> int:
-    if value not in (1, -1) or isinstance(value, bool):
+    if type(value) is not int or value not in (1, -1):
         raise SchemaError(f'{where} "sign" must be 1 or -1')
     return value
 

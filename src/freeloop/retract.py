@@ -45,7 +45,7 @@ from .graphs import (
     components,
     euler_ranks,
     graph_pushout_with_origins,
-    spanning_forest_containing,
+    spanning_forest,
 )
 from .words import Letter, Word, _chain_end
 
@@ -146,11 +146,8 @@ class GLetter:
     def __post_init__(self):
         if self.side not in SIDES:
             raise UnknownSide(f"side must be one of {SIDES}, got {self.side!r}")
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
-
-    def inverse(self) -> GLetter:
-        return GLetter(self.side, self.edge, -self.sign)
 
     def __str__(self) -> str:
         body = f"{self.side}:{self.edge}"
@@ -197,18 +194,6 @@ class GWord:
     def _set(self, instance: PushoutInstance, source: str, target: str, letters: tuple) -> GWord:
         self.instance, self.source, self.target, self.letters = instance, source, target, letters
         return self
-
-    def compose(self, other: GWord) -> GWord:
-        if self.instance != other.instance:
-            raise HostMismatch("words live over different instances")
-        if self.target != other.source:
-            raise NotComposable(None, f"target {self.target!r} != source {other.source!r}")
-        return GWord._trusted(self.instance, self.source, other.target, self.letters + other.letters)
-
-    def invert(self) -> GWord:
-        return GWord._trusted(
-            self.instance, self.target, self.source, tuple(l.inverse() for l in reversed(self.letters))
-        )
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -259,10 +244,6 @@ class RetractReport:
         self._letters = {}
         self._gletters = {}
 
-    @property
-    def connected(self) -> bool:
-        return self.k is not None
-
     def origin_of(self, w_edge: str) -> tuple[str, str]:
         try:
             return self.edge_origins[w_edge]
@@ -281,24 +262,17 @@ class RetractReport:
         return self._w_codes[side]
 
 
-def build_retract(
-    inst: PushoutInstance,
-    tie_break: Sequence[str] | None = None,
-    required_a: Iterable[str] = (),
-    required_b: Iterable[str] = (),
-) -> RetractReport:
+def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None) -> RetractReport:
     """Choose spanning forests X, Y, push them out to W, and report ranks.
 
-    ``required_a`` / ``required_b`` force particular generator edges into the
-    forests (they must be acyclic), which is how a caller pins chosen arrows
-    into the retract.  W's edges are named by :func:`graph_pushout_with_origins`:
-    a forest edge keeps its id unless the other forest has an edge of the same
-    id.  Each forest spans its side's components, so the pushout is connected
-    exactly when W is; on a disconnected instance ``k`` is None and the
-    per-component ranks stand in for it.
+    W's edges are named by :func:`graph_pushout_with_origins`: a forest edge
+    keeps its id unless the other forest has an edge of the same id.  Each
+    forest spans its side's components, so the pushout is connected exactly
+    when W is; on a disconnected instance ``k`` is None and the per-component
+    ranks stand in for it.
     """
-    forest_x = spanning_forest_containing(inst.graph_a, required_a, tie_break)
-    forest_y = spanning_forest_containing(inst.graph_b, required_b, tie_break)
+    forest_x = spanning_forest(inst.graph_a, tie_break)
+    forest_y = spanning_forest(inst.graph_b, tie_break)
     w, origins = graph_pushout_with_origins(forest_x, forest_y, inst.objects)
     # C is totally disconnected, so every object is its own C-component.
     n_a, n_b, n_c = len(components(inst.graph_a)), len(components(inst.graph_b)), len(inst.objects)

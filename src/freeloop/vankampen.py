@@ -15,13 +15,12 @@ decomposition's certificate is then guaranteed to exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import and_, not_, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
-    ComponentWithoutBasepoint,
     DeletedSetsAdjacent,
     Disconnected,
     EdgeAcrossPieces,
@@ -40,22 +39,18 @@ from .retract import PushoutInstance, RetractReport, build_retract, include_f, w
 from .words import Letter, Word, _reduced, invert, tree_path
 
 
-def _vertex_subset(g: DirectedGraph, vs: Iterable[str]) -> tuple[str, ...]:
-    """``vs`` as sorted distinct vertex ids of ``g``.  A bad id raises
-    ``BadId`` at the first offender in ``vs``; then the smallest id that is
-    not a vertex raises ``UnknownVertex``."""
-    out = sorted(set(map(as_id, vs)))
-    if not all(map(g._vindex.__contains__, out)):
-        raise UnknownVertex(next(v for v in out if v not in g._vindex))
-    return tuple(out)
-
-
 def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
     """One byte per vertex of ``g``, in ``g.vertices`` order: 1 for the
-    members of ``vs``, which must be vertices of ``g``."""
+    members of ``vs``.  A bad id raises ``BadId`` at the first offender in
+    ``vs``; then the smallest id that is not a vertex raises
+    ``UnknownVertex``."""
+    ids = set(map(as_id, vs))
     index = g._vindex
+    unknown = ids.difference(index)
+    if unknown:
+        raise UnknownVertex(min(unknown))
     mask = bytearray(g.v_count)
-    for v in vs:
+    for v in ids:
         mask[index[v]] = 1
     return mask
 
@@ -84,9 +79,7 @@ class Decomposition:
     """
 
     def __init__(self, space: DirectedGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
-        u = _vertex_subset(space, u_vertices)
-        v = _vertex_subset(space, v_vertices)
-        in_u, in_v = _vertex_mask(space, u), _vertex_mask(space, v)
+        in_u, in_v = _vertex_mask(space, u_vertices), _vertex_mask(space, v_vertices)
         uncovered = bytes(map(or_, in_u, in_v)).find(0)
         if uncovered >= 0:
             raise NotACover(f"vertex {space.vertices[uncovered]!r} is in neither piece")
@@ -94,8 +87,8 @@ class Decomposition:
             if not ((in_u[s] and in_u[t]) or (in_v[s] and in_v[t])):
                 raise EdgeAcrossPieces(e)
         self.space = space
-        self.u_vertices = u
-        self.v_vertices = v
+        self.u_vertices = tuple(compress(space.vertices, in_u))
+        self.v_vertices = tuple(compress(space.vertices, in_v))
         self.piece_u = _induced(space, in_u)
         self.piece_v = _induced(space, in_v)
         self.intersection = _induced(space, bytearray(map(and_, in_u, in_v)))
@@ -135,12 +128,10 @@ class PbpScenario:
         a: str,
         b: str,
     ):
-        d = _vertex_subset(space, d_set)
-        e = _vertex_subset(space, e_set)
-        overlap = set(d) & set(e)
+        in_d, in_e = _vertex_mask(space, d_set), _vertex_mask(space, e_set)
+        overlap = list(compress(space.vertices, map(and_, in_d, in_e)))
         if overlap:
-            raise SetsNotDisjoint(f"sets share vertices {sorted(overlap)!r}")
-        in_d, in_e = _vertex_mask(space, d), _vertex_mask(space, e)
+            raise SetsNotDisjoint(f"sets share vertices {overlap!r}")
         for eid, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx):
             if (in_d[s] and in_e[t]) or (in_e[s] and in_d[t]):
                 raise DeletedSetsAdjacent(eid)
@@ -154,8 +145,8 @@ class PbpScenario:
         if a == b:
             raise NotDistinct(f"marked points must be distinct, got {a!r} twice")
         self.space = space
-        self.d_set = d
-        self.e_set = e
+        self.d_set = tuple(compress(space.vertices, in_d))
+        self.e_set = tuple(compress(space.vertices, in_e))
         self.a = a
         self.b = b
 
@@ -188,15 +179,6 @@ def pbi_fails(sc: PbpScenario) -> bool:
     return _complement(sc)[1]
 
 
-@dataclass(frozen=True)
-class GeneratorPresentation:
-    """Generating graph over the basepoints plus the expansion of each
-    generator as a Word in the piece it came from."""
-
-    graph: DirectedGraph
-    expansions: Mapping[str, Word] = field(compare=False)
-
-
 def _loop_word(forest: Forest, root: str, e: str) -> Word:
     """The loop at ``root`` through the non-forest edge ``e``: tree path out
     to e's source, ``e``, tree path back.  Each tree path is reduced and
@@ -206,30 +188,31 @@ def _loop_word(forest: Forest, root: str, e: str) -> Word:
     return Word._trusted(forest.host, root, root, out.letters + (Letter(e, 1),) + back.letters)
 
 
-def groupoid_generators(
-    piece: DirectedGraph,
-    basepoints: Iterable[str],
-    tie_break: Sequence[str] | None = None,
-) -> GeneratorPresentation:
-    """Generators for the path classes of ``piece`` between the basepoints.
+def _generators(
+    piece: DirectedGraph, name: str, points: tuple[str, ...], tie_break: Sequence[str] | None
+) -> tuple[DirectedGraph, dict[str, Word]]:
+    """The generating graph of ``piece`` over the basepoints ``points``
+    (sorted, distinct, the smallest vertex of each intersection component),
+    and the expansion of each generator as a Word in the piece.
 
-    Per component, the smallest basepoint is the root; each other basepoint s
+    A piece component meets the intersection exactly when it holds one of
+    ``points``; one that does not raises ``PieceMissesIntersection``.  Per
+    component, the smallest basepoint is the root; each other basepoint s
     gets a tree-path generator ``t:s`` (root to s), and each non-forest edge e
     gets a loop generator ``g:e`` at the root (tree path out, e, tree path
     back).  These generate every basepoint-to-basepoint path class, and the
-    output graph has exactly as many components as the piece.
+    graph has exactly as many components as the piece.
     """
-    points = _vertex_subset(piece, basepoints)
     point_set = set(points)
     parts = components(piece)
     roots: dict[tuple[str, ...], str] = {}
     for block in parts.blocks:
-        inside = [v for v in block if v in point_set]
-        if not inside:
-            raise ComponentWithoutBasepoint(
-                f"component {block!r} of the piece contains no basepoint"
+        root = next((v for v in block if v in point_set), None)
+        if root is None:
+            raise PieceMissesIntersection(
+                f"component {block!r} of piece {name} misses the intersection"
             )
-        roots[block] = inside[0]
+        roots[block] = root
     forest = spanning_forest(piece, tie_break)
     tree = forest.tree_edges
     index = {v: i for i, v in enumerate(points)}
@@ -261,7 +244,7 @@ def groupoid_generators(
     )
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
-    return GeneratorPresentation(graph, expansions)
+    return graph, expansions
 
 
 def decomposition_to_instance(
@@ -280,15 +263,8 @@ def decomposition_to_instance(
         raise EmptyIntersection("the pieces share no vertex")
     inter_parts = components(inter)
     points = tuple(block[0] for block in inter_parts.blocks)
-    point_set = set(inter.vertices)
-    for name, piece in (("U", dec.piece_u), ("V", dec.piece_v)):
-        for block in components(piece).blocks:
-            if not any(v in point_set for v in block):
-                raise PieceMissesIntersection(
-                    f"component {block!r} of piece {name} misses the intersection"
-                )
-    pres_a = groupoid_generators(dec.piece_u, points, tie_break)
-    pres_b = groupoid_generators(dec.piece_v, points, tie_break)
+    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break)
+    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break)
     forest_i = spanning_forest(inter, tie_break)
     c_loops: dict[str, list[str]] = {}
     c_words: dict[str, Word] = {}
@@ -298,12 +274,12 @@ def decomposition_to_instance(
         s = inter_parts.blocks[inter_parts.block_of(inter.edge_ends[e][0])][0]
         c_loops.setdefault(s, []).append(e)
         c_words[e] = _loop_word(forest_i, s, e)
-    instance = PushoutInstance(points, pres_a.graph, pres_b.graph, c_loops)
+    instance = PushoutInstance(points, graph_a, graph_b, c_loops)
     # The pieces are induced subgraphs of the space, with its ids and ends,
     # so their words are words on the space as they stand.
     translations = {
         side: {g: Word._trusted(dec.space, w.source, w.target, w.letters) for g, w in table.items()}
-        for side, table in (("A", pres_a.expansions), ("B", pres_b.expansions), ("C", c_words))
+        for side, table in (("A", expansions_a), ("B", expansions_b), ("C", c_words))
     }
     return instance, translations
 

@@ -40,7 +40,7 @@ class Letter:
     sign: int
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
+        if type(self.sign) is not int or self.sign not in (1, -1):
             raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
 
     def inverse(self) -> Letter:
@@ -89,10 +89,6 @@ class Word:
     def _set(self, host: DirectedGraph, source: str, target: str, letters: tuple) -> Word:
         self.host, self.source, self.target, self.letters = host, source, target, letters
         return self
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
 
     def __len__(self) -> int:
         return len(self.letters)

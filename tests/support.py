@@ -310,7 +310,7 @@ def long_run_gword(
             if rng.random() < 0.03:
                 run.append(c_letter(cur))
         if rng.random() < closed_share:
-            run += [l.inverse() for l in reversed(run)]
+            run += [GLetter(l.side, l.edge, -l.sign) for l in reversed(run)]
             cur = start
         letters += run
         if rng.random() < 0.5:

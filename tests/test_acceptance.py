@@ -15,7 +15,7 @@ import sys
 import time
 
 from freeloop.graphs import components, euler_ranks, spanning_forest
-from freeloop.retract import build_retract, include_f, rho, witness
+from freeloop.retract import GWord, build_retract, include_f, rho, witness
 from freeloop.vankampen import (
     PbpScenario,
     certificate_basepoints_for,
@@ -104,9 +104,8 @@ def test_criterion_3_retraction_identity_suite():
         for _ in range(20):
             g1 = random_gword(rng, inst)
             g2 = random_gword(rng, inst, source=g1.target)
-            assert rho(report, g1.compose(g2)) == compose(
-                rho(report, g1), rho(report, g2)
-            )
+            g12 = GWord(inst, g1.source, g2.target, g1.letters + g2.letters)
+            assert rho(report, g12) == compose(rho(report, g1), rho(report, g2))
             functor_checks += 1
     assert identity_checks == functor_checks == 1000
     return "1000 round trips, 1000 composable pairs"

@@ -25,7 +25,6 @@ from freeloop.vankampen import (
     Decomposition,
     decomposition_to_instance,
     detect_z_retract,
-    groupoid_generators,
 )
 from freeloop.words import Word, compose, invert, reduce, tree_path
 
@@ -111,8 +110,6 @@ def test_retract_operations_build_what_the_constructors_accept(data):
     back = include_f(report, image)
     assert_checked(image)
     assert_checked_g(back)
-    assert_checked_g(gword.invert())
-    assert_checked_g(gword.compose(gword.invert()))
     parts_a, parts_b = components(graph_a), components(graph_b)
     pairs = [
         (a, b)
@@ -144,9 +141,6 @@ def test_vankampen_words_are_what_the_constructor_accepts(data):
         inst, translations = decomposition_to_instance(dec)
     except (EmptyIntersection, PieceMissesIntersection):
         assume(False)
-    for piece in (dec.piece_u, dec.piece_v):
-        for w in groupoid_generators(piece, inst.objects).expansions.values():
-            assert_checked(w)
     for table in translations.values():
         for w in table.values():
             assert w.host is dec.space

@@ -358,6 +358,16 @@ def test_rho_command_retracts_tagged_words(circle_file, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, True, 0, "1"])
+def test_rho_refuses_a_sign_that_is_not_the_int_1_or_minus_1(circle_file, tmp_path, capsys, sign):
+    letter = {"side": "A", "edge": "alpha", "sign": sign}
+    gword = {"source": "a", "target": "b", "letters": [letter]}
+    word_path = write_json(tmp_path / "gword.json", gword)
+    assert cli.main(["rho", circle_file, "--word", word_path]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", 'SchemaError: letter #0 "sign" must be 1 or -1\n')
+
+
 def test_vk_instance_command(decomposition_file):
     out = run_cli("vk-instance", decomposition_file, "--output", "json")
     payload = json.loads(out.stdout)
@@ -645,7 +655,7 @@ def test_output_the_stdout_encoding_cannot_hold_exits_one_and_writes_nothing(tmp
 # -- fuzz: every input ends in an exit code and a stable stderr code ----------
 
 # The first token of stderr on a failing run.
-ERROR_CODES = {"ParseError", "SchemaError", "EncodeError", "IOError"} | {
+ERROR_CODES = {"ParseError", "SchemaError", "EncodeError", "IOError", "UsageError"} | {
     obj.__name__
     for obj in vars(errors).values()
     if isinstance(obj, type) and issubclass(obj, errors.DomainError)
@@ -733,11 +743,25 @@ def _documents(draw, seeds) -> bytes:
     return raw
 
 
+# Argument lists argparse refuses: a flag with no value, a flag whose value
+# is passed as a separate argument starting with "-", and an unknown command.
+USAGE_ERRORS = ("no value", "dash value", "unknown command")
+
+
+def _usage_argv(argv: list[str], usage: str) -> list[str]:
+    if usage == "no value":
+        return argv + ["--output"]
+    if usage == "dash value":
+        return argv + ["--tie-break", "-x"]
+    return ["no-such-command", *argv[1:]]
+
+
 @st.composite
 def _cli_cases(draw):
-    """(command, input bytes, word bytes, flags, --a, --b, --emit-dot kind):
-    ``--word``, ``--a`` and ``--b`` are passed only where the command takes
-    them, and the kind is ``"file"``, ``"missing-dir"`` or None."""
+    """(command, input bytes, word bytes, flags, --a, --b, --emit-dot kind,
+    usage error): ``--word``, ``--a`` and ``--b`` are passed only where the
+    command takes them, the kind is ``"file"``, ``"missing-dir"`` or None,
+    and the usage error is one of ``USAGE_ERRORS`` or, mostly, None."""
     command = draw(st.sampled_from(sorted(COMMAND_DOCS)))
     flags = ["--output", draw(st.sampled_from(("text", "json")))]
     if draw(st.booleans()):
@@ -752,6 +776,7 @@ def _cli_cases(draw):
         draw(ids),
         draw(ids),
         draw(st.sampled_from((None, "file", "missing-dir"))),
+        draw(st.sampled_from(USAGE_ERRORS + (None,) * 27)),
     )
 
 
@@ -760,11 +785,15 @@ def _seeded(test):
     for command, doc, extra in DOT_CASES.values():
         word = extra[1] if command == "rho" else CIRCLE_GWORD
         flags = [] if command in ("rho", "witness") else list(extra)
-        case = (command, json.dumps(doc).encode(), json.dumps(word).encode(), flags, "a", "b", "file")
-        test = example(case=case)(test)
+        doc, word = json.dumps(doc).encode(), json.dumps(word).encode()
+        test = example(case=(command, doc, word, flags, "a", "b", "file", None))(test)
     for raw in RAW_SEEDS:
-        test = example(case=("retract", raw, b"{}", [], "a", "b", None))(test)
+        test = example(case=("retract", raw, b"{}", [], "a", "b", None, None))(test)
+    circle = json.dumps(CIRCLE_INSTANCE).encode()
+    for usage in USAGE_ERRORS:
+        test = example(case=("witness", circle, b"{}", [], "a", "b", None, usage))(test)
     return test
+
 
 
 @pytest.fixture(scope="module")
@@ -776,7 +805,7 @@ def fuzz_dir(tmp_path_factory):
 @_seeded
 @given(case=_cli_cases())
 def test_cli_fuzz_ends_in_an_exit_code_and_a_stable_error_code(fuzz_dir, case):
-    command, doc, word, flags, a, b, dot = case
+    command, doc, word, flags, a, b, dot, usage = case
     (fuzz_dir / "in.json").write_bytes(doc)
     (fuzz_dir / "word.json").write_bytes(word)
     argv = [command, str(fuzz_dir / "in.json"), *flags]
@@ -787,10 +816,18 @@ def test_cli_fuzz_ends_in_an_exit_code_and_a_stable_error_code(fuzz_dir, case):
     if dot is not None:
         target = fuzz_dir / ("g.dot" if dot == "file" else "no-such-dir/g.dot")
         argv.append(f"--emit-dot={target}")
+    if usage is not None:
+        argv = _usage_argv(argv, usage)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    if code == 0:
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # how argparse ends a usage error
+            code = exc.code
+    if usage is not None:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("UsageError: ") and err.getvalue().count("\n") == 1
+    elif code == 0:
         assert err.getvalue() == "" and out.getvalue()
     else:
         assert code in (1, 2) and out.getvalue() == ""

@@ -19,7 +19,7 @@ from freeloop.graphs import (
     spanning_forest,
 )
 from freeloop.jsonio import dump_instance, parse_graph
-from freeloop.vankampen import Decomposition, groupoid_generators
+from freeloop.vankampen import Decomposition, _generators
 
 from support import random_connected_instance, reference_parse_graph
 
@@ -106,7 +106,7 @@ def test_generator_graph_is_canonical(data):
     piece = draw_graph(data)
     points = set(data.draw(st.lists(st.sampled_from(piece.vertices), min_size=1)))
     points |= {block[0] for block in components(piece).blocks if not points & set(block)}
-    graph = groupoid_generators(piece, points).graph
+    graph, _ = _generators(piece, "U", tuple(sorted(points)), None)
     assert_same_graph(graph, DirectedGraph(graph.vertices, dict(graph.edge_ends)))
 
 

@@ -16,7 +16,6 @@ from freeloop.errors import (
     DifferentTrees,
     DomainError,
     DuplicateId,
-    RequiredEdgesContainCycle,
     TreeEdgesContainCycle,
     TreeEdgesNotSpanning,
     UnknownEdge,
@@ -30,7 +29,6 @@ from freeloop.graphs import (
     euler_ranks,
     graph_pushout_with_origins,
     spanning_forest,
-    spanning_forest_containing,
 )
 
 from support import (
@@ -169,25 +167,6 @@ def test_spanning_forest_is_deterministic_and_lex_greedy():
     assert spanning_forest(g, tie_break=["absent", "z"]).tree_edge_ids == ("z",)
 
 
-def test_spanning_forest_containing_forces_required_edges():
-    g = cycle_graph(4)
-    f = spanning_forest_containing(g, ["c2"])
-    assert "c2" in f.tree_edges
-    assert len(f.tree_edges) == 3
-
-
-def test_spanning_forest_containing_rejects_cyclic_requirement():
-    g = cycle_graph(3)
-    with pytest.raises(RequiredEdgesContainCycle):
-        spanning_forest_containing(g, ["c0", "c1", "c2"])
-
-
-def test_spanning_forest_containing_rejects_unknown_edge():
-    g = cycle_graph(3)
-    with pytest.raises(UnknownEdge):
-        spanning_forest_containing(g, ["nope"])
-
-
 def test_forest_rejects_cycles_and_non_spanning_sets():
     g = cycle_graph(3)
     with pytest.raises(TreeEdgesContainCycle):
@@ -209,21 +188,14 @@ def test_forest_errors_are_domain_errors_with_stable_codes():
 
 
 def test_greedy_forests_pass_the_validating_constructor():
-    """``spanning_forest_containing`` skips ``Forest``'s checks; the forests
-    it returns must pass them, and a cyclic requirement must be refused."""
+    """``spanning_forest`` skips ``Forest``'s checks; the forests it returns,
+    under any tie-break order, must pass them."""
     rng = random.Random(17)
     for _ in range(200):
         g = random_graph(rng, max_v=9, max_e=16)
-        required = [e for e in g.edge_ids if rng.random() < 0.3]
         tie = list(g.edge_ids)
         rng.shuffle(tie)
-        req_graph = DirectedGraph(g.vertices, {e: g.edge_ends[e] for e in required})
-        if not is_forest_graph(req_graph):
-            with pytest.raises(RequiredEdgesContainCycle):
-                spanning_forest_containing(g, required, tie)
-            continue
-        f = spanning_forest_containing(g, required, tie)
-        assert set(required) <= f.tree_edges
+        f = spanning_forest(g, tie)
         assert f.tree_edge_ids == tuple(sorted(f.tree_edges))
         assert f == Forest(g, f.tree_edge_ids)
 
@@ -276,7 +248,7 @@ def test_path_steps_endpoints_on_random_forests():
 
 def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
     """Forests of many trees and isolated vertices, ids shuffled against the
-    shape: ``tree_of`` names each tree's smallest vertex, and the
+    shape: each tree is searched from its smallest vertex, and the
     sort-grouped ``components`` agrees with BFS."""
     rng = random.Random(29)
     for _ in range(150):
@@ -292,7 +264,8 @@ def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
         assert components(g).blocks == blocks
         for f in (Forest(g, g.edge_ids), spanning_forest(g)):
             for block in blocks:
-                assert {f.tree_of(v) for v in block} == {block[0]}
+                roots = {f._nav[3][g.vertex_index(v)] for v in block}
+                assert roots == {g.vertex_index(block[0])}
 
 
 def test_pushout_disjointly_unions_edges_over_shared_vertices():

@@ -8,11 +8,13 @@ import re
 from pathlib import Path
 
 import freeloop
-from freeloop import errors, graphs, jsonio, retract, vankampen, words
+from freeloop import dot, errors, graphs, jsonio, retract, vankampen, words
 
 ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "freeloop"
 
-# Names that are gone, each with the module or class that held it.
+# Names that are gone, each with the module or class that held it, or the
+# function whose parameter it was.
 DELETED = (
     (words, "FreeGroupElement"),
     (retract, "check_connected"),
@@ -28,6 +30,21 @@ DELETED = (
     (graphs.DirectedGraph, "ends"),
     (retract.RetractReport, "w_edge_for"),
     (vankampen, "induced_subgraph"),
+    (graphs, "spanning_forest_containing"),
+    (errors, "RequiredEdgesContainCycle"),
+    (retract.build_retract, "required_a"),
+    (retract.build_retract, "required_b"),
+    (dot.graph_dot, "name"),
+    (retract.GWord, "compose"),
+    (retract.GWord, "invert"),
+    (retract.GLetter, "inverse"),
+    (words.Word, "is_identity"),
+    (retract.RetractReport, "connected"),
+    (graphs.Forest, "tree_of"),
+    (vankampen, "GeneratorPresentation"),
+    (vankampen, "groupoid_generators"),
+    (errors, "ComponentWithoutBasepoint"),
+    (vankampen, "_vertex_subset"),
 )
 
 
@@ -40,9 +57,13 @@ def test_every_exported_name_resolves_and_is_listed_once():
 
 def test_free_group_element_is_gone():
     for owner, name in DELETED:
-        assert name not in freeloop.__all__
-        assert not hasattr(freeloop, name), name
+        if inspect.isfunction(owner):
+            assert name not in inspect.signature(owner).parameters, f"{owner.__name__}({name})"
+            continue
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+        if inspect.ismodule(owner):
+            assert name not in freeloop.__all__
+            assert not hasattr(freeloop, name), name
 
 
 def test_names_the_benchmark_uses_resolve():
@@ -89,9 +110,10 @@ def _imported_by_perfbench() -> set[str]:
 
 
 def _readme_feature_names() -> set[str]:
+    """The names, plain or dotted (``Class.method``), in README's feature list."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
     features = text.split("What you can do with it:", 1)[1].split("\n## ", 1)[0]
-    return set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", features))
+    return set(re.findall(r"`([A-Za-z_][\w.]*)`", features))
 
 
 def test_every_exported_name_is_used_named_or_returned():
@@ -110,3 +132,91 @@ def test_every_exported_name_is_used_named_or_returned():
         and not (inspect.isclass(getattr(freeloop, name)) and re.search(rf"\b{name}\b", returned))
     ]
     assert unused == []
+
+
+def _trees(paths) -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _public_modules() -> list[ast.Module]:
+    """The modules under ``src/freeloop`` outside private packages."""
+    paths = sorted(SRC.rglob("*.py"))
+    return _trees(
+        p for p in paths if not any(part.startswith("_") for part in p.relative_to(SRC).parts[:-1])
+    )
+
+
+def _attributes_read(trees) -> set[str]:
+    return {
+        node.attr for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_public_method_is_used_read_or_named():
+    """Each public method or property of a public class in ``src/freeloop``
+    is used as an attribute elsewhere in ``src/freeloop``, read by the
+    benchmark (as an attribute or a string), or named in README's feature
+    list as ``Class.method``."""
+    perfbench = _trees(sorted((ROOT / "perfbench").glob("*.py")))
+    strings = {
+        part
+        for tree in perfbench
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        for part in node.value.split(".")
+    }
+    used = _attributes_read(_trees(sorted(SRC.rglob("*.py")))) | _attributes_read(perfbench)
+    used |= strings
+    named = _readme_feature_names()
+    unused = [
+        f"{cls.name}.{fn.name}"
+        for tree in _public_modules()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")
+        and fn.name not in used and f"{cls.name}.{fn.name}" not in named
+    ]
+    assert unused == []
+
+
+def _calls(trees) -> dict[str, list[tuple[float, set[str]]]]:
+    """Per called name (plain or attribute), each call's positional count
+    and keywords; a ``*args`` or ``**kwargs`` counts as setting them all."""
+    calls: dict[str, list[tuple[float, set[str]]]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            positional = float("inf") if starred else len(node.args)
+            calls.setdefault(name, []).append((positional, {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_option_of_a_public_function_is_set_by_a_caller():
+    """Each defaulted parameter of a public module-level function in
+    ``src/freeloop`` is set, by keyword or by position, in some call in
+    ``src/freeloop`` or the benchmark.  Class constructors are exempt: they
+    are the validating entry points."""
+    calls = _calls(_trees(sorted(SRC.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))))
+    unset = []
+    for tree in _public_modules():
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                continue
+            params = fn.args.posonlyargs + fn.args.args
+            defaulted = list(enumerate(params))[len(params) - len(fn.args.defaults) :]
+            defaulted += [
+                (float("inf"), arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+            for i, arg in defaulted:
+                if not any(
+                    n > i or arg.arg in kw or None in kw for n, kw in calls.get(fn.name, ())
+                ):
+                    unset.append(f"{fn.name}({arg.arg})")
+    assert unset == []

@@ -21,7 +21,6 @@ from freeloop.errors import (
     NoArrowInB,
     NotComposable,
     NotDistinct,
-    RequiredEdgesContainCycle,
     UnknownLetter,
     UnknownSide,
     UnknownVertex,
@@ -114,7 +113,7 @@ def test_theorem_rank_rejects_disconnected_pushouts(tmp_path, capsys):
     inst = PushoutInstance(["a", "b"], g, g)
     assert brute_rank(inst) == ((2, 2, 2), False, None)
     report = build_retract(inst)
-    assert report.k is None and not report.connected
+    assert report.k is None
     path = tmp_path / "apart.json"
     path.write_text(canonical_json(dump_instance(inst)), encoding="utf-8")
     assert cli.main(["pushout-rank", str(path)]) == 2
@@ -126,7 +125,7 @@ def test_build_retract_reports_per_component_ranks_when_disconnected():
     h = DirectedGraph(["a", "b", "c"], [("y", "b", "a")])
     inst = PushoutInstance(["a", "b", "c"], g, h)
     report = build_retract(inst)
-    assert report.k is None and not report.connected
+    assert report.k is None
     assert report.per_component_ranks == ((("a", "b"), 1), (("c",), 0))
 
 
@@ -143,14 +142,6 @@ def test_build_retract_counts_and_rank_formula_agree():
         assert report.per_component_ranks == tuple(euler_ranks(report.w))
 
 
-def test_build_retract_honours_required_edges():
-    inst = theta_instance()
-    report = build_retract(inst, required_a=["a2"])
-    assert report.forest_x.tree_edge_ids == ("a2",)
-    with pytest.raises(RequiredEdgesContainCycle):
-        build_retract(inst, required_a=["a1", "a2"])
-
-
 def test_gword_validates_chain_and_letters():
     inst = circle_instance()
     w = GWord(inst, "a", "a", [GLetter("A", "alpha", 1), GLetter("B", "beta", -1)])
@@ -165,21 +156,11 @@ def test_gword_validates_chain_and_letters():
         GWord(inst, "zz", "zz", [])
     with pytest.raises(UnknownSide):
         GLetter("D", "alpha", 1)
-    with pytest.raises(BadSign):
-        GLetter("A", "alpha", 0)
+    for sign in (0, 2, True, 1.0, -1.0):
+        with pytest.raises(BadSign):
+            GLetter("A", "alpha", sign)
     with pytest.raises(UnknownSide):
         inst.side_graph("C")
-
-
-def test_gword_compose_and_invert():
-    inst = circle_instance()
-    ab = GWord(inst, "a", "b", [GLetter("A", "alpha", 1)])
-    ba = GWord(inst, "b", "a", [GLetter("B", "beta", -1)])
-    loop = ab.compose(ba)
-    assert loop.source == loop.target == "a"
-    assert loop.invert().letters == (GLetter("B", "beta", 1), GLetter("A", "alpha", -1))
-    with pytest.raises(NotComposable):
-        ab.compose(ab)
 
 
 def test_c_loops_are_carried_and_have_identity_endpoints():
@@ -241,7 +222,8 @@ def test_rho_is_functorial_on_random_composable_pairs():
         report = build_retract(inst)
         g1 = random_gword(rng, inst)
         g2 = random_gword(rng, inst, source=g1.target)
-        assert rho(report, g1.compose(g2)) == compose(rho(report, g1), rho(report, g2))
+        g12 = GWord(inst, g1.source, g2.target, g1.letters + g2.letters)
+        assert rho(report, g12) == compose(rho(report, g1), rho(report, g2))
 
 
 def test_rho_matches_letter_by_letter_oracle_on_long_runs():
@@ -429,7 +411,7 @@ def test_check_connected_matches_union_graph_components():
         inst = PushoutInstance(vs, side("a"), side("b"))
         union, _ = graph_pushout_with_origins(inst.graph_a, inst.graph_b, inst.objects)
         connected = len(components(union)) == 1
-        assert build_retract(inst).connected == brute_rank(inst)[1] == connected
+        assert (build_retract(inst).k is not None) == brute_rank(inst)[1] == connected
         seen.add(connected)
     assert seen == {True, False}
 
@@ -471,7 +453,7 @@ def test_internal_invariants_survive_python_dash_o():
             else VertexPartition(tuple((v,) for v in graph.vertices))
         )
         try:
-            vankampen.groupoid_generators(g, ["a", "b"])
+            vankampen._generators(g, "U", ("a", "b"), None)
         except InternalInvariant as exc:
             print(exc.code)
         """

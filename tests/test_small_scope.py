@@ -1,0 +1,162 @@
+"""Small-scope sweep: every connected simple graph on 1-5 vertices, up to
+isomorphism, with every two-piece cover and every separation scenario.
+
+Most defects show up on some small input (the small-scope hypothesis), so
+the sweep checks the certificate pipeline exhaustively there instead of on
+random samples.  The expected results come from the BFS oracles in
+``support``.
+"""
+
+from __future__ import annotations
+
+import functools
+from itertools import combinations, permutations, product
+
+import pytest
+
+from freeloop.errors import EmptyIntersection, PieceMissesIntersection
+from freeloop.graphs import DirectedGraph
+from freeloop.vankampen import (
+    Decomposition,
+    PbpScenario,
+    certificate_basepoints_for,
+    detect_z_retract,
+    pbi_fails,
+    pbp_to_decomposition,
+)
+
+from support import (
+    brute_components,
+    brute_rank,
+    is_nonempty_reduced_loop,
+    reference_decomposition_error,
+    reference_pbi_fails,
+    reference_pieces,
+)
+
+MAX_VERTICES = 5
+
+
+def _space(n: int, edges) -> DirectedGraph:
+    vertices = [f"v{i}" for i in range(n)]
+    return DirectedGraph(vertices, [(f"e{i}{j}", f"v{i}", f"v{j}") for i, j in edges])
+
+
+@functools.cache
+def connected_graphs() -> tuple[DirectedGraph, ...]:
+    """One connected simple graph per isomorphism class on 1..MAX_VERTICES
+    vertices, each edge directed from its smaller vertex; the class is
+    named by its least edge list over all vertex relabellings."""
+    out = []
+    for n in range(1, MAX_VERTICES + 1):
+        pairs = list(combinations(range(n), 2))
+        relabellings = list(permutations(range(n)))
+        seen = set()
+        for chosen in product((False, True), repeat=len(pairs)):
+            edges = [p for p, keep in zip(pairs, chosen) if keep]
+            if len(edges) < n - 1 or len(brute_components(_space(n, edges))) != 1:
+                continue
+            canon = min(
+                tuple(sorted(tuple(sorted((r[i], r[j]))) for i, j in edges)) for r in relabellings
+            )
+            if canon not in seen:
+                seen.add(canon)
+                out.append(_space(n, canon))
+    return tuple(out)
+
+
+def _covers(space: DirectedGraph):
+    """Every (U, V) whose union is the vertex set: each vertex in U only, V
+    only, or both."""
+    for places in product("uvb", repeat=space.v_count):
+        yield (
+            [x for x, p in zip(space.vertices, places) if p != "v"],
+            [x for x, p in zip(space.vertices, places) if p != "u"],
+        )
+
+
+def _expected_certificate(space: DirectedGraph, u, v):
+    """The domain error ``detect_z_retract`` must raise, as (class, message),
+    else whether a certificate exists, from BFS components of the pieces: two
+    intersection components must share a component of U and one of V."""
+    piece_u, piece_v, inter = reference_pieces(space, u, v)
+    if inter.v_count == 0:
+        return EmptyIntersection, "the pieces share no vertex"
+    points = set(inter.vertices)
+    for name, piece in (("U", piece_u), ("V", piece_v)):
+        for block in brute_components(piece):
+            if not points.intersection(block):
+                message = f"component {block!r} of piece {name} misses the intersection"
+                return PieceMissesIntersection, message
+    block_u = {x: i for i, block in enumerate(brute_components(piece_u)) for x in block}
+    block_v = {x: i for i, block in enumerate(brute_components(piece_v)) for x in block}
+    keys = [(block_u[block[0]], block_v[block[0]]) for block in brute_components(inter)]
+    return len(set(keys)) < len(keys)
+
+
+def test_sweep_enumerates_every_connected_graph_on_up_to_five_vertices():
+    counts = [0] * (MAX_VERTICES + 1)
+    for space in connected_graphs():
+        counts[space.v_count] += 1
+    assert counts[1:] == [1, 1, 2, 6, 21]
+
+
+def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():
+    tally = {"covers": 0, "certificates": 0, "errors": 0}
+    for space in connected_graphs():
+        for u, v in _covers(space):
+            rejected = reference_decomposition_error(space, u, v)
+            if rejected is not None:
+                with pytest.raises(rejected[0]):
+                    Decomposition(space, u, v)
+                continue
+            tally["covers"] += 1
+            dec = Decomposition(space, u, v)
+            expected = _expected_certificate(space, u, v)
+            if isinstance(expected, tuple):
+                error, message = expected
+                with pytest.raises(error) as raised:
+                    detect_z_retract(dec)
+                assert str(raised.value) == message
+                tally["errors"] += 1
+                continue
+            cert = detect_z_retract(dec)
+            assert (cert is not None) == expected, (space, u, v)
+            if cert is None:
+                continue
+            tally["certificates"] += 1
+            assert is_nonempty_reduced_loop(cert.loop_in_space)
+            assert is_nonempty_reduced_loop(cert.retract_image)
+            assert cert.loop_in_space.host == space
+            assert cert.report.k == brute_rank(cert.report.instance)[2]
+    assert tally == {"covers": 1981, "certificates": 54, "errors": 62}
+
+
+def _scenarios(space: DirectedGraph):
+    """Every admissible (D, E, a, b): D and E disjoint with no edge between
+    them, a < b outside both."""
+    for places in product("deo", repeat=space.v_count):
+        d = [x for x, p in zip(space.vertices, places) if p == "d"]
+        e = [x for x, p in zip(space.vertices, places) if p == "e"]
+        if any({s, t} & set(d) and {s, t} & set(e) for s, t in space.edge_ends.values()):
+            continue
+        rest = [x for x, p in zip(space.vertices, places) if p == "o"]
+        for a, b in combinations(rest, 2):
+            yield d, e, a, b
+
+
+def test_every_separation_scenario_on_a_small_space_matches_the_reference():
+    tally = {"scenarios": 0, "failures": 0}
+    for space in connected_graphs():
+        for d, e, a, b in _scenarios(space):
+            tally["scenarios"] += 1
+            sc = PbpScenario(space, d, e, a, b)
+            fails = pbi_fails(sc)
+            assert fails == reference_pbi_fails(space, d, e, a, b), (space, d, e, a, b)
+            if not fails:
+                continue
+            tally["failures"] += 1
+            dec = pbp_to_decomposition(sc)
+            cert = detect_z_retract(dec, prefer=certificate_basepoints_for(dec, a, b))
+            assert cert is not None and is_nonempty_reduced_loop(cert.loop_in_space)
+    assert tally == {"scenarios": 4107, "failures": 76}

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeloop.errors import (
-    ComponentWithoutBasepoint,
     DeletedSetsAdjacent,
     Disconnected,
     EdgeAcrossPieces,
@@ -34,7 +33,7 @@ from freeloop.vankampen import (
     certificate_basepoints_for,
     decomposition_to_instance,
     detect_z_retract,
-    groupoid_generators,
+    _generators,
     pbi_fails,
     pbp_to_decomposition,
 )
@@ -139,34 +138,42 @@ def test_decomposition_pieces_are_induced():
 
 def test_groupoid_generators_on_simply_connected_piece():
     tree = DirectedGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "b", "c")])
-    pres = groupoid_generators(tree, ["a"])
-    assert pres.graph.vertices == ("a",)
-    assert pres.graph.e_count == 0
-    assert pres.expansions == {}
+    inst, translations = decomposition_to_instance(Decomposition(tree, tree.vertices, ["a"]))
+    assert inst.graph_a.vertices == ("a",)
+    assert inst.graph_a.e_count == 0
+    assert translations["A"] == {}
 
 
 def test_groupoid_generators_on_single_loop_edge():
     bouquet = DirectedGraph(["a"], [("l", "a", "a")])
-    pres = groupoid_generators(bouquet, ["a"])
-    assert pres.graph.edge_ids == ("g:l",)
-    assert pres.graph.edge_ends["g:l"] == ("a", "a")
-    assert [l.edge for l in pres.expansions["g:l"].letters] == ["l"]
+    inst, translations = decomposition_to_instance(Decomposition(bouquet, ["a"], ["a"]))
+    assert inst.graph_a.edge_ids == ("g:l",)
+    assert inst.graph_a.edge_ends["g:l"] == ("a", "a")
+    assert [l.edge for l in translations["A"]["g:l"].letters] == ["l"]
 
 
 def test_groupoid_generators_on_arc_with_two_basepoints():
     arc = DirectedGraph(["a", "b", "m"], [("x", "a", "m"), ("y", "m", "b")])
-    pres = groupoid_generators(arc, ["a", "b"])
-    assert pres.graph.edge_ids == ("t:b",)
-    assert pres.graph.edge_ends["t:b"] == ("a", "b")
-    word = pres.expansions["t:b"]
+    inst, translations = decomposition_to_instance(Decomposition(arc, arc.vertices, ["a", "b"]))
+    assert inst.graph_a.edge_ids == ("t:b",)
+    assert inst.graph_a.edge_ends["t:b"] == ("a", "b")
+    word = translations["A"]["t:b"]
     assert word.source == "a" and word.target == "b"
     assert [(l.edge, l.sign) for l in word.letters] == [("x", 1), ("y", 1)]
 
 
 def test_groupoid_generators_requires_a_basepoint_per_component():
-    two = DirectedGraph(["a", "b"], [])
-    with pytest.raises(ComponentWithoutBasepoint):
-        groupoid_generators(two, ["a"])
+    """A piece component that holds no basepoint misses the intersection;
+    piece U is checked before piece V."""
+    space = DirectedGraph(["a", "b", "c", "d"], [("x", "a", "b")])
+    dec = Decomposition(space, ["a", "b", "d"], ["a", "b", "c"])
+    with pytest.raises(PieceMissesIntersection) as missed:
+        decomposition_to_instance(dec)
+    assert str(missed.value) == "component ('d',) of piece U misses the intersection"
+    dec = Decomposition(space, ["a", "b"], ["a", "b", "c", "d"])
+    with pytest.raises(PieceMissesIntersection) as missed:
+        decomposition_to_instance(dec)
+    assert str(missed.value) == "component ('c',) of piece V misses the intersection"
 
 
 def test_groupoid_generators_preserves_component_count():
@@ -183,8 +190,8 @@ def test_groupoid_generators_preserves_component_count():
         )
         points = sorted({block[0] for block in components(g).blocks}
                         | {rng.choice(vs) for _ in range(rng.randint(0, 3))})
-        pres = groupoid_generators(g, points)
-        assert len(components(pres.graph)) == len(components(g))
+        graph, _ = _generators(g, "U", tuple(points), None)
+        assert len(components(graph)) == len(components(g))
 
 
 def test_decomposition_to_instance_on_the_circle():
