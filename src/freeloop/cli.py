@@ -220,7 +220,7 @@ def _run(args) -> tuple[Any, str, Callable[[], str]]:
         payload = {
             "instance": dump_instance(inst),
             "translations": {
-                side: {gen: dump_word(w) for gen, w in sorted(table.items())}
+                side: {gen: dump_word(w) for gen, w in table.items()}
                 for side, table in translations.items()
             },
         }

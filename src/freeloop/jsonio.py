@@ -4,12 +4,19 @@ Field names are part of the cross-tool contract and are matched exactly.
 Shape problems (wrong type, missing key, stray letter sign) raise
 :class:`SchemaError`; semantically invalid but well-shaped input raises the
 relevant domain error from the engine that rejects it.
+
+Output goes through :func:`canonical_json`, which gives the stdlib
+encoder's bytes.  It writes a list of only ``str`` or only plain ``int``,
+and two or more dicts with one key set whose every column is such a list,
+a column at a time; everything else takes its recursive path, with the same
+bytes.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from json.encoder import encode_basestring
+from operator import itemgetter
 from typing import Any
 
 from .errors import InternalInvariant, SchemaError
@@ -171,7 +178,7 @@ def dump_report(report: RetractReport) -> dict:
         "w": dump_graph(report.w),
         "edge_origins": {
             wid: {"side": side, "edge": orig}
-            for wid, (side, orig) in sorted(report.edge_origins.items())
+            for wid, (side, orig) in report.edge_origins.items()
         },
         "per_component_ranks": [
             {"component": list(block), "rank": rank}
@@ -197,6 +204,17 @@ def canonical_json(payload: Any) -> str:
     ensure_ascii=False)`` writes it, for dicts with str keys, lists, str, int,
     bool and None; strings are quoted by the C ``encode_basestring``.
 
+    Two shapes are written a column at a time, with one C-level ``map`` per
+    column and no Python call per value:
+
+    - a list whose items are all ``str``, or all plain ``int``;
+    - two or more dicts with one key set, each key's values all ``str`` or
+      all plain ``int``, as the items of a list or the values of a dict.
+
+    The type checks are on ``type()``, so ``bool``, subclasses and any other
+    type make the list or the records take the recursive path, which writes
+    one value per call and gives the same bytes.
+
     Any other type, or a non-str key, is a defect in the caller and raises
     :class:`InternalInvariant`.
     """
@@ -208,19 +226,69 @@ def canonical_json(payload: Any) -> str:
     return "".join(parts)
 
 
+def _scalars(values: list) -> Iterator[str] | None:
+    """``values`` written, if they are all ``str`` or all plain ``int``."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return map(encode_basestring, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return None
+
+
+def _records(
+    records: list, newline: str, labels: Iterator[str] | None = None
+) -> Iterator[str] | None:
+    """The dicts ``records``, each written as if it stood after ``newline``
+    (and after its label, given ``labels``), if they share one nonempty key
+    set and every key's column is :func:`_scalars`; the records are filled
+    in through one ``%`` template."""
+    first = records[0]
+    if not first or set(map(len, records)) != {len(first)}:
+        return None
+    keys = sorted(first)
+    columns = [] if labels is None else [labels]
+    for key in keys:
+        try:
+            values = list(map(itemgetter(key), records))
+        except KeyError:  # a record of the same size with another key set
+            return None
+        column = _scalars(values)
+        if column is None:
+            return None
+        columns.append(column)
+    inner = newline + "  "
+    fields = [encode_basestring(key).replace("%", "%%") + ": %s" for key in keys]
+    head = "{" if labels is None else "%s: {"
+    template = head + inner + ("," + inner).join(fields) + newline + "}"
+    return map(template.__mod__, zip(*columns))
+
+
 def _write(x: Any, newline: str, put) -> None:
     if isinstance(x, str):
         put(encode_basestring(x))
     elif isinstance(x, dict):
         inner = newline + "  "
+        keys = sorted(x)
+        if len(x) > 1 and set(map(type, x.values())) == {dict}:
+            body = _records(list(map(x.__getitem__, keys)), inner, map(encode_basestring, keys))
+            if body is not None:
+                put("{" + inner + ("," + inner).join(body) + newline + "}")
+                return
         sep = "{" + inner
-        for key in sorted(x):
+        for key in keys:
             put(sep + encode_basestring(key) + ": ")
             _write(x[key], inner, put)
             sep = "," + inner
         put(newline + "}" if x else "{}")
     elif isinstance(x, list):
         inner = newline + "  "
+        body = _scalars(x)
+        if body is None and len(x) > 1 and set(map(type, x)) == {dict}:
+            body = _records(x, inner)
+        if body is not None:
+            put("[" + inner + ("," + inner).join(body) + newline + "]")
+            return
         sep = "[" + inner
         for item in x:
             put(sep)

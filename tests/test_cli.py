@@ -505,7 +505,8 @@ NO_CERTIFICATE = {
 }
 
 # Golden name -> (command, input document, extra arguments).  Each command's
-# DOT branch appears at least once; tests/golden_dot/<name>.dot pins its bytes.
+# DOT branch appears at least once; tests/golden_dot/<name>.dot pins its DOT
+# bytes and tests/golden_json/<name>.json its ``--output json`` stdout.
 DOT_CASES = {
     "components": ("components", GRAPH, ()),
     "forest": ("forest", GRAPH, ("--tie-break", "y")),
@@ -521,6 +522,7 @@ DOT_CASES = {
 }
 
 GOLDEN_DOT = Path(__file__).parent / "golden_dot"
+GOLDEN_JSON = Path(__file__).parent / "golden_json"
 
 
 def _dot_case_argv(tmp_path, name):
@@ -558,6 +560,13 @@ def test_emit_dot_bytes_match_goldens(tmp_path, capsys, name):
         assert _main(capsys, *argv, "--output", output, "--emit-dot", str(dot)) == plain
         assert dot.read_bytes() == (GOLDEN_DOT / f"{name}.dot").read_bytes()
         dot.unlink()
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CASES))
+def test_json_output_bytes_match_goldens(tmp_path, capsys, name):
+    code, out, err = _main(capsys, *_dot_case_argv(tmp_path, name), "--output", "json")
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN_JSON / f"{name}.json").read_bytes()
 
 
 # Runs each argv (a JSON list) through ``cli.main`` in one process and prints

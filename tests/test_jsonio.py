@@ -45,6 +45,49 @@ def test_writer_equals_the_stdlib_encoder(payload):
     assert canonical_json(payload) == stdlib(payload)
 
 
+# Records that share one key set: the shape the writer takes a column at a
+# time when every column is all str or all plain int, and recursively
+# otherwise.  Keys include the template's "%" and the characters the quoting
+# escapes.
+RECORD_KEYS = st.one_of(TEXT, st.sampled_from(["", "%", "%s", "%%", "%(a)s", '"', "\\", "é", "日"]))
+COLUMN_KINDS = st.sampled_from(
+    [
+        TEXT,
+        st.integers(-5, 5),
+        st.integers(min_value=-(2**200), max_value=2**200),
+        st.booleans(),
+        st.none(),
+        st.one_of(TEXT, st.integers()),
+        PAYLOADS,
+    ]
+)
+
+
+@st.composite
+def records(draw):
+    """2-6 dicts with one key set, now and then with one record's keys
+    changed, as a list or as the values of a dict."""
+    keys = draw(st.lists(RECORD_KEYS, max_size=4, unique=True))
+    n = draw(st.integers(2, 6))
+    columns = {key: draw(st.lists(draw(COLUMN_KINDS), min_size=n, max_size=n)) for key in keys}
+    rows = [{key: columns[key][i] for key in draw(st.permutations(keys))} for i in range(n)]
+    if keys and draw(st.integers(0, 4)) == 0:
+        # One record loses a key, or has it renamed, so the key sets differ.
+        row = rows[draw(st.integers(0, n - 1))]
+        value = row.pop(keys[0])
+        if draw(st.booleans()):
+            row[keys[0] + "~"] = value
+    if draw(st.booleans()):
+        return rows
+    return dict(zip(draw(st.lists(RECORD_KEYS, min_size=n, max_size=n, unique=True)), rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(records(), st.lists(records(), max_size=3), st.dictionaries(TEXT, records(), max_size=3)))
+def test_writer_equals_the_stdlib_encoder_on_records(payload):
+    assert canonical_json(payload) == stdlib(payload)
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -75,6 +118,9 @@ def test_writer_on_edge_payloads(payload):
         {"s": {"set"}},
         b"bytes",
         [object()],
+        [{1: "a"}, {1: "b"}],
+        [{"a": 1.5}, {"a": 2.5}],
+        {"x": {"a": (1,)}, "y": {"a": (2,)}},
     ],
 )
 def test_writer_rejects_other_types_as_an_invariant(payload):
@@ -86,7 +132,7 @@ def test_writer_rejection_survives_optimize_mode():
     code = (
         "from freeloop.errors import InternalInvariant\n"
         "from freeloop.jsonio import canonical_json\n"
-        "for bad in ({1: 2}, [1.5], {'a': 1, 2: 3}):\n"
+        "for bad in ({1: 2}, [1.5], {'a': 1, 2: 3}, [{1: 'a'}, {1: 'b'}]):\n"
         "    try:\n"
         "        canonical_json(bad)\n"
         "    except InternalInvariant:\n"
