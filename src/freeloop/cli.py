@@ -4,14 +4,17 @@ Exit codes: 0 on success, 1 on parse, encoding or IO failure, 2 on a domain
 error (violated precondition) or a usage error, with the error's code on
 stderr.  JSON output comes from :func:`freeloop.jsonio.canonical_json`:
 sorted keys, two-space indent and canonical id order, so identical inputs
-produce byte-identical bytes.  The DOT rendering, and the union graph and
-role sets it draws, are built only under ``--emit-dot``.
+produce byte-identical bytes.  Each command returns its JSON payload, text
+report and DOT rendering as thunks, so only the output that is written gets
+built: the DOT text, and the union graph and role sets it draws, only under
+``--emit-dot``.  The cyclic collector is paused while a command runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Any, Callable, Sequence
@@ -142,107 +145,110 @@ def _fmt_block(block) -> str:
     return "{" + ", ".join(block) + "}"
 
 
-def _run(args) -> tuple[Any, str, Callable[[], str]]:
-    """Dispatch one command; returns (json payload, text report, DOT thunk).
+_Thunk = Callable[[], Any]
 
-    The thunk renders the DOT text, building the union graph and role sets it
-    draws; it is called only when ``--emit-dot`` asks for it.
+
+def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
+    """Dispatch one command; returns thunks of (json payload, text report,
+    DOT text).  The command's work, and every error it raises, happens here;
+    a thunk only formats its output, so just the one that is written gets
+    built.  The DOT thunk also builds the union graph and role sets it draws.
     """
     tie = _tie_break(args.tie_break)
     doc = _load(args.input)
     if args.command == "components":
         g = parse_graph(doc)
         parts = components(g)
-        text = [f"{len(parts)} component(s)"]
-        text += [f"  {_fmt_block(block)}" for block in parts.blocks]
         return (
-            {"components": [list(block) for block in parts.blocks]},
-            "\n".join(text),
+            lambda: {"components": [list(block) for block in parts.blocks]},
+            lambda: "\n".join(
+                [f"{len(parts)} component(s)"] + [f"  {_fmt_block(block)}" for block in parts.blocks]
+            ),
             lambda: graph_dot(g),
         )
     if args.command == "forest":
         g = parse_graph(doc)
         forest = spanning_forest(g, tie)
         ids = list(forest.tree_edge_ids)
-        text = [f"spanning forest: {len(ids)} tree edge(s) of {g.e_count}"]
-        text += [f"  {e}" for e in ids]
-        return ({"tree_edges": ids}, "\n".join(text), lambda: graph_dot(g, red_edges=ids))
+        return (
+            lambda: {"tree_edges": ids},
+            lambda: "\n".join(
+                [f"spanning forest: {len(ids)} tree edge(s) of {g.e_count}"] + [f"  {e}" for e in ids]
+            ),
+            lambda: graph_dot(g, red_edges=ids),
+        )
     if args.command == "pushout-rank":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
-        k = report.k
-        if k is None:
+        if report.k is None:
             raise Disconnected(_NOT_CONNECTED)
-        text = f"k = {k}\nn_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}"
         return (
-            {"k": k, "n_a": report.n_a, "n_b": report.n_b, "n_c": report.n_c},
-            text,
+            lambda: {"k": report.k, "n_a": report.n_a, "n_b": report.n_b, "n_c": report.n_c},
+            lambda: f"k = {report.k}\nn_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}",
             lambda: _instance_dot(inst, report),
         )
     if args.command == "retract":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
-        text = [
-            "k = n/a (disconnected)" if report.k is None else f"k = {report.k}",
-            f"n_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}",
-            f"forest X: {', '.join(report.forest_x.tree_edge_ids) or '(empty)'}",
-            f"forest Y: {', '.join(report.forest_y.tree_edge_ids) or '(empty)'}",
-            f"W: {report.w.v_count} vertices, {report.w.e_count} edges",
-        ]
-        text += [
-            f"  component {_fmt_block(block)}: rank {rank}"
-            for block, rank in report.per_component_ranks
-        ]
-        return (dump_report(report), "\n".join(text), lambda: _instance_dot(inst, report))
+        return (
+            lambda: dump_report(report),
+            lambda: _retract_text(report),
+            lambda: _instance_dot(inst, report),
+        )
     if args.command == "rho":
         inst = parse_instance(doc)
         gword = parse_gword(_load(args.word), inst)
         report = build_retract(inst, tie)
         image = rho(report, gword)
-        text = f"rho: {image.source} -> {image.target}: {image}"
-        return (dump_word(image), text, lambda: _instance_dot(inst, report, image))
+        return (
+            lambda: dump_word(image),
+            lambda: f"rho: {image.source} -> {image.target}: {image}",
+            lambda: _instance_dot(inst, report, image),
+        )
     if args.command == "witness":
         inst = parse_instance(doc)
         report = build_retract(inst, tie)
         loop = witness(report, args.a, args.b)
-        text = f"witness loop at {loop.source}: {loop} (length {len(loop)})"
-        return (dump_word(loop), text, lambda: _instance_dot(inst, report, loop))
+        return (
+            lambda: dump_word(loop),
+            lambda: f"witness loop at {loop.source}: {loop} (length {len(loop)})",
+            lambda: _instance_dot(inst, report, loop),
+        )
     if args.command == "vk-instance":
         dec = parse_decomposition(doc)
         inst, translations = decomposition_to_instance(dec, tie)
-        n_loops = sum(len(ids) for _, ids in inst.c_loops)
-        text = [
-            f"objects: {', '.join(inst.objects)}",
-            f"side A: {inst.graph_a.e_count} generator(s); "
-            f"side B: {inst.graph_b.e_count} generator(s); "
-            f"C loops: {n_loops}",
-        ]
-        payload = {
-            "instance": dump_instance(inst),
-            "translations": {
-                side: {gen: dump_word(w) for gen, w in table.items()}
-                for side, table in translations.items()
+        # The JSON payload prints every translation, so it builds them all.
+        return (
+            lambda: {
+                "instance": dump_instance(inst),
+                "translations": {
+                    side: {gen: dump_word(w) for gen, w in table.items()}
+                    for side, table in translations.items()
+                },
             },
-        }
-        return (payload, "\n".join(text), lambda: _decomposition_dot(dec))
+            lambda: "\n".join(
+                [
+                    f"objects: {', '.join(inst.objects)}",
+                    f"side A: {inst.graph_a.e_count} generator(s); "
+                    f"side B: {inst.graph_b.e_count} generator(s); "
+                    f"C loops: {sum(len(ids) for _, ids in inst.c_loops)}",
+                ]
+            ),
+            lambda: _decomposition_dot(dec),
+        )
     if args.command == "certify":
         dec = parse_decomposition(doc)
         cert = detect_z_retract(dec, tie)
         if cert is None:
             return (
-                {"certificate": None},
-                "no certificate: no basepoint pair is joined inside both pieces",
+                lambda: {"certificate": None},
+                lambda: "no certificate: no basepoint pair is joined inside both pieces",
                 lambda: _decomposition_dot(dec),
             )
-        loop = cert.loop_in_space
-        text = (
-            f"Z-retract certificate at {loop.source}: "
-            f"{loop} (length {len(loop)}); k = {cert.report.k}"
-        )
         return (
-            {"certificate": dump_certificate(cert)},
-            text,
-            lambda: _decomposition_dot(dec, loop),
+            lambda: {"certificate": dump_certificate(cert)},
+            lambda: f"Z-retract certificate at {_loop_text(cert)}",
+            lambda: _decomposition_dot(dec, cert.loop_in_space),
         )
     if args.command == "pbp-check":
         sc = parse_scenario(doc)
@@ -250,25 +256,40 @@ def _run(args) -> tuple[Any, str, Callable[[], str]]:
             dec = pbp_to_decomposition(sc)
         except PbiHolds:
             return (
-                {"pbi_fails": False, "certificate": None},
-                "PBI holds; no certificate.",
+                lambda: {"pbi_fails": False, "certificate": None},
+                lambda: "PBI holds; no certificate.",
                 lambda: graph_dot(sc.space),
             )
         prefer = certificate_basepoints_for(dec, sc.a, sc.b)
         cert = detect_z_retract(dec, tie, prefer=prefer)
         if cert is None:
             raise InternalInvariant("separation failure must yield a certificate")
-        loop = cert.loop_in_space
-        text = (
-            "PBI fails; Z-retract certificate emitted\n"
-            f"loop at {loop.source}: {loop} (length {len(loop)}); k = {cert.report.k}"
-        )
         return (
-            {"pbi_fails": True, "certificate": dump_certificate(cert)},
-            text,
-            lambda: _decomposition_dot(dec, loop),
+            lambda: {"pbi_fails": True, "certificate": dump_certificate(cert)},
+            lambda: f"PBI fails; Z-retract certificate emitted\nloop at {_loop_text(cert)}",
+            lambda: _decomposition_dot(dec, cert.loop_in_space),
         )
     raise InternalInvariant(f"unhandled command {args.command!r}")
+
+
+def _retract_text(report) -> str:
+    text = [
+        "k = n/a (disconnected)" if report.k is None else f"k = {report.k}",
+        f"n_a = {report.n_a}, n_b = {report.n_b}, n_c = {report.n_c}",
+        f"forest X: {', '.join(report.forest_x.tree_edge_ids) or '(empty)'}",
+        f"forest Y: {', '.join(report.forest_y.tree_edge_ids) or '(empty)'}",
+        f"W: {report.w.v_count} vertices, {report.w.e_count} edges",
+    ]
+    text += [
+        f"  component {_fmt_block(block)}: rank {rank}"
+        for block, rank in report.per_component_ranks
+    ]
+    return "\n".join(text)
+
+
+def _loop_text(cert) -> str:
+    loop = cert.loop_in_space
+    return f"{loop.source}: {loop} (length {len(loop)}); k = {cert.report.k}"
 
 
 def _encodable(s: str, stream=None) -> str:
@@ -284,10 +305,26 @@ def _encodable(s: str, stream=None) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command; returns its exit code.
+
+    The cyclic collector is paused while the command runs and restored as
+    the caller had it on the way out, however the command ends.  No command
+    leaves cyclic garbage, so a collection would only walk the objects the
+    command builds and reclaim nothing."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _main(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, text, dot = _run(args)
-        out = _encodable(canonical_json(payload) if args.output == "json" else text, sys.stdout)
+        out = _encodable(canonical_json(payload()) if args.output == "json" else text(), sys.stdout)
         if args.emit_dot:
             dot_text = _encodable(dot())
             with open(args.emit_dot, "w", encoding="utf-8") as fh:

@@ -5,7 +5,13 @@ A space is a finite graph.  A two-piece decomposition (induced subgraphs U, V
 covering all vertices and edges) yields a pushout instance over basepoints,
 one per component of U intersect V.  When the instance's free retract has a
 witness loop, it translates back to an explicit reduced loop in the space,
-certifying that the space's fundamental group retracts onto Z.
+certifying that the space's fundamental group retracts onto Z.  Only the
+witness is translated: each side's table builds a generator's expansion from
+its piece's spanning forest on first lookup, and the certificate reads the
+few generators the witness names as signed space codes (``sign * (edge index
++ 1)``), reduces them once and makes one ``Letter`` per distinct code.  So a
+certificate costs time linear in the space plus its loop, not one expansion
+per cycle of the space.
 
 The Phragmen-Brouwer predicate feeds this pipeline: disjoint vertex sets D, E
 give the complements U = X - D, V = X - E, and the property fails when a and
@@ -15,11 +21,13 @@ decomposition's certificate is then guaranteed to exist.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import and_, not_, or_
+from operator import and_, neg, not_, or_
 from typing import Iterable, Sequence
 
+from ._kernels import reduce_signed
 from .errors import (
     DeletedSetsAdjacent,
     Disconnected,
@@ -36,7 +44,7 @@ from .errors import (
 )
 from .graphs import DirectedGraph, Forest, as_id, components, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
-from .words import Letter, Word, _reduced, invert, tree_path
+from .words import Letter, Word
 
 
 def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
@@ -179,21 +187,68 @@ def pbi_fails(sc: PbpScenario) -> bool:
     return _complement(sc)[1]
 
 
-def _loop_word(forest: Forest, root: str, e: str) -> Word:
-    """The loop at ``root`` through the non-forest edge ``e``: tree path out
-    to e's source, ``e``, tree path back.  Each tree path is reduced and
-    ``e`` is on neither, so the chain is reduced as it stands."""
-    src, tgt = forest.host.edge_ends[e]
-    out, back = tree_path(forest, root, src), tree_path(forest, tgt, root)
-    return Word._trusted(forest.host, root, root, out.letters + (Letter(e, 1),) + back.letters)
+def _space_word(space: DirectedGraph, source: str, target: str, codes: list[int]) -> Word:
+    """The word on ``space`` of reduced signed space ``codes``, one Letter
+    per distinct code."""
+    ids = space.edge_ids
+    letter_of = {c: Letter(ids[c - 1], 1) if c > 0 else Letter(ids[-c - 1], -1) for c in set(codes)}
+    return Word._trusted(space, source, target, tuple(map(letter_of.__getitem__, codes)))
+
+
+class _Expansions(Mapping):
+    """One side's translation table: each generator id to its expansion, a
+    Word on ``space``, built from the forest on first lookup.
+
+    ``records`` maps each generator, in canonical order, to (root, target,
+    edge).  With edge None the expansion is the tree path root -> target;
+    otherwise it is the loop at root through the non-forest edge: tree path
+    out to edge's source, edge, tree path back.  Each tree path is reduced
+    and the edge is on neither, so the chain is reduced as it stands.  The
+    forest's host is an induced subgraph of ``space``, with its ids and ends.
+    """
+
+    def __init__(self, space: DirectedGraph, forest: Forest, records: dict[str, tuple]):
+        self._space, self._forest, self._records = space, forest, records
+        self._words: dict[str, Word] = {}
+
+    def __getitem__(self, gen: str) -> Word:
+        word = self._words.get(gen)
+        if word is None:
+            root, target, _ = self._records[gen]
+            word = self._words[gen] = _space_word(self._space, root, target, self._codes(gen))
+        return word
+
+    def __iter__(self):
+        return iter(self._records)
+
+    def __len__(self) -> int:
+        return len(self._records)
+
+    def _codes(self, gen: str) -> list[int]:
+        """The expansion of ``gen`` as signed space codes."""
+        root, target, edge = self._records[gen]
+        piece, path = self._forest.host, self._forest._path_codes
+        r = piece._vindex[root]
+        if edge is None:
+            codes = path(r, piece._vindex[target])
+        else:
+            i = piece._eindex[edge]
+            codes = path(r, piece._src_idx[i]) + [i + 1] + path(piece._tgt_idx[i], r)
+        ids, eindex = piece.edge_ids, self._space._eindex
+        return [eindex[ids[c - 1]] + 1 if c > 0 else -1 - eindex[ids[-c - 1]] for c in codes]
 
 
 def _generators(
-    piece: DirectedGraph, name: str, points: tuple[str, ...], tie_break: Sequence[str] | None
-) -> tuple[DirectedGraph, dict[str, Word]]:
+    piece: DirectedGraph,
+    name: str,
+    points: tuple[str, ...],
+    tie_break: Sequence[str] | None,
+    space: DirectedGraph,
+) -> tuple[DirectedGraph, _Expansions]:
     """The generating graph of ``piece`` over the basepoints ``points``
     (sorted, distinct, the smallest vertex of each intersection component),
-    and the expansion of each generator as a Word in the piece.
+    and the expansion of each generator as a Word on ``space``, of which
+    ``piece`` is an induced subgraph, built on first lookup.
 
     A piece component meets the intersection exactly when it holds one of
     ``points``; one that does not raises ``PieceMissesIntersection``.  Per
@@ -205,83 +260,77 @@ def _generators(
     """
     point_set = set(points)
     parts = components(piece)
-    roots: dict[tuple[str, ...], str] = {}
+    # The root of each component, by block number.
+    roots: list[str] = []
     for block in parts.blocks:
         root = next((v for v in block if v in point_set), None)
         if root is None:
             raise PieceMissesIntersection(
                 f"component {block!r} of piece {name} misses the intersection"
             )
-        roots[block] = root
+        roots.append(root)
     forest = spanning_forest(piece, tie_break)
     tree = forest.tree_edges
-    index = {v: i for i, v in enumerate(points)}
-    paths: list[tuple[str, int, int]] = []
-    loops: list[tuple[str, int, int]] = []
-    expansions: dict[str, Word] = {}
+    block_of = parts.block_of
+    # Loop generators in edge-id order, then tree-path generators in
+    # basepoint order: every "g:" id sorts before every "t:" id, so the
+    # generators are in canonical order.
+    records: dict[str, tuple[str, str, str | None]] = {}
+    for e, s in zip(piece.edge_ids, piece._src_idx):
+        if e not in tree:
+            root = roots[block_of(piece.vertices[s])]
+            records[f"g:{e}"] = (root, root, e)
     for s in points:
-        root = roots[parts.blocks[parts.block_of(s)]]
-        if s == root:
-            continue
-        gen = f"t:{s}"
-        paths.append((gen, index[root], index[s]))
-        expansions[gen] = tree_path(forest, root, s)
-    for e in piece.edge_ids:
-        if e in tree:
-            continue
-        root = roots[parts.blocks[parts.block_of(piece.edge_ends[e][0])]]
-        gen = f"g:{e}"
-        loops.append((gen, index[root], index[root]))
-        expansions[gen] = _loop_word(forest, root, e)
-    # Each list is in id order and every "g:" id sorts before every "t:" id,
-    # so the generators are in canonical order.
-    gens = loops + paths
+        root = roots[block_of(s)]
+        if s != root:
+            records[f"t:{s}"] = (root, s, None)
+    index = {v: i for i, v in enumerate(points)}
     graph = DirectedGraph._trusted(
         points,
-        tuple(gen for gen, _, _ in gens),
-        [s for _, s, _ in gens],
-        [t for _, _, t in gens],
+        tuple(records),
+        [index[root] for root, _, _ in records.values()],
+        [index[target] for _, target, _ in records.values()],
     )
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
-    return graph, expansions
+    return graph, _Expansions(space, forest, records)
 
 
 def decomposition_to_instance(
     dec: Decomposition, tie_break: Sequence[str] | None = None
-) -> tuple[PushoutInstance, dict[str, dict[str, Word]]]:
+) -> tuple[PushoutInstance, dict[str, Mapping[str, Word]]]:
     """Build the pushout instance of a decomposition over canonical basepoints.
 
     Basepoints: the smallest vertex of each component of the intersection.
     Side A presents the U piece, side B the V piece, and the C loops are the
     intersection's own non-forest edges (its vertex-group generators).  The
-    returned tables translate every instance generator, by side, to its
-    expansion as a Word over the space.
+    returned read-only tables translate every instance generator, by side,
+    to its expansion as a Word over the space.  An expansion is built from
+    the piece's forest on first lookup, so a certificate expands only the
+    generators its witness names.
     """
     inter = dec.intersection
     if inter.v_count == 0:
         raise EmptyIntersection("the pieces share no vertex")
     inter_parts = components(inter)
     points = tuple(block[0] for block in inter_parts.blocks)
-    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break)
-    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break)
+    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break, dec.space)
+    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break, dec.space)
     forest_i = spanning_forest(inter, tie_break)
     c_loops: dict[str, list[str]] = {}
-    c_words: dict[str, Word] = {}
-    for e in inter.edge_ids:
+    c_records: dict[str, tuple[str, str, str]] = {}
+    for e, src in zip(inter.edge_ids, inter._src_idx):
         if e in forest_i.tree_edges:
             continue
-        s = inter_parts.blocks[inter_parts.block_of(inter.edge_ends[e][0])][0]
+        s = points[inter_parts.block_of(inter.vertices[src])]
         c_loops.setdefault(s, []).append(e)
-        c_words[e] = _loop_word(forest_i, s, e)
+        c_records[e] = (s, s, e)
     instance = PushoutInstance(points, graph_a, graph_b, c_loops)
-    # The pieces are induced subgraphs of the space, with its ids and ends,
-    # so their words are words on the space as they stand.
-    translations = {
-        side: {g: Word._trusted(dec.space, w.source, w.target, w.letters) for g, w in table.items()}
-        for side, table in (("A", expansions_a), ("B", expansions_b), ("C", c_words))
+    return instance, {
+        "A": expansions_a,
+        "B": expansions_b,
+        "C": _Expansions(dec.space, forest_i, c_records),
     }
-    return instance, translations
 
 
 @dataclass(frozen=True, eq=False)
@@ -300,16 +349,15 @@ class ZRetractCertificate:
     retract_image: Word
 
 
-def _expand_to_space(
-    translations: dict[str, dict[str, Word]], space: DirectedGraph, gword
-) -> Word:
-    raw: list[Letter] = []
+def _expand_to_space(translations: dict[str, _Expansions], space: DirectedGraph, gword) -> Word:
+    """The reduced word on ``space`` that ``gword`` translates to.  Only the
+    generators it names are expanded, as signed space codes (a letter of
+    sign -1 negated and reversed); one reduction runs over the whole word."""
+    codes: list[int] = []
     for letter in gword.letters:
-        expansion = translations[letter.side][letter.edge]
-        if letter.sign == -1:
-            expansion = invert(expansion)
-        raw.extend(expansion.letters)
-    return _reduced(space, gword.source, gword.target, raw)
+        expansion = translations[letter.side]._codes(letter.edge)
+        codes += expansion if letter.sign == 1 else map(neg, reversed(expansion))
+    return _space_word(space, gword.source, gword.target, reduce_signed(codes))
 
 
 def _joined_pair(

@@ -497,6 +497,34 @@ def random_cycle_split(rng: random.Random, max_inner=5) -> Decomposition:
     )
 
 
+def _tokens(rng: random.Random, prefix: str, count: int) -> list[str]:
+    return [f"{prefix}{x:08x}" for x in rng.sample(range(16**8), count)]
+
+
+def ring_ladder(rng: random.Random, n: int) -> dict:
+    """Separation scenario document on the ring ladder C_n x P_2: an outer
+    and an inner n-cycle joined by n rungs, with random-token ids and edge
+    directions.  D and E are the ends of two antipodal rungs and a, b sit on
+    the outer ring at the quarter points, so neither deleted set separates a
+    from b but their union does.  The space has n + 1 independent cycles."""
+    names = _tokens(rng, "v", 2 * n)
+    outer, inner = names[:n], names[n:]
+    pairs = [(ring[i], ring[(i + 1) % n]) for ring in (outer, inner) for i in range(n)]
+    pairs += zip(outer, inner)
+    edges = []
+    for e, (s, t) in zip(_tokens(rng, "e", 3 * n), pairs):
+        if rng.random() < 0.5:
+            s, t = t, s
+        edges.append({"id": e, "src": s, "tgt": t})
+    return {
+        "space": {"vertices": names, "edges": edges},
+        "d": [outer[0], inner[0]],
+        "e": [outer[n // 2], inner[n // 2]],
+        "a": outer[n // 4],
+        "b": outer[3 * n // 4],
+    }
+
+
 def circle_instance() -> PushoutInstance:
     g = DirectedGraph(["a", "b"], [("alpha", "a", "b")])
     h = DirectedGraph(["a", "b"], [("beta", "a", "b")])

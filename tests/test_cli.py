@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import contextlib
+import gc
+import importlib.util
 import io
 import json
 import os
@@ -15,6 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freeloop import cli, errors
+from freeloop.graphs import Forest
+from freeloop.words import Letter
+from support import ring_ladder
 
 CIRCLE_INSTANCE = {
     "objects": ["a", "b"],
@@ -602,6 +607,151 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
     ]
     assert stdout[0] == stdout[1]
     assert all(code == 0 and out for code, out in json.loads(stdout[0]))
+
+# -- the cyclic collector is paused while a command runs ----------------------
+
+
+def _perfbench_inputs():
+    """``perfbench/inputs.py``, the benchmark's input generators; it imports
+    nothing from freeloop."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _exit_cases(tmp_path) -> list[tuple[list[str], int]]:
+    """(argv, exit code) of runs that end in exit 1 or 2."""
+    circle = write_json(tmp_path / "circle.json", CIRCLE_INSTANCE)
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json", encoding="utf-8")
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    no_edges = {"vertices": ["a", "b"], "edges": []}
+    apart = dict(CIRCLE_INSTANCE, graph_a=no_edges, graph_b=no_edges)
+    return [
+        (["retract", str(bad)], 1),
+        (["retract", str(deep)], 1),
+        (["pushout-rank", str(tmp_path / "missing.json")], 1),
+        (["pushout-rank", write_json(tmp_path / "shape.json", {"objects": ["a"]})], 1),
+        (["witness", circle, "--a", "a", "--b", "a"], 2),
+        (["pushout-rank", write_json(tmp_path / "apart.json", apart)], 2),
+        (["pbp-check", write_json(tmp_path / "in-d.json", dict(C8_SCENARIO, a="v0"))], 2),
+    ]
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["gc-on", "gc-off"])
+def test_main_restores_the_collector_state(tmp_path, monkeypatch, capsys, collecting):
+    seen = []
+    real_run = cli._run
+
+    def run(args):
+        seen.append(gc.isenabled())
+        return real_run(args)
+
+    monkeypatch.setattr(cli, "_run", run)
+    cases = [(_dot_case_argv(tmp_path, "pbp-check"), 0)] + _exit_cases(tmp_path)
+    assert {code for _, code in cases} == {0, 1, 2}
+    was = gc.isenabled()
+    try:
+        for argv, code in cases:
+            gc.enable() if collecting else gc.disable()
+            assert cli.main(argv) == code, argv
+            assert gc.isenabled() is collecting
+        gc.enable() if collecting else gc.disable()
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["no-such-command"])
+        assert usage.value.code == 2
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable() if was else gc.disable()
+    capsys.readouterr()
+    assert seen == [False] * len(cases)
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
+    """With the collector off, a collection after each run finds nothing:
+    every ``DOT_CASES`` entry (text, json, ``--emit-dot``), exit-1 and exit-2
+    inputs, and the inputs of both CLI benchmark workloads."""
+    dot = str(tmp_path / "g.dot")
+    cases = [
+        (_dot_case_argv(tmp_path, name) + extra, 0)
+        for name in sorted(DOT_CASES)
+        for extra in (["--output", "text"], ["--output", "json"], ["--emit-dot", dot])
+    ]
+    cases += _exit_cases(tmp_path)
+    inputs = _perfbench_inputs()
+    cycle = inputs.cycle_scenario(random.Random("pbp_cycle-1"), 4000)
+    instance = inputs.pushout_instance(random.Random("retract_random-1"), 1500, 6000)
+    cases += [
+        (["pbp-check", write_json(tmp_path / "cycle.json", cycle), "--output", "json"], 0),
+        (["retract", write_json(tmp_path / "instance.json", instance), "--output", "json"], 0),
+    ]
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        for argv, code in cases:
+            gc.collect()
+            assert cli.main(argv) == code, argv
+            assert gc.collect() == 0, argv
+            capsys.readouterr()
+    finally:
+        if was:
+            gc.enable()
+
+
+# -- certificates expand only what the witness names -------------------------
+
+
+def _ladder_check(tmp_path, monkeypatch, capsys, n):
+    """pbp-check on an n-rung ring ladder: (loop length, Letters built on
+    space edges, codes walked along forests, basepoints, deepest forest)."""
+    doc = ring_ladder(random.Random(n), n)
+    path = write_json(tmp_path / f"ladder{n}.json", doc)
+    built, walked = [], []
+    post_init, path_codes = Letter.__post_init__, Forest._path_codes
+
+    def counting(self):
+        built.append(self.edge)
+        post_init(self)
+
+    def walking(self, i, j):
+        codes = path_codes(self, i, j)
+        walked.append((self, len(codes)))
+        return codes
+
+    monkeypatch.setattr(Letter, "__post_init__", counting)
+    monkeypatch.setattr(Forest, "_path_codes", walking)
+    code, out, err = _main(capsys, "pbp-check", path, "--output", "json")
+    monkeypatch.undo()
+    assert (code, err) == (0, "")
+    cert = json.loads(out)["certificate"]
+    space_edges = {e["id"] for e in doc["space"]["edges"]}
+    depth = max(max(forest._nav[2]) for forest, _ in walked)
+    return (
+        len(cert["loop_in_space"]["letters"]),
+        sum(e in space_edges for e in built),
+        sum(length for _, length in walked),
+        len(cert["basepoints"]),
+        depth,
+    )
+
+
+def test_pbp_check_expands_only_the_witness_generators(tmp_path, monkeypatch, capsys):
+    """A ring ladder has n + 1 independent cycles, so expanding every
+    generator costs O(#cycles x diameter) = O(n^2) codes.  pbp-check builds
+    one Letter per letter of its loop and walks O(loop length + basepoints x
+    tree depth) codes, so doubling n at most about doubles the walk."""
+    walks = []
+    for n in (64, 128):
+        loop, letters, walked, basepoints, depth = _ladder_check(tmp_path, monkeypatch, capsys, n)
+        assert loop >= n
+        assert letters == loop
+        assert walked <= loop + basepoints * depth
+        walks.append(walked)
+    assert walks[1] <= 2.5 * walks[0]
+
 
 @pytest.mark.parametrize(
     "raw",

@@ -453,7 +453,7 @@ def test_internal_invariants_survive_python_dash_o():
             else VertexPartition(tuple((v,) for v in graph.vertices))
         )
         try:
-            vankampen._generators(g, "U", ("a", "b"), None)
+            vankampen._generators(g, "U", ("a", "b"), None, g)
         except InternalInvariant as exc:
             print(exc.code)
         """

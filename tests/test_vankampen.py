@@ -190,7 +190,7 @@ def test_groupoid_generators_preserves_component_count():
         )
         points = sorted({block[0] for block in components(g).blocks}
                         | {rng.choice(vs) for _ in range(rng.randint(0, 3))})
-        graph, _ = _generators(g, "U", tuple(points), None)
+        graph, _ = _generators(g, "U", tuple(points), None, g)
         assert len(components(graph)) == len(components(g))
 
 
