@@ -3,14 +3,14 @@
 Letter codes handed to ``reduce_signed`` are nonzero ints: a signed edge is
 encoded as ``sign * (index + 1)``.
 
-The union-find of ``union_find_labels`` and ``greedy_forest`` is inlined, so
-no step makes a Python call.  Finds use path halving (each visited node is
-relinked to its grandparent, ``parent[x] = x = parent[parent[x]]``), and a
-union always links the larger root under the smaller one.  So every parent
-index is at most its child's, and a root is the smallest member of its set:
-one ascending pass ``parent[i] = parent[parent[i]]`` then leaves each vertex
-labelled by that member.  Which edges a scan accepts depends only on whether
-their ends already share a set, never on which root survives a union.
+The union-find of ``forest_scan`` is inlined, so no step makes a Python
+call.  Finds use path halving (each visited node is relinked to its
+grandparent, ``parent[x] = x = parent[parent[x]]``), and a union always links
+the larger root under the smaller one.  So every parent index is at most its
+child's, and a root is the smallest member of its set: one ascending pass
+``parent[i] = parent[parent[i]]`` then leaves each vertex labelled by that
+member.  Which edges a scan accepts depends only on whether their ends
+already share a set, never on which root survives a union.
 """
 
 from __future__ import annotations
@@ -27,26 +27,12 @@ def reduce_signed(codes):
     return stack
 
 
-def union_find_labels(n, src, tgt):
-    """Merge ``src[i] - tgt[i]``; label each vertex by its set's smallest member."""
-    parent = list(range(n))
-    for a, b in zip(src, tgt):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
-        if a < b:
-            parent[b] = a
-        elif b < a:
-            parent[a] = b
-    # parent[i] <= i, so parent[i]'s own root is already final when i is reached.
-    for i in range(n):
-        parent[i] = parent[parent[i]]
-    return parent
+def forest_scan(n, src, tgt, order):
+    """Kruskal scan of the edges ``src[i] - tgt[i]`` for ``i`` in ``order``.
 
-
-def greedy_forest(n, src, tgt, order):
-    """Kruskal scan of edge indexes in ``order``; returns the accepted indexes."""
+    Returns the accepted indexes, in scan order, and a label per vertex: the
+    smallest member of its set once every scanned edge is merged.
+    """
     parent = list(range(n))
     accepted = []
     for idx in order:
@@ -61,4 +47,7 @@ def greedy_forest(n, src, tgt, order):
             else:
                 parent[a] = b
             accepted.append(idx)
-    return accepted
+    # parent[i] <= i, so parent[i]'s own root is already final when i is reached.
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return accepted, parent

@@ -60,14 +60,6 @@ class VertexSetMismatch(DomainError):
     pass
 
 
-class TreeEdgesContainCycle(DomainError):
-    pass
-
-
-class TreeEdgesNotSpanning(DomainError):
-    pass
-
-
 # -- words -----------------------------------------------------------------
 
 class BadSign(DomainError):

@@ -16,15 +16,13 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._kernels import greedy_forest, union_find_labels
+from ._kernels import forest_scan
 from .errors import (
     BadId,
     DanglingEndpoint,
     DifferentTrees,
     DuplicateId,
     InternalInvariant,
-    TreeEdgesContainCycle,
-    TreeEdgesNotSpanning,
     UnknownEdge,
     UnknownVertex,
     VertexSetMismatch,
@@ -82,8 +80,7 @@ class DirectedGraph:
         """``DirectedGraph(...)`` without its checks, for graphs freeloop
         derived itself: ``vertices`` and ``edge_ids`` canonical (str, sorted,
         distinct), ``src_idx``/``tgt_idx`` indexes into ``vertices``."""
-        vindex = dict(zip(vertices, range(len(vertices))))
-        return cls.__new__(cls)._set(vertices, vindex, edge_ids, src_idx, tgt_idx)
+        return cls.__new__(cls)._set(vertices, edge_ids, src_idx, tgt_idx)
 
     def _check(self, vertices: list[str], edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
         vertices.sort()
@@ -95,7 +92,8 @@ class DirectedGraph:
         for left, right in zip(edge_ids, edge_ids[1:]):
             if left == right:
                 raise DuplicateId("edge", left)
-        vindex = dict(zip(vertices, range(len(vertices))))
+        # The one graph build that needs the vertex index, so it sets it.
+        self._vindex = vindex = dict(zip(vertices, range(len(vertices))))
         src_idx = [vindex.get(s, -1) for _, s, _ in items]
         tgt_idx = [vindex.get(t, -1) for _, _, t in items]
         if -1 in src_idx or -1 in tgt_idx:
@@ -104,24 +102,32 @@ class DirectedGraph:
                     raise DanglingEndpoint(e, s)
                 if j < 0:
                     raise DanglingEndpoint(e, t)
-        return self._set(tuple(vertices), vindex, edge_ids, src_idx, tgt_idx)
+        return self._set(tuple(vertices), edge_ids, src_idx, tgt_idx)
 
     def _set(
         self,
         vertices: tuple[str, ...],
-        vindex: dict[str, int],
         edge_ids: tuple[str, ...],
         src_idx: list[int],
         tgt_idx: list[int],
     ) -> DirectedGraph:
         self.vertices = vertices
-        self._vindex = vindex
         self.edge_ids = edge_ids
-        self._eindex = dict(zip(edge_ids, range(len(edge_ids))))
         self._src_idx = src_idx
         self._tgt_idx = tgt_idx
         self._components: VertexPartition | None = None
+        self._lex_forest: list[int] = []
         return self
+
+    @cached_property
+    def _vindex(self) -> dict[str, int]:
+        """Vertex id to index, built on first use."""
+        return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def _eindex(self) -> dict[str, int]:
+        """Edge id to index, built on first use."""
+        return dict(zip(self.edge_ids, range(len(self.edge_ids))))
 
     @cached_property
     def edge_ends(self) -> Mapping[str, tuple[str, str]]:
@@ -199,11 +205,17 @@ class VertexPartition:
 
 
 def components(g: DirectedGraph) -> VertexPartition:
-    """Weak-connectivity partition of ``g`` (edge direction ignored)."""
+    """Weak-connectivity partition of ``g`` (edge direction ignored).
+
+    The partition comes from one scan of ``g``'s edges in index order, which
+    also yields the lex spanning forest; both are cached on ``g``, so
+    ``spanning_forest(g)`` scans nothing more.
+    """
     if g._components is None:
+        g._lex_forest, labels = forest_scan(g.v_count, g._src_idx, g._tgt_idx, range(g.e_count))
         # Labels are smallest members, so a stable sort by label lists the
         # blocks by smallest vertex, each block in vertex order.
-        label = union_find_labels(g.v_count, g._src_idx, g._tgt_idx).__getitem__
+        label = labels.__getitem__
         vertex = g.vertices.__getitem__
         g._components = VertexPartition(
             tuple(
@@ -215,37 +227,20 @@ def components(g: DirectedGraph) -> VertexPartition:
 
 
 class Forest:
-    """A spanning forest of a host graph.
+    """A spanning forest of a host graph, as :func:`spanning_forest` builds it.
 
     The subgraph (all host vertices, ``tree_edges``) is acyclic as an
     undirected graph and has the same components as the host, equivalently
     ``|tree_edges| = v - #components``.
     """
 
-    def __init__(self, host: DirectedGraph, tree_edges: Iterable[str]):
-        edge_ids = sorted({as_id(e) for e in tree_edges})
-        for e in edge_ids:
-            if not host.has_edge(e):
-                raise UnknownEdge(e)
-        order = [host.edge_index(e) for e in edge_ids]
-        accepted = greedy_forest(host.v_count, host._src_idx, host._tgt_idx, order)
-        if len(accepted) != len(order):
-            raise TreeEdgesContainCycle("tree edges contain an undirected cycle")
-        if len(order) != host.v_count - len(components(host)):
-            raise TreeEdgesNotSpanning("tree edges do not span the host's components")
-        self.host = host
-        self.tree_edges: frozenset[str] = frozenset(edge_ids)
-        self.tree_edge_ids: tuple[str, ...] = tuple(edge_ids)
-        # Host edge ids are sorted, so the indexes of sorted ids ascend too.
-        self._tree_idx: list[int] = order
-
     @classmethod
     def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
         """The forest of the edge indexes a greedy scan over every edge of
-        ``host`` accepted: acyclic and spanning by construction, so the
-        checks of ``__init__`` are skipped."""
+        ``host`` accepted: acyclic and spanning by construction."""
         forest = cls.__new__(cls)
         forest.host = host
+        # Host edge ids are sorted, so ascending indexes list the ids sorted.
         forest._tree_idx = sorted(accepted)
         forest.tree_edge_ids = tuple(map(host.edge_ids.__getitem__, forest._tree_idx))
         forest.tree_edges = frozenset(forest.tree_edge_ids)
@@ -331,14 +326,12 @@ class Forest:
         return f"Forest(tree_edges={self.tree_edge_ids!r})"
 
 
-def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str] | None) -> list[int]:
+def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str]) -> list[int]:
     """Edge indexes in scan order: listed ids first, the rest lexicographic.
 
     ``tie_break`` entries naming edges absent from ``g`` are skipped, so one
     priority list can serve several graphs.
     """
-    if tie_break is None:
-        return list(range(g.e_count))
     head = []
     seen = set()
     for e in tie_break:
@@ -352,9 +345,16 @@ def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str] | None) -> list[i
 
 
 def spanning_forest(g: DirectedGraph, tie_break: Sequence[str] | None = None) -> Forest:
-    """Greedy spanning forest, scanning edges in tie-break order."""
-    scan = edge_scan_order(g, tie_break)
-    return Forest._accepted(g, greedy_forest(g.v_count, g._src_idx, g._tgt_idx, scan))
+    """Greedy spanning forest, scanning edges in tie-break order.
+
+    Without a tie-break the scan is the one :func:`components` caches; a
+    tie-break list runs a scan of its own.
+    """
+    if tie_break is None:
+        components(g)
+        return Forest._accepted(g, g._lex_forest)
+    accepted, _ = forest_scan(g.v_count, g._src_idx, g._tgt_idx, edge_scan_order(g, tie_break))
+    return Forest._accepted(g, accepted)
 
 
 def graph_pushout_with_origins(
@@ -377,25 +377,27 @@ def graph_pushout_with_origins(
     shared = sorted({as_id(v) for v in shared_vertices})
     sides = []
     for which, side, z in (("first", "A", x), ("second", "B", y)):
-        host, ids = (z.host, z.tree_edge_ids) if isinstance(z, Forest) else (z, z.edge_ids)
+        if isinstance(z, Forest):
+            host, ids, idxs = z.host, z.tree_edge_ids, z._tree_idx
+        else:
+            host, ids, idxs = z, z.edge_ids, range(z.e_count)
         if list(host.vertices) != shared:
             raise VertexSetMismatch(f"{which} input's vertex set is not the shared vertex set")
-        sides.append((side, ids, host))
+        sides.append((side, ids, idxs, host))
     ids_x, ids_y = set(sides[0][1]), set(sides[1][1])
     both = ids_x & ids_y
     one_side = ids_x ^ ids_y
     # Both hosts have the shared vertex set, so they index it alike.
     edges: list[tuple[str, int, int]] = []
     origins: dict[str, tuple[str, str]] = {}
-    for side, ids, host in sides:
-        eindex, src, tgt = host._eindex, host._src_idx, host._tgt_idx
-        for e in ids:
+    for side, ids, idxs, host in sides:
+        src, tgt = host._src_idx, host._tgt_idx
+        for e, i in zip(ids, idxs):
             out = e
             if e in both:
                 out = f"{side}:{e}"
                 while out in one_side:
                     out = f"{side}:{out}"
-            i = eindex[e]
             edges.append((out, src[i], tgt[i]))
             origins[out] = (side, e)
     edges.sort()

@@ -194,9 +194,9 @@ def test_pbp_check_evaluates_separation_once(tmp_path, monkeypatch, capsys, d, t
 def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, circle_file):
     from freeloop import graphs
 
-    # One union-find per graph: A and B for their component counts, W for
+    # One scan per graph: A and B for their component counts, W for
     # connectivity and ranks.
-    calls = _counting(monkeypatch, graphs, "union_find_labels")
+    calls = _counting(monkeypatch, graphs, "forest_scan")
     assert _main(capsys, "pushout-rank", circle_file) == (
         0,
         "k = 1\nn_a = 1, n_b = 1, n_c = 2\n",
@@ -223,6 +223,29 @@ def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, c
             "build_retract reports per-component ranks\n",
         )
         assert len(calls) == 3
+
+
+def test_default_tie_break_scans_no_graph_twice(tmp_path, monkeypatch, capsys, circle_file):
+    """``components`` caches the lex forest next to the partition, so under
+    the default tie-break ``retract`` scans A, B and W, and ``pbp-check``
+    scans the space, U, V and their intersection once each, then its two
+    generator graphs and W.  The recorded calls keep every scanned
+    ``_src_idx`` alive, so distinct ids mean distinct graphs."""
+    from freeloop import graphs
+    from freeloop.jsonio import parse_scenario
+    from freeloop.vankampen import pbp_to_decomposition
+
+    dec = pbp_to_decomposition(parse_scenario(C8_SCENARIO))
+    calls = _counting(monkeypatch, graphs, "forest_scan")
+    assert _main(capsys, "retract", circle_file)[0] == 0
+    assert len(calls) == len({id(src) for _, src, _, _ in calls}) == 3
+    calls.clear()
+    path = write_json(tmp_path / "sc.json", C8_SCENARIO)
+    assert _main(capsys, "pbp-check", path)[::2] == (0, "")
+    assert len(calls) == len({id(src) for _, src, _, _ in calls}) == 7
+    scanned = [(n, src, tgt) for n, src, tgt, _ in calls]
+    for g in (dec.space, dec.piece_u, dec.piece_v, dec.intersection):
+        assert scanned.count((g.v_count, g._src_idx, g._tgt_idx)) == 1
 
 
 def _edges(triples):

@@ -14,17 +14,13 @@ from hypothesis import given, settings, strategies as st
 from freeloop.errors import (
     DanglingEndpoint,
     DifferentTrees,
-    DomainError,
     DuplicateId,
-    TreeEdgesContainCycle,
-    TreeEdgesNotSpanning,
     UnknownEdge,
     UnknownVertex,
     VertexSetMismatch,
 )
 from freeloop.graphs import (
     DirectedGraph,
-    Forest,
     components,
     euler_ranks,
     graph_pushout_with_origins,
@@ -167,29 +163,23 @@ def test_spanning_forest_is_deterministic_and_lex_greedy():
     assert spanning_forest(g, tie_break=["absent", "z"]).tree_edge_ids == ("z",)
 
 
-def test_forest_rejects_cycles_and_non_spanning_sets():
-    g = cycle_graph(3)
-    with pytest.raises(TreeEdgesContainCycle):
-        Forest(g, ["c0", "c1", "c2"])
-    with pytest.raises(TreeEdgesNotSpanning):
-        Forest(g, ["c0"])
-
-
-def test_forest_errors_are_domain_errors_with_stable_codes():
+def test_a_cycle_forest_leaves_out_the_edge_its_scan_reaches_last():
     g = cycle_graph(4)
-    with pytest.raises(DomainError) as cyclic:
-        Forest(g, ["c0", "c1", "c2", "c3"])
-    assert cyclic.value.code == "TreeEdgesContainCycle"
-    assert str(cyclic.value) == "tree edges contain an undirected cycle"
-    with pytest.raises(DomainError) as short:
-        Forest(g, ["c0", "c2"])
-    assert short.value.code == "TreeEdgesNotSpanning"
-    assert str(short.value) == "tree edges do not span the host's components"
+    for tie, left_out in (
+        (None, "c3"),
+        (["c3", "c2", "c1", "c0"], "c0"),
+        (["c2", "c0"], "c3"),
+        (["c3"], "c2"),
+    ):
+        f = spanning_forest(g, tie)
+        assert set(g.edge_ids) - f.tree_edges == {left_out}
+        assert is_forest_graph(forest_graph(f))
 
 
-def test_greedy_forests_pass_the_validating_constructor():
-    """``spanning_forest`` skips ``Forest``'s checks; the forests it returns,
-    under any tie-break order, must pass them."""
+def test_greedy_forests_are_spanning_forests_under_any_tie_break():
+    """Through the public constructor, the forest of any scan order is
+    acyclic and has the host's components; the lex forest that
+    ``components`` caches equals a scan of its own in index order."""
     rng = random.Random(17)
     for _ in range(200):
         g = random_graph(rng, max_v=9, max_e=16)
@@ -197,7 +187,10 @@ def test_greedy_forests_pass_the_validating_constructor():
         rng.shuffle(tie)
         f = spanning_forest(g, tie)
         assert f.tree_edge_ids == tuple(sorted(f.tree_edges))
-        assert f == Forest(g, f.tree_edge_ids)
+        fg = forest_graph(f)
+        assert is_forest_graph(fg)
+        assert components(fg).blocks == components(g).blocks
+        assert spanning_forest(g) == spanning_forest(g, [])
 
 
 def test_path_steps_walks_the_unique_tree_path():
@@ -205,7 +198,8 @@ def test_path_steps_walks_the_unique_tree_path():
         ["a", "b", "c", "d"],
         [("x", "a", "b"), ("y", "c", "b"), ("z", "c", "d")],
     )
-    f = Forest(g, ["x", "y", "z"])
+    f = spanning_forest(g)
+    assert f.tree_edge_ids == ("x", "y", "z")
     assert f.path_steps("a", "d") == [("x", 1), ("y", -1), ("z", 1)]
     assert f.path_steps("d", "a") == [("z", -1), ("y", 1), ("x", -1)]
     assert f.path_steps("a", "a") == []
@@ -262,7 +256,7 @@ def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
         g = DirectedGraph(vs, edges)
         blocks = brute_components(g)
         assert components(g).blocks == blocks
-        for f in (Forest(g, g.edge_ids), spanning_forest(g)):
+        for f in (spanning_forest(g), spanning_forest(g, g.edge_ids[::-1])):
             for block in blocks:
                 roots = {f._nav[3][g.vertex_index(v)] for v in block}
                 assert roots == {g.vertex_index(block[0])}

@@ -87,20 +87,23 @@ def test_reduce_examples(kernel):
 
 
 @BACKEND_PARAMS
-@given(data=index_graphs())
-def test_union_find_matches_bfs_oracle(kernel, data):
+@given(data=index_graphs(), choice=st.data())
+def test_union_find_matches_bfs_oracle(kernel, data, choice):
+    """The scan's labels partition the vertices as BFS does, in any order."""
     n, src, tgt = data
-    labels = list(kernel.union_find_labels(n, src, tgt))
+    order = choice.draw(st.permutations(range(len(src))))
+    _, labels = kernel.forest_scan(n, src, tgt, order)
     assert _blocks_from_labels(labels) == _index_blocks(n, src, tgt)
 
 
 @BACKEND_PARAMS
-@given(data=index_graphs())
-def test_union_find_labels_by_smallest_member(kernel, data):
+@given(data=index_graphs(), choice=st.data())
+def test_union_find_labels_by_smallest_member(kernel, data, choice):
     n, src, tgt = data
-    labels = list(kernel.union_find_labels(n, src, tgt))
+    order = choice.draw(st.permutations(range(len(src))))
+    _, labels = kernel.forest_scan(n, src, tgt, order)
     for block in _blocks_from_labels(labels):
-        assert labels[block[0]] == block[0] == min(block)
+        assert all(labels[v] == block[0] == min(block) for v in block)
 
 
 @BACKEND_PARAMS
@@ -108,7 +111,7 @@ def test_union_find_labels_by_smallest_member(kernel, data):
 def test_greedy_forest_is_maximal_acyclic_subsequence(kernel, data):
     n, src, tgt = data
     order = list(range(len(src)))
-    accepted = list(kernel.greedy_forest(n, src, tgt, order))
+    accepted, _ = kernel.forest_scan(n, src, tgt, order)
     assert accepted == sorted(accepted)
     assert set(accepted) <= set(order)
     # forest on exactly the scanned edges: tree size = v - #components
@@ -123,15 +126,16 @@ def test_greedy_forest_is_maximal_acyclic_subsequence(kernel, data):
 @given(data=index_graphs(), choice=st.data())
 def test_greedy_forest_matches_reference_kruskal_in_any_order(kernel, data, choice):
     """Linking roots by smaller index changes no acceptance: on a permuted
-    scan, and on a scan led by required edges as in
-    ``spanning_forest_containing``, the kernel accepts what a union-find-free
-    Kruskal accepts."""
+    scan, and on a scan led by required edges as a tie-break list leads it,
+    the kernel accepts what a union-find-free Kruskal accepts."""
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
-    assert list(kernel.greedy_forest(n, src, tgt, order)) == reference_kruskal(n, src, tgt, order)
+    accepted, _ = kernel.forest_scan(n, src, tgt, order)
+    assert accepted == reference_kruskal(n, src, tgt, order)
     required = choice.draw(st.lists(st.sampled_from(order), unique=True) if order else st.just([]))
     order = required + [i for i in order if i not in required]
-    assert list(kernel.greedy_forest(n, src, tgt, order)) == reference_kruskal(n, src, tgt, order)
+    accepted, _ = kernel.forest_scan(n, src, tgt, order)
+    assert accepted == reference_kruskal(n, src, tgt, order)
 
 
 def _python_calls_inside(fn, *args):
@@ -168,19 +172,20 @@ def test_kernels_on_long_paths_and_stars_make_no_python_calls(kernel, shape, dir
     """Each find is inlined, so the chains that a descending path builds
     neither recurse nor cost a call per step."""
     n, src, tgt = _long_shape(shape, direction)
-    labels, calls = _python_calls_inside(kernel.union_find_labels, n, src, tgt)
+    # The index-order scan, as ``components`` runs it.
+    (accepted, labels), calls = _python_calls_inside(kernel.forest_scan, n, src, tgt, range(len(src)))
     assert calls == 0
     assert _blocks_from_labels(labels) == _index_blocks(n, src, tgt) == [tuple(range(n))]
     assert labels == [0] * n
-    order = list(range(len(src)))
-    accepted, calls = _python_calls_inside(kernel.greedy_forest, n, src, tgt, order)
-    assert calls == 0
-    assert accepted == order
+    assert accepted == list(range(len(src)))
 
 
 def test_selected_backend_is_exported():
+    """The package exports the word reduction and exactly one graph scan."""
     assert _kernels.BACKEND == "pure"
+    assert sorted(_kernels.__all__) == ["BACKEND", "forest_scan", "reduce_signed"]
     assert _kernels.reduce_signed is _pure.reduce_signed
+    assert _kernels.forest_scan is _pure.forest_scan
 
 
 def test_components_use_brute_oracle_on_random_shapes():
