@@ -97,10 +97,15 @@ def _parse_sign(value: Any, where: str) -> int:
 
 
 def dump_word(w: Word) -> dict:
+    """The word document of ``w``, written from its signed edge codes."""
+    ids = w.host.edge_ids
     return {
         "source": w.source,
         "target": w.target,
-        "letters": [{"edge": l.edge, "sign": l.sign} for l in w.letters],
+        "letters": [
+            {"edge": ids[c - 1], "sign": 1} if c > 0 else {"edge": ids[-c - 1], "sign": -1}
+            for c in w._codes
+        ],
     }
 
 

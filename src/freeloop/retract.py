@@ -13,7 +13,9 @@ certifies rank >= 1.
 Equality in G itself is never decided: nontriviality is always certified on
 the retract side, where free reduction solves the word problem, and carried
 back along the retraction.  There, :func:`rho` and :func:`witness` carry
-letters as signed W codes and make each ``Letter`` once per report.
+letters as signed W codes and return words of those codes, which make no
+``Letter`` until one is read; :func:`include_f` maps the codes to ``GLetter``s
+made once per report.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Letter, Word, _chain_end
+from .words import Word, _chain_end
 
 SIDES = ("A", "B", "C")
 
@@ -234,14 +236,12 @@ class RetractReport:
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
     _w_codes: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
-    _letters: dict[int, Letter] = field(init=False, repr=False, compare=False)
-    _gletters: dict[tuple[str, int], GLetter] = field(init=False, repr=False, compare=False)
+    _gletters: dict[int, GLetter] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Filled on first use: the side code tables of ``_side_codes``, and the
-        # frozen Letter of each signed W code and GLetter of each (W edge, sign).
+        # frozen GLetter of each signed W code.
         self._w_codes = None
-        self._letters = {}
         self._gletters = {}
 
     def origin_of(self, w_edge: str) -> tuple[str, str]:
@@ -309,14 +309,6 @@ def _w_path(report: RetractReport, side: str, u: str, v: str) -> list[int]:
     return list(map(report._side_codes(side).__getitem__, path))
 
 
-def _w_word(report: RetractReport, source: str, target: str, codes: list[int]) -> Word:
-    """The word on W of reduced signed W ``codes``, in the report's Letters."""
-    shared = report._letters
-    for c in set(codes).difference(shared):
-        shared[c] = Letter(report.w.edge_ids[abs(c) - 1], 1 if c > 0 else -1)
-    return Word._trusted(report.w, source, target, tuple(map(shared.__getitem__, codes)))
-
-
 def rho(report: RetractReport, g: GWord) -> Word:
     """The retraction G -> Fr(W) evaluated on a word of generators.
 
@@ -332,7 +324,7 @@ def rho(report: RetractReport, g: GWord) -> Word:
     run reduce to that one path, and because C-letters are loops, which move
     no endpoint and so do not end a run.  One reduction of signed W codes
     then cancels across run boundaries, and the cost is one tree path per
-    run, not per letter; only the reduced result becomes (shared) Letters.
+    run, not per letter.  The result is a word of those codes.
     """
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
@@ -353,22 +345,18 @@ def rho(report: RetractReport, g: GWord) -> Word:
         last = letter
     if side is not None:
         codes += _w_path(report, side, start, _gletter_ends(inst, last)[1])
-    return _w_word(report, g.source, g.target, reduce_signed(codes))
+    return Word._trusted(report.w, g.source, g.target, reduce_signed(codes))
 
 
 def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    shared = report._gletters
-    letters = []
-    for l in w.letters:
-        key = (l.edge, l.sign)
-        letter = shared.get(key)
-        if letter is None:
-            letter = shared[key] = GLetter(*report.origin_of(l.edge), l.sign)
-        letters.append(letter)
-    return GWord._trusted(report.instance, w.source, w.target, tuple(letters))
+    shared, codes, ids = report._gletters, w._codes, report.w.edge_ids
+    for c in set(codes).difference(shared):
+        shared[c] = GLetter(*report.edge_origins[ids[abs(c) - 1]], 1 if c > 0 else -1)
+    letters = tuple(map(shared.__getitem__, codes))
+    return GWord._trusted(report.instance, w.source, w.target, letters)
 
 
 def witness(report: RetractReport, a: str, b: str) -> Word:
@@ -378,7 +366,7 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     disjoint edge alphabets, so nothing cancels at the junction.  Its
     nontriviality in Fr(W) certifies, through the retraction, that the
     corresponding loop class in G is nontrivial.  Like :func:`rho`, it works
-    in signed W codes and returns the report's shared ``Letter``s.
+    in signed W codes and returns a word of them.
     """
     a, b = as_id(a), as_id(b)
     # same_block raises UnknownVertex for a, then b, before any other check.
@@ -392,4 +380,4 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     loop = reduce_signed(codes)
     if not (len(loop) >= 2 and len(loop) == len(codes)):
         raise InternalInvariant("witness halves cancelled at their junction")
-    return _w_word(report, a, a, loop)
+    return Word._trusted(report.w, a, a, loop)

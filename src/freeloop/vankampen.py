@@ -9,9 +9,9 @@ certifying that the space's fundamental group retracts onto Z.  Only the
 witness is translated: each side's table builds a generator's expansion from
 its piece's spanning forest on first lookup, and the certificate reads the
 few generators the witness names as signed space codes (``sign * (edge index
-+ 1)``), reduces them once and makes one ``Letter`` per distinct code.  So a
-certificate costs time linear in the space plus its loop, not one expansion
-per cycle of the space.
++ 1)``) and reduces them once into a word of those codes, which makes no
+``Letter`` until one is read.  So a certificate costs time linear in the
+space plus its loop, not one expansion per cycle of the space.
 
 The Phragmen-Brouwer predicate feeds this pipeline: disjoint vertex sets D, E
 give the complements U = X - D, V = X - E, and the property fails when a and
@@ -44,7 +44,7 @@ from .errors import (
 )
 from .graphs import DirectedGraph, Forest, as_id, components, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
-from .words import Letter, Word
+from .words import Word
 
 
 def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
@@ -187,14 +187,6 @@ def pbi_fails(sc: PbpScenario) -> bool:
     return _complement(sc)[1]
 
 
-def _space_word(space: DirectedGraph, source: str, target: str, codes: list[int]) -> Word:
-    """The word on ``space`` of reduced signed space ``codes``, one Letter
-    per distinct code."""
-    ids = space.edge_ids
-    letter_of = {c: Letter(ids[c - 1], 1) if c > 0 else Letter(ids[-c - 1], -1) for c in set(codes)}
-    return Word._trusted(space, source, target, tuple(map(letter_of.__getitem__, codes)))
-
-
 class _Expansions(Mapping):
     """One side's translation table: each generator id to its expansion, a
     Word on ``space``, built from the forest on first lookup.
@@ -215,7 +207,7 @@ class _Expansions(Mapping):
         word = self._words.get(gen)
         if word is None:
             root, target, _ = self._records[gen]
-            word = self._words[gen] = _space_word(self._space, root, target, self._codes(gen))
+            word = self._words[gen] = Word._trusted(self._space, root, target, self._codes(gen))
         return word
 
     def __iter__(self):
@@ -357,7 +349,7 @@ def _expand_to_space(translations: dict[str, _Expansions], space: DirectedGraph,
     for letter in gword.letters:
         expansion = translations[letter.side]._codes(letter.edge)
         codes += expansion if letter.sign == 1 else map(neg, reversed(expansion))
-    return _space_word(space, gword.source, gword.target, reduce_signed(codes))
+    return Word._trusted(space, gword.source, gword.target, reduce_signed(codes))
 
 
 def _joined_pair(

@@ -9,15 +9,21 @@ nontriviality claim in this library decidable.
 :class:`Word` is the one type for these arrows, and :func:`reduce`,
 :func:`compose`, :func:`invert`, :func:`identity` and :func:`tree_path` are
 how a caller builds and compares them.  A nonempty reduced closed word is a
-nontrivial loop, so a certificate needs no other coordinates.  Letters are
-checked where they come from outside (``Word``, :func:`reduce`); derived
-words are built by ``Word._trusted`` and ``_reduced`` without a re-check.
+nontrivial loop, so a certificate needs no other coordinates.
+
+A word stores its letters as signed edge codes, ``sign * (index + 1)`` over
+``host.edge_ids``; reduction, composition and inversion work on those.  The
+``Letter`` objects of ``letters`` are made on first read, one per distinct
+code, unless the word was built from ``Letter``s, which it then keeps.
+Letters are checked where they come from outside (``Word``, :func:`reduce`);
+derived words are built from codes by ``Word._trusted`` without a re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from operator import neg
 from typing import Callable, Sequence
 
 from ._kernels import reduce_signed
@@ -43,9 +49,6 @@ class Letter:
         if type(self.sign) is not int or self.sign not in (1, -1):
             raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
 
-    def inverse(self) -> Letter:
-        return Letter(self.edge, -self.sign)
-
     def __str__(self) -> str:
         return self.edge if self.sign == 1 else f"{self.edge}^-1"
 
@@ -65,10 +68,11 @@ class Word:
     Words carry explicit source and target even when empty; the empty word at
     ``a`` is the identity arrow at ``a`` and differs from the one at ``b``.
     Construct words through :func:`reduce`, :func:`identity`, or the word
-    operations; the constructor rejects unreduced input.
+    operations; the constructor rejects unreduced input.  Length, equality
+    and hashing read the signed edge codes, not ``letters``.
     """
 
-    __slots__ = ("host", "source", "target", "letters")
+    __slots__ = ("host", "source", "target", "_codes", "letters")
 
     def __init__(self, host: DirectedGraph, source: str, target: str, letters: Sequence[Letter] = ()):
         if not host.has_vertex(source):
@@ -79,19 +83,30 @@ class Word:
         end = _chain_end(partial(letter_ends, host), source, letters, reduced=True)
         if end != target:
             raise NotComposable(len(letters), f"target {target!r} does not match chain end {end!r}")
-        self._set(host, source, target, letters)
+        eindex = host._eindex
+        self.host, self.source, self.target, self.letters = host, source, target, letters
+        self._codes = tuple([l.sign * (eindex[l.edge] + 1) for l in letters])
 
     @classmethod
-    def _trusted(cls, host: DirectedGraph, source: str, target: str, letters: tuple) -> Word:
-        """``Word(...)`` without its checks, for reduced chains freeloop derived itself."""
-        return cls.__new__(cls)._set(host, source, target, letters)
-
-    def _set(self, host: DirectedGraph, source: str, target: str, letters: tuple) -> Word:
-        self.host, self.source, self.target, self.letters = host, source, target, letters
+    def _trusted(cls, host: DirectedGraph, source: str, target: str, codes: Sequence[int]) -> Word:
+        """The word of reduced signed edge ``codes`` that freeloop derived
+        itself, a chain from ``source`` to ``target`` on ``host``, unchecked."""
+        self = cls.__new__(cls)
+        self.host, self.source, self.target, self._codes = host, source, target, tuple(codes)
         return self
 
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails, so ``letters`` is made from
+        # the codes on its first read, one Letter per distinct code.
+        if name != "letters":
+            raise AttributeError(name)
+        codes, ids = self._codes, self.host.edge_ids
+        letter_of = {c: Letter(ids[c - 1], 1) if c > 0 else Letter(ids[-c - 1], -1) for c in set(codes)}
+        self.letters = letters = tuple(map(letter_of.__getitem__, codes))
+        return letters
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Word):
@@ -99,15 +114,15 @@ class Word:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.letters == other.letters
+            and self._codes == other._codes
             and self.host == other.host
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.letters))
+        return hash((self.source, self.target, self._codes))
 
     def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters) if self.letters else "1"
+        return " ".join(map(str, self.letters)) if self._codes else "1"
 
     def __repr__(self) -> str:
         return f"Word({self.source!r} -> {self.target!r}: {self})"
@@ -133,27 +148,20 @@ def identity(g: DirectedGraph, v: str) -> Word:
     return Word(g, v, v)
 
 
-def _reduced(g: DirectedGraph, source: str, target: str, chain: Sequence[Letter]) -> Word:
-    """The reduced word of ``chain``, a composable chain from ``source`` to
-    ``target`` on ``g`` that freeloop derived itself, so it is not checked.
-    Its letters are the chain's own ``Letter`` objects."""
-    eindex = g._eindex
-    codes = [l.sign * (eindex[l.edge] + 1) for l in chain]
-    letter_of = dict(zip(codes, chain))
-    return Word._trusted(g, source, target, tuple(letter_of[c] for c in reduce_signed(codes)))
-
-
 def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word:
     """The unique reduced word equal to ``raw_letters`` in the free groupoid.
 
     The input must be a composable chain starting at ``source``; it need not
-    be reduced.  Reduction is a single left-to-right stack pass (free
-    reduction is confluent, so the strategy does not affect the result).
+    be reduced.  Reduction is a single left-to-right stack pass over signed
+    edge codes (free reduction is confluent, so the strategy does not affect
+    the result).
     """
     if not g.has_vertex(source):
         raise UnknownVertex(source)
     target = _chain_end(partial(letter_ends, g), source, raw_letters)
-    return _reduced(g, source, target, raw_letters)
+    eindex = g._eindex
+    codes = [l.sign * (eindex[l.edge] + 1) for l in raw_letters]
+    return Word._trusted(g, source, target, reduce_signed(codes))
 
 
 def compose(w1: Word, w2: Word) -> Word:
@@ -162,15 +170,15 @@ def compose(w1: Word, w2: Word) -> Word:
         raise HostMismatch("words live on different graphs")
     if w1.target != w2.source:
         raise NotComposable(None, f"target {w1.target!r} != source {w2.source!r}")
-    return _reduced(w1.host, w1.source, w2.target, w1.letters + w2.letters)
+    return Word._trusted(w1.host, w1.source, w2.target, reduce_signed(w1._codes + w2._codes))
 
 
 def invert(w: Word) -> Word:
     """Inverse arrow: letters reversed with signs flipped."""
-    return Word._trusted(w.host, w.target, w.source, tuple(l.inverse() for l in reversed(w.letters)))
+    return Word._trusted(w.host, w.target, w.source, map(neg, reversed(w._codes)))
 
 
 def tree_path(f: Forest, u: str, v: str) -> Word:
     """The unique reduced word from ``u`` to ``v`` through tree edges only."""
-    steps = f.path_steps(u, v)
-    return Word._trusted(f.host, u, v, tuple(Letter(e, sign) for e, sign in steps))
+    host = f.host
+    return Word._trusted(host, u, v, f._path_codes(host.vertex_index(u), host.vertex_index(v)))

@@ -140,7 +140,7 @@ def enumerate_reduced_words(g: DirectedGraph):
             cur, word = stack.pop()
             out.setdefault((source, cur), []).append(word)
             for letter, nxt in adj[cur]:
-                if word and letter == word[-1].inverse():
+                if word and letter == Letter(word[-1].edge, -word[-1].sign):
                     continue
                 stack.append((nxt, word + [letter]))
     return out
@@ -231,7 +231,7 @@ def random_reduced_word(rng: random.Random, g: DirectedGraph, source=None, max_l
         options = [
             (l, nxt)
             for l, nxt in adj[cur]
-            if not (letters and l == letters[-1].inverse())
+            if not (letters and l == Letter(letters[-1].edge, -letters[-1].sign))
         ]
         if not options:
             break

@@ -729,7 +729,8 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
 
 def _ladder_check(tmp_path, monkeypatch, capsys, n):
     """pbp-check on an n-rung ring ladder: (loop length, Letters built on
-    space edges, codes walked along forests, basepoints, deepest forest)."""
+    space edges with --output json, the same with text output, codes walked
+    along forests, basepoints, deepest forest)."""
     doc = ring_ladder(random.Random(n), n)
     path = write_json(tmp_path / f"ladder{n}.json", doc)
     built, walked = [], []
@@ -747,15 +748,21 @@ def _ladder_check(tmp_path, monkeypatch, capsys, n):
     monkeypatch.setattr(Letter, "__post_init__", counting)
     monkeypatch.setattr(Forest, "_path_codes", walking)
     code, out, err = _main(capsys, "pbp-check", path, "--output", "json")
+    assert (code, err) == (0, "")
+    space_edges = {e["id"] for e in doc["space"]["edges"]}
+    json_letters = sum(e in space_edges for e in built)
+    walk = sum(length for _, length in walked)
+    depth = max(max(forest._nav[2]) for forest, _ in walked)
+    built.clear()
+    code, _, err = _main(capsys, "pbp-check", path)
     monkeypatch.undo()
     assert (code, err) == (0, "")
     cert = json.loads(out)["certificate"]
-    space_edges = {e["id"] for e in doc["space"]["edges"]}
-    depth = max(max(forest._nav[2]) for forest, _ in walked)
     return (
         len(cert["loop_in_space"]["letters"]),
+        json_letters,
         sum(e in space_edges for e in built),
-        sum(length for _, length in walked),
+        walk,
         len(cert["basepoints"]),
         depth,
     )
@@ -763,14 +770,19 @@ def _ladder_check(tmp_path, monkeypatch, capsys, n):
 
 def test_pbp_check_expands_only_the_witness_generators(tmp_path, monkeypatch, capsys):
     """A ring ladder has n + 1 independent cycles, so expanding every
-    generator costs O(#cycles x diameter) = O(n^2) codes.  pbp-check builds
-    one Letter per letter of its loop and walks O(loop length + basepoints x
-    tree depth) codes, so doubling n at most about doubles the walk."""
+    generator costs O(#cycles x diameter) = O(n^2) codes.  pbp-check walks
+    O(loop length + basepoints x tree depth) codes, so doubling n at most
+    about doubles the walk.  Its certificate words hold signed codes: the
+    JSON writer builds no Letter, and the text report builds at most one per
+    letter of the loop."""
     walks = []
     for n in (64, 128):
-        loop, letters, walked, basepoints, depth = _ladder_check(tmp_path, monkeypatch, capsys, n)
+        loop, json_letters, text_letters, walked, basepoints, depth = _ladder_check(
+            tmp_path, monkeypatch, capsys, n
+        )
         assert loop >= n
-        assert letters == loop
+        assert json_letters == 0
+        assert 0 < text_letters <= loop
         assert walked <= loop + basepoints * depth
         walks.append(walked)
     assert walks[1] <= 2.5 * walks[0]

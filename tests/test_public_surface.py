@@ -49,6 +49,9 @@ DELETED = (
     (graphs.Forest, "__init__"),
     (errors, "TreeEdgesContainCycle"),
     (errors, "TreeEdgesNotSpanning"),
+    (words.Letter, "inverse"),
+    (retract, "_w_word"),
+    (vankampen, "_space_word"),
 )
 
 

@@ -42,7 +42,7 @@ from freeloop.retract import (
     rho,
     witness,
 )
-from freeloop.words import identity
+from freeloop.words import Letter, identity
 
 from support import (
     brute_rank,
@@ -307,24 +307,38 @@ def test_rho_witness_and_include_f_on_tagged_w_edges():
     assert min(tags["A"], tags["B"], tags["A:A"]) >= 10
 
 
-def test_rho_and_witness_share_one_letter_per_w_letter():
+def test_rho_and_witness_share_one_letter_per_w_letter(monkeypatch):
+    """rho, witness and include_f build no Letter: their words hold signed W
+    codes.  The first read of ``letters`` makes one Letter per distinct code,
+    shared by every position that has it, and a second read makes none."""
     rng = random.Random(89)
     inst = with_c_loop_everywhere(tagged_instance(rng, max_objects=12, max_side_edges=24))
     report = build_retract(inst)
     fresh = build_retract(inst)
-    # build_retract alone builds no code table and no Letter.
-    assert report._w_codes is None and not report._letters
+    # build_retract alone builds no code table and no GLetter.
+    assert report._w_codes is None and not report._gletters
+    built = []
+    post_init = Letter.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Letter, "__post_init__", counting)
     g = long_run_gword(rng, inst, 200)
     pair = joined_pairs(inst)[0]
-    image, image_again = rho(report, g), rho(report, g)
-    loop, loop_again = witness(report, *pair), witness(report, *pair)
-    assert len(image) > 0
-    for first, again in ((image, image_again), (loop, loop_again)):
-        assert first == again
-        assert all(a is b for a, b in zip(first.letters, again.letters))
-    one = {}
-    for letter in image.letters + loop.letters:
-        assert one.setdefault((letter.edge, letter.sign), letter) is letter
+    image, loop = rho(report, g), witness(report, *pair)
+    pulled = [include_f(report, w) for w in (image, loop)]
+    assert built == [] and len(image) > 0
+    for word, back in zip((image, loop), pulled):
+        before = len(built)
+        letters = word.letters
+        made = built[before:]
+        assert len(made) == len({(l.edge, l.sign) for l in letters})
+        assert {id(l) for l in letters} == {id(l) for l in made}
+        assert word.letters is letters and len(built) == before + len(made)
+        assert back.letters == tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in letters)
+    monkeypatch.undo()
     assert image == rho(fresh, g) and loop == witness(fresh, *pair)
     assert report == fresh and repr(report) == repr(fresh)
 
@@ -456,6 +470,11 @@ def test_internal_invariants_survive_python_dash_o():
             vankampen._generators(g, "U", ("a", "b"), None, g)
         except InternalInvariant as exc:
             print(exc.code)
+
+        # A word of signed codes makes its Letters on first read.
+        retract.euler_ranks = real
+        loop = retract.witness(retract.build_retract(retract.PushoutInstance(["a", "b"], g, h)), "a", "b")
+        print(loop, len(loop), [(l.edge, l.sign) for l in loop.letters])
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -464,7 +483,7 @@ def test_internal_invariants_survive_python_dash_o():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "InternalInvariant\n" * 2
+    assert out.stdout == "InternalInvariant\n" * 2 + "alpha beta^-1 2 [('alpha', 1), ('beta', -1)]\n"
 
 
 def test_engine_has_no_assert_statements():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
@@ -15,6 +16,7 @@ from freeloop.errors import (
     UnknownVertex,
 )
 from freeloop.graphs import DirectedGraph, components, spanning_forest
+from freeloop.retract import build_retract, rho
 from freeloop.words import (
     Letter,
     Word,
@@ -30,6 +32,9 @@ from support import (
     enumerate_reduced_words,
     forest_graph,
     naive_reduce,
+    naive_rho,
+    random_connected_instance,
+    random_gword,
     random_graph,
     random_reduced_word,
     signed_adjacency,
@@ -42,9 +47,10 @@ def two_cycle():
 
 def test_letter_validation_and_inverse():
     l = Letter("x", 1)
-    assert l.inverse() == Letter("x", -1)
+    inverse = invert(Word(two_cycle(), "a", "b", [l]))
+    assert inverse.letters == (Letter("x", -1),)
     assert str(l) == "x"
-    assert str(l.inverse()) == "x^-1"
+    assert str(inverse) == "x^-1"
     for sign in (0, 2, True, 1.0, -1.0):
         with pytest.raises(BadSign):
             Letter("x", sign)
@@ -173,3 +179,73 @@ def test_tree_path_is_the_unique_reduced_word_on_forests():
                 assert len(words[key]) == 1
                 expected = Word(fg, u, v, words[key][0])
                 assert tree_path(fgf, u, v) == expected
+
+
+def _lettered(g, source, target, codes):
+    """The word of signed edge ``codes``, through the validating constructor."""
+    ids = g.edge_ids
+    return Word(g, source, target, [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in codes])
+
+
+def _codes(w):
+    return [l.sign * (w.host.edge_index(l.edge) + 1) for l in w.letters]
+
+
+def _same_arrow(coded, lettered):
+    assert coded == lettered and lettered == coded
+    assert hash(coded) == hash(lettered)
+    assert str(coded) == str(lettered)
+    assert coded.letters == lettered.letters
+    assert len(coded) == len(lettered)
+
+
+def test_words_from_codes_equal_words_from_letters():
+    """``reduce``, ``compose``, ``invert``, ``tree_path`` and ``rho`` build
+    words from signed codes; each agrees with its naive oracle built from
+    Letters by ``Word(...)``, down to hash, str and letters."""
+    rng = random.Random(43)
+    for _ in range(150):
+        g = random_graph(rng, max_v=6, max_e=10)
+        adj = signed_adjacency(g)
+        source = cur = rng.choice(g.vertices)
+        raw = []
+        for _ in range(rng.randint(0, 14)):
+            if not adj[cur]:
+                break
+            letter, cur = rng.choice(adj[cur])
+            raw.append(letter)
+        raw_codes = [l.sign * (g.edge_index(l.edge) + 1) for l in raw]
+        reduced = reduce_word(g, source, raw)
+        _same_arrow(reduced, _lettered(g, source, cur, naive_reduce(raw_codes)))
+        w = random_reduced_word(rng, g, source=cur)
+        for left, right in ((reduced, w), (invert(w), invert(reduced))):
+            expected = _lettered(g, left.source, right.target, naive_reduce(_codes(left) + _codes(right)))
+            _same_arrow(compose(left, right), expected)
+        _same_arrow(invert(w), _lettered(g, w.target, w.source, [-c for c in reversed(_codes(w))]))
+        f = spanning_forest(g)
+        fg = forest_graph(f)
+        paths = enumerate_reduced_words(fg)
+        for (u, v), (path,) in paths.items():
+            _same_arrow(tree_path(f, u, v), Word(g, u, v, path))
+    for _ in range(60):
+        inst = random_connected_instance(rng)
+        report = build_retract(inst)
+        gword = random_gword(rng, inst)
+        _same_arrow(rho(report, gword), naive_rho(report, gword))
+
+
+def test_copied_word_reads_back_assigned_letters():
+    """``letters`` is a plain slot: a copy of a word, whether or not its
+    letters were read, takes an assigned tuple and reads it back, and the
+    original keeps its own."""
+    g = two_cycle()
+    x, y = Letter("x", 1), Letter("y", 1)
+    for read in (False, True):
+        w = reduce_word(g, "a", [x, y, x, Letter("x", -1)])
+        if read:
+            assert w.letters == (x, y)
+        dup = copy.copy(w)
+        assert dup == w and dup.letters == (x, y)
+        dup.letters = (y,)
+        assert dup.letters == (y,)
+        assert w.letters == (x, y) and len(w) == 2
