@@ -9,6 +9,7 @@ default edge scan order, canonical output order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import groupby
@@ -117,6 +118,7 @@ class DirectedGraph:
         self._tgt_idx = tgt_idx
         self._components: VertexPartition | None = None
         self._lex_forest: list[int] = []
+        self._labels: list[int] = []
         return self
 
     @cached_property
@@ -208,14 +210,15 @@ def components(g: DirectedGraph) -> VertexPartition:
     """Weak-connectivity partition of ``g`` (edge direction ignored).
 
     The partition comes from one scan of ``g``'s edges in index order, which
-    also yields the lex spanning forest; both are cached on ``g``, so
+    also yields the lex spanning forest and each vertex's label, the index
+    of its block's smallest vertex; all three are cached on ``g``, so
     ``spanning_forest(g)`` scans nothing more.
     """
     if g._components is None:
-        g._lex_forest, labels = forest_scan(g.v_count, g._src_idx, g._tgt_idx, range(g.e_count))
+        g._lex_forest, g._labels = forest_scan(g.v_count, g._src_idx, g._tgt_idx, range(g.e_count))
         # Labels are smallest members, so a stable sort by label lists the
         # blocks by smallest vertex, each block in vertex order.
-        label = labels.__getitem__
+        label = g._labels.__getitem__
         vertex = g.vertices.__getitem__
         g._components = VertexPartition(
             tuple(
@@ -412,14 +415,13 @@ def graph_pushout_with_origins(
 
 def euler_ranks(g: DirectedGraph) -> list[tuple[tuple[str, ...], int]]:
     """Per-component cycle rank ``e - v + 1``, paired with the block's vertices."""
-    part = components(g)
-    edge_counts = [0] * len(part)
-    index, vertices = part.index, g.vertices
-    for s in g._src_idx:
-        edge_counts[index[vertices[s]]] += 1
+    blocks = components(g).blocks
+    labels = g._labels
+    # Blocks are numbered by smallest vertex, so in ascending label order.
+    edge_counts = Counter(map(labels.__getitem__, g._src_idx))
     out = []
-    for i, block in enumerate(part.blocks):
-        rank = edge_counts[i] - len(block) + 1
+    for block, label in zip(blocks, sorted(set(labels))):
+        rank = edge_counts[label] - len(block) + 1
         if rank < 0:
             raise InternalInvariant("weakly connected block has fewer than v-1 edges")
         out.append((block, rank))

@@ -12,16 +12,20 @@ certifies rank >= 1.
 
 Equality in G itself is never decided: nontriviality is always certified on
 the retract side, where free reduction solves the word problem, and carried
-back along the retraction.  There, :func:`rho` and :func:`witness` carry
-letters as signed W codes and return words of those codes, which make no
-``Letter`` until one is read; :func:`include_f` maps the codes to ``GLetter``s
-made once per report.
+back along the retraction.  Words on both sides are signed int codes: a
+``GWord`` codes its letters over one tagged alphabet (A edges, then B edges,
+then C loops), a ``Word`` over W's edges.  :func:`rho` reads a tagged word
+as runs of one side and cancels whole runs on their endpoints, so only the
+tree paths that survive are walked; :func:`include_f` maps W codes back to
+tagged codes by one table.  Neither makes a ``Letter`` or ``GLetter`` until
+one is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
 from ._kernels import reduce_signed
@@ -49,7 +53,7 @@ from .graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Word, _chain_end
+from .words import Word
 
 SIDES = ("A", "B", "C")
 
@@ -101,11 +105,24 @@ class PushoutInstance:
         self.c_loops: tuple[tuple[str, tuple[str, ...]], ...] = tuple(loops)
         self._c_owner = owner
 
-    def c_loop_owner(self, loop_id: str) -> str:
-        try:
-            return self._c_owner[loop_id]
-        except KeyError:
-            raise UnknownLetter(loop_id, side="C") from None
+    @cached_property
+    def _alphabet(self) -> tuple[tuple[str, ...], list, list[int], dict[str, int]]:
+        """The tagged alphabet, built on first use: A edges, then B edges,
+        then C loops, the letter of sign s on the i-th of them coded
+        ``s * (i + 1)``.  Returns the ids in that order; per signed code, at
+        list index ``c`` of the ``RetractReport._code_table`` layout, its
+        side and the index of the vertex it ends at; and each C loop's code."""
+        ga, gb = self.graph_a, self.graph_b
+        owners = list(map(ga._vindex.__getitem__, self._c_owner.values()))
+        sides = ["A"] * ga.e_count + ["B"] * gb.e_count + ["C"] * len(owners)
+        heads = ga._tgt_idx + gb._tgt_idx + owners
+        tails = ga._src_idx + gb._src_idx + owners
+        return (
+            ga.edge_ids + gb.edge_ids + tuple(self._c_owner),
+            [None, *sides, *reversed(sides)],
+            [-1, *heads, *reversed(tails)],
+            dict(zip(self._c_owner, range(len(sides) - len(owners) + 1, len(sides) + 1))),
+        )
 
     def side_graph(self, side: str) -> DirectedGraph:
         if side == "A":
@@ -156,49 +173,80 @@ class GLetter:
         return body if self.sign == 1 else f"{body}^-1"
 
 
-def _gletter_ends(inst: PushoutInstance, letter: GLetter) -> tuple[str, str]:
-    if letter.side == "C":
-        v = inst.c_loop_owner(letter.edge)
-        return v, v
-    g = inst.side_graph(letter.side)
-    try:
-        s, t = g.edge_ends[letter.edge]
-    except KeyError:
-        raise UnknownLetter(letter.edge, side=letter.side) from None
-    return (s, t) if letter.sign == 1 else (t, s)
-
-
 class GWord:
     """A composable (not necessarily reduced) word of tagged generators of G.
 
     Equality of GWords is syntactic; equality in the pushout groupoid G is
-    deliberately left undecided.
+    deliberately left undecided.  A GWord stores its letters as signed codes
+    over the instance's tagged alphabet (A edges, then B edges, then C
+    loops), and length, equality and hashing read those.  ``letters`` is
+    made from the codes on first read, one ``GLetter`` per distinct code,
+    unless the word was built from ``GLetter``s, which it then keeps.
     """
 
-    __slots__ = ("instance", "source", "target", "letters")
+    __slots__ = ("instance", "source", "target", "_codes", "letters")
 
     def __init__(self, instance: PushoutInstance, source: str, target: str, letters: Sequence[GLetter] = ()):
-        if source not in instance.graph_a._vindex:
+        vindex = instance.graph_a._vindex
+        if source not in vindex:
             raise UnknownVertex(source)
-        if target not in instance.graph_a._vindex:
+        if target not in vindex:
             raise UnknownVertex(target)
         letters = tuple(letters)
-        end = _chain_end(partial(_gletter_ends, instance), source, letters)
-        if end != target:
-            raise NotComposable(len(letters), f"target {target!r} does not match chain end {end!r}")
-        self._set(instance, source, target, letters)
+        a_index, b_index = instance.graph_a._eindex, instance.graph_b._eindex
+        b_base = instance.graph_a.e_count + 1
+        _, _, ends, c_codes = instance._alphabet
+        vertices = instance.objects
+        codes = []
+        cur = vindex[source]
+        for i, letter in enumerate(letters):
+            side, edge = letter.side, letter.edge
+            try:
+                if side == "A":
+                    code = a_index[edge] + 1
+                elif side == "B":
+                    code = b_index[edge] + b_base
+                elif side == "C":
+                    code = c_codes[edge]
+                else:
+                    instance.side_graph(side)  # raises UnknownSide
+            except KeyError:
+                raise UnknownLetter(edge, side=side) from None
+            if letter.sign != 1:
+                code = -code
+            # A code starts where its inverse ends.
+            if ends[-code] != cur:
+                raise NotComposable(
+                    i, f"letter starts at {vertices[ends[-code]]!r}, chain is at {vertices[cur]!r}"
+                )
+            cur = ends[code]
+            codes.append(code)
+        if vertices[cur] != target:
+            raise NotComposable(len(letters), f"target {target!r} does not match chain end {vertices[cur]!r}")
+        self.instance, self.source, self.target, self.letters = instance, source, target, letters
+        self._codes = tuple(codes)
 
     @classmethod
-    def _trusted(cls, instance: PushoutInstance, source: str, target: str, letters: tuple) -> GWord:
-        """``GWord(...)`` without its checks, for chains freeloop derived itself."""
-        return cls.__new__(cls)._set(instance, source, target, letters)
-
-    def _set(self, instance: PushoutInstance, source: str, target: str, letters: tuple) -> GWord:
-        self.instance, self.source, self.target, self.letters = instance, source, target, letters
+    def _trusted(cls, instance: PushoutInstance, source: str, target: str, codes: Iterable[int]) -> GWord:
+        """The word of tagged ``codes`` that freeloop derived itself, a chain
+        from ``source`` to ``target`` on ``instance``, unchecked."""
+        self = cls.__new__(cls)
+        self.instance, self.source, self.target, self._codes = instance, source, target, tuple(codes)
         return self
 
+    def __getattr__(self, name: str):
+        # Called only when normal lookup fails, so ``letters`` is made from
+        # the codes on its first read, one GLetter per distinct code.
+        if name != "letters":
+            raise AttributeError(name)
+        codes = self._codes
+        ids, sides, _, _ = self.instance._alphabet
+        letter_of = {c: GLetter(sides[c], ids[abs(c) - 1], 1 if c > 0 else -1) for c in set(codes)}
+        self.letters = letters = tuple(map(letter_of.__getitem__, codes))
+        return letters
+
     def __len__(self) -> int:
-        return len(self.letters)
+        return len(self._codes)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, GWord):
@@ -206,15 +254,15 @@ class GWord:
         return (
             self.source == other.source
             and self.target == other.target
-            and self.letters == other.letters
+            and self._codes == other._codes
             and self.instance == other.instance
         )
 
     def __hash__(self) -> int:
-        return hash((self.source, self.target, self.letters))
+        return hash((self.source, self.target, self._codes))
 
     def __str__(self) -> str:
-        return " ".join(str(l) for l in self.letters) if self.letters else "1"
+        return " ".join(map(str, self.letters)) if self._codes else "1"
 
     def __repr__(self) -> str:
         return f"GWord({self.source!r} -> {self.target!r}: {self})"
@@ -235,14 +283,11 @@ class RetractReport:
     k: int | None
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
-    _w_codes: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
-    _gletters: dict[int, GLetter] = field(init=False, repr=False, compare=False)
+    _tables: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Filled on first use: the side code tables of ``_side_codes``, and the
-        # frozen GLetter of each signed W code.
-        self._w_codes = None
-        self._gletters = {}
+        # Filled on first use by ``_code_table``.
+        self._tables = None
 
     def origin_of(self, w_edge: str) -> tuple[str, str]:
         try:
@@ -250,16 +295,23 @@ class RetractReport:
         except KeyError:
             raise UnknownLetter(w_edge) from None
 
-    def _side_codes(self, side: str) -> list[int]:
-        """Signed edge code ``c`` of ``side`` -> signed W code, at list index
-        ``c`` of ``[0, w_1 .. w_m, -w_m .. -w_1]``; 0 off the side's forest."""
-        if self._w_codes is None:
-            tables = {s: [0] * self.instance.side_graph(s).e_count for s in ("A", "B")}
+    def _code_table(self, key: str) -> list[int]:
+        """The image of each signed code ``c`` at list index ``c`` of
+        ``[0, t_1 .. t_m, -t_m .. -t_1]``.  Key "A" or "B" maps that side's
+        edge codes to W codes (0 off the side's forest); key "W" maps W
+        codes to tagged codes.  All three are built on first use."""
+        if self._tables is None:
+            inst = self.instance
+            tables = {s: [0] * inst.side_graph(s).e_count for s in ("A", "B")}
+            base = {"A": 1, "B": inst.graph_a.e_count + 1}
+            tagged = tables["W"] = []
             for code, w_edge in enumerate(self.w.edge_ids, 1):
                 s, edge = self.edge_origins[w_edge]
-                tables[s][self.instance.side_graph(s)._eindex[edge]] = code
-            self._w_codes = {s: [0, *t, *(-c for c in reversed(t))] for s, t in tables.items()}
-        return self._w_codes[side]
+                i = inst.side_graph(s)._eindex[edge]
+                tables[s][i] = code
+                tagged.append(base[s] + i)
+            self._tables = {k: [0, *t, *(-c for c in reversed(t))] for k, t in tables.items()}
+        return self._tables[key]
 
 
 def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None) -> RetractReport:
@@ -302,11 +354,18 @@ def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None)
     )
 
 
-def _w_path(report: RetractReport, side: str, u: str, v: str) -> list[int]:
-    """Tree path u -> v in the side's forest, as signed W codes."""
-    forest = report.forest_x if side == "A" else report.forest_y
-    path = forest._path_codes(forest.host._vindex[u], forest.host._vindex[v])
-    return list(map(report._side_codes(side).__getitem__, path))
+def _run_paths(report: RetractReport, runs: Iterable[tuple[str, int, int]]) -> list[int]:
+    """The signed W codes of the tree paths of ``runs``, each a side and two
+    vertex indexes in one tree of that side's forest, concatenated."""
+    walks = {
+        side: (forest._path_codes, report._code_table(side).__getitem__)
+        for side, forest in (("A", report.forest_x), ("B", report.forest_y))
+    }
+    codes: list[int] = []
+    for side, i, j in runs:
+        path, to_w = walks[side]
+        codes += map(to_w, path(i, j))
+    return codes
 
 
 def rho(report: RetractReport, g: GWord) -> Word:
@@ -317,46 +376,51 @@ def rho(report: RetractReport, g: GWord) -> Word:
     forest Z has no edges).  The result is reduced, and the map respects
     composition and inversion.
 
-    The word is evaluated one run at a time: a maximal stretch of same-side
-    letters, C-letters skipped, maps to the single tree path from the run's
-    start to its end.  This is exact because the reduced word between two
-    vertices of a forest is unique, so the letter-by-letter tree paths of a
-    run reduce to that one path, and because C-letters are loops, which move
-    no endpoint and so do not end a run.  One reduction of signed W codes
-    then cancels across run boundaries, and the cost is one tree path per
-    run, not per letter.  The result is a word of those codes.
+    The word is read in runs, maximal stretches of letters of one side.  An
+    A or B run stands for the one tree path from its start to its end, since
+    the reduced word between two vertices of a forest is unique.  Runs are
+    cancelled on their endpoints, with a stack of ``[side, start, end]``:
+
+    - a run of the top's side extends the top, since two paths in one
+      forest that meet reduce to the one path between their far ends;
+    - a run that starts where it ends is empty: it is dropped, or popped
+      once it has extended the top.  Its neighbours then share a side and
+      merge in turn, so one empty run can cascade.  A run of C-letters,
+      which are loops, is always empty.
+
+    The surviving runs are nonempty and alternate between A and B, and the
+    two forests' W edges are disjoint, so nothing cancels where their paths
+    meet: the concatenation is reduced as it stands.  Only those paths are
+    walked, and the result is a word of their signed W codes.
     """
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
     inst = report.instance
-    codes: list[int] = []
-    side = last = None
-    start = g.source
-    for letter in g.letters:
-        if letter.side == "C":
-            continue
-        if letter.side != side:
-            if side is not None:
-                # The run ends where its last letter does.
-                end = _gletter_ends(inst, last)[1]
-                codes += _w_path(report, side, start, end)
-                start = end
-            side = letter.side
-        last = letter
-    if side is not None:
-        codes += _w_path(report, side, start, _gletter_ends(inst, last)[1])
-    return Word._trusted(report.w, g.source, g.target, reduce_signed(codes))
+    _, sides, ends, _ = inst._alphabet
+    stack: list[list] = []
+    cur = inst.graph_a._vindex[g.source]
+    for side, run in groupby(g._codes, sides.__getitem__):
+        for last in run:  # a run ends where its last letter does
+            pass
+        end = ends[last]
+        if stack and stack[-1][0] == side:
+            top = stack[-1]
+            if top[1] == end:
+                stack.pop()
+            else:
+                top[2] = end
+        elif end != cur:
+            stack.append([side, cur, end])
+        cur = end
+    return Word._trusted(report.w, g.source, g.target, _run_paths(report, stack))
 
 
 def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    shared, codes, ids = report._gletters, w._codes, report.w.edge_ids
-    for c in set(codes).difference(shared):
-        shared[c] = GLetter(*report.edge_origins[ids[abs(c) - 1]], 1 if c > 0 else -1)
-    letters = tuple(map(shared.__getitem__, codes))
-    return GWord._trusted(report.instance, w.source, w.target, letters)
+    tagged = report._code_table("W")
+    return GWord._trusted(report.instance, w.source, w.target, map(tagged.__getitem__, w._codes))
 
 
 def witness(report: RetractReport, a: str, b: str) -> Word:
@@ -376,7 +440,8 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
         raise NoArrowInB(f"no arrow {a!r} -> {b!r} in B: different components")
     if a == b:
         raise NotDistinct(f"objects must be distinct, got {a!r} twice")
-    codes = _w_path(report, "A", a, b) + _w_path(report, "B", b, a)
+    vindex = report.instance.graph_a._vindex
+    codes = _run_paths(report, (("A", vindex[a], vindex[b]), ("B", vindex[b], vindex[a])))
     loop = reduce_signed(codes)
     if not (len(loop) >= 2 and len(loop) == len(codes)):
         raise InternalInvariant("witness halves cancelled at their junction")

@@ -343,12 +343,14 @@ class ZRetractCertificate:
 
 def _expand_to_space(translations: dict[str, _Expansions], space: DirectedGraph, gword) -> Word:
     """The reduced word on ``space`` that ``gword`` translates to.  Only the
-    generators it names are expanded, as signed space codes (a letter of
-    sign -1 negated and reversed); one reduction runs over the whole word."""
+    generators its tagged codes name are expanded, as signed space codes (a
+    negative code's expansion negated and reversed); one reduction runs over
+    the whole word."""
+    ids, sides, _, _ = gword.instance._alphabet
     codes: list[int] = []
-    for letter in gword.letters:
-        expansion = translations[letter.side]._codes(letter.edge)
-        codes += expansion if letter.sign == 1 else map(neg, reversed(expansion))
+    for c in gword._codes:
+        expansion = translations[sides[c]]._codes(ids[abs(c) - 1])
+        codes += expansion if c > 0 else map(neg, reversed(expansion))
     return Word._trusted(space, gword.source, gword.target, reduce_signed(codes))
 
 

@@ -52,6 +52,10 @@ DELETED = (
     (words.Letter, "inverse"),
     (retract, "_w_word"),
     (vankampen, "_space_word"),
+    (retract.PushoutInstance, "c_loop_owner"),
+    (retract, "_gletter_ends"),
+    (retract, "_w_path"),
+    (retract.RetractReport, "_side_codes"),
 )
 
 

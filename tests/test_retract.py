@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import copy
 import os
 import random
 import subprocess
@@ -58,6 +59,19 @@ from support import (
     tagged_instance,
     with_c_loop_everywhere,
 )
+
+
+def counted_builds(monkeypatch, cls) -> list:
+    """Every ``cls`` object built from now on, in order."""
+    built = []
+    post_init = cls.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(cls, "__post_init__", counting)
+    return built
 
 
 def theta_instance():
@@ -252,6 +266,100 @@ def test_rho_matches_letter_by_letter_oracle_on_long_runs():
         checked += 1
 
 
+def run_instance():
+    """A path a -x1-> b -x2-> c and an edge d -x3-> e on side A, b -y1-> d
+    and c -y2-> e on side B, C loops at a and d.  Each side's forest is all
+    of its edges, so every run has one tree path."""
+    objs = ["a", "b", "c", "d", "e"]
+    g = DirectedGraph(objs, [("x1", "a", "b"), ("x2", "b", "c"), ("x3", "d", "e")])
+    h = DirectedGraph(objs, [("y1", "b", "d"), ("y2", "c", "e")])
+    return PushoutInstance(objs, g, h, {"a": ["l"], "d": ["m"]})
+
+
+def tagged_end(inst, source, letters):
+    """Where the composable tagged ``letters`` from ``source`` end."""
+    cur = source
+    for letter in letters:
+        if letter.side != "C":
+            s, t = inst.side_graph(letter.side).edge_ends[letter.edge]
+            cur = t if letter.sign == 1 else s
+    return cur
+
+
+def tagged_word(inst, source, text):
+    """The GWord of ``text``, space-separated ``side:edge`` with an optional
+    ``^-1``, from ``source``."""
+    letters = []
+    for token in text.split():
+        body, inverse, _ = token.partition("^-1")
+        side, edge = body.split(":")
+        letters.append(GLetter(side, edge, -1 if inverse else 1))
+    return GWord(inst, source, tagged_end(inst, source, letters), letters)
+
+
+def inverse_letters(letters):
+    return [GLetter(l.side, l.edge, -l.sign) for l in reversed(letters)]
+
+
+@pytest.mark.parametrize(
+    "source, text, image",
+    [
+        # A B run that returns to its start: the A runs around it merge.
+        ("a", "A:x1 B:y1 B:y1^-1 A:x2", "x1 x2"),
+        ("a", "C:l A:x1 B:y1 C:m B:y1^-1 A:x2", "x1 x2"),
+        # Nested returns g h h^-1 g^-1.
+        ("a", "A:x1 B:y1 B:y1^-1 A:x1^-1", "1"),
+        # The merged B run b -> d -> b is empty too, so the pop cascades:
+        # the A run under it is extended back to its start and popped.
+        ("a", "A:x1 B:y1 A:x3 A:x3^-1 B:y1^-1 A:x1^-1", "1"),
+        # The cascade stops at an A run that the next run extends.
+        ("a", "A:x1 B:y1 A:x3 A:x3^-1 B:y1^-1 A:x2", "x1 x2"),
+        # Two merged runs are popped in turn, emptying the stack.
+        ("b", "B:y1 A:x3 B:y2^-1 B:y2 A:x3^-1 B:y1^-1 A:x2", "x2"),
+        # Words of only C letters, and the empty word.
+        ("a", "C:l C:l^-1 C:l", "1"),
+        ("d", "C:m", "1"),
+        ("c", "", "1"),
+        # Nothing cancels: one tree path per run.
+        ("a", "A:x1 B:y1 A:x3 B:y2^-1 A:x2^-1 A:x1^-1", "x1 y1 x3 y2^-1 x2^-1 x1^-1"),
+    ],
+)
+def test_rho_cancels_whole_runs(source, text, image):
+    inst = run_instance()
+    report = build_retract(inst)
+    g = tagged_word(inst, source, text)
+    got = rho(report, g)
+    assert str(got) == image
+    assert (got.source, got.target) == (g.source, g.target)
+    assert got == naive_rho(report, g)
+
+
+def test_rho_of_spliced_cancelling_segments_matches_the_oracle():
+    """A random segment ``seg`` from a random point of a random word: the
+    word's head then ``seg``, the whole word with ``seg seg^-1`` spliced in,
+    and the head then ``seg seg^-1 seg``, on instances with plain and with
+    side-tagged W edges."""
+    rng = random.Random(97)
+    cancelled = 0
+    for make in (random_connected_instance, tagged_instance):
+        for _ in range(150):
+            inst = with_c_loop_everywhere(make(rng))
+            report = build_retract(inst)
+            g = random_gword(rng, inst, max_len=12)
+            at = rng.randint(0, len(g))
+            head, tail = list(g.letters[:at]), list(g.letters[at:])
+            seg = list(random_gword(rng, inst, source=tagged_end(inst, g.source, head), max_len=12).letters)
+            back = inverse_letters(seg)
+            images = []
+            for letters in (head + seg, head + seg + back + tail, head + seg + back + seg):
+                word = GWord(inst, g.source, tagged_end(inst, g.source, letters), letters)
+                images.append(rho(report, word))
+                assert images[-1] == naive_rho(report, word)
+            assert images[1] == rho(report, g) and images[2] == images[0]
+            cancelled += bool(seg)
+    assert cancelled >= 200
+
+
 def test_rho_rejects_words_from_other_instances():
     report = build_retract(circle_instance())
     other = theta_instance()
@@ -269,25 +377,64 @@ def test_include_f_then_rho_is_the_identity():
 
 
 def test_include_f_tags_letters_with_their_side():
+    """include_f codes letters over the tagged alphabet, A edges then B
+    edges; its word equals the one built from GLetters, down to hash and
+    str."""
     inst = circle_instance()
     report = build_retract(inst)
     w = rho(report, GWord(inst, "a", "b", [GLetter("A", "alpha", 1)]))
     back = include_f(report, w)
     assert back.letters == (GLetter("A", "alpha", 1),)
+    loop = include_f(report, witness(report, "a", "b"))
+    lettered = GWord(inst, "a", "a", [GLetter("A", "alpha", 1), GLetter("B", "beta", -1)])
+    assert loop._codes == lettered._codes == (1, -2)
+    assert loop == lettered and hash(loop) == hash(lettered)
+    assert str(loop) == str(lettered) == "A:alpha B:beta^-1"
+    assert loop.letters == lettered.letters
     with pytest.raises(HostMismatch):
         include_f(report, identity(inst.graph_a, "a"))
 
 
-def test_include_f_shares_one_gletter_per_w_letter():
+def test_include_f_shares_one_gletter_per_w_letter(monkeypatch):
+    """include_f builds no GLetter: its word holds tagged codes.  The first
+    read of ``letters`` makes one GLetter per distinct code, shared by every
+    position that has it, and a second read makes none."""
     inst = random_connected_instance(random.Random(67), max_objects=10, max_side_edges=16)
     report = build_retract(inst)
     fresh = build_retract(inst)
-    w = random_reduced_word(random.Random(68), report.w)
+    rng = random.Random(68)
+    w = random_reduced_word(rng, report.w)
+    while len(set(w._codes)) == len(w):  # a word that repeats a letter
+        w = random_reduced_word(rng, report.w)
+    built = counted_builds(monkeypatch, GLetter)
     first, again = include_f(report, w), include_f(report, w)
-    assert first == again
-    assert all(a is b for a, b in zip(first.letters, again.letters))
-    assert first == include_f(fresh, w)
+    assert built == []
+    letters = first.letters
+    assert len(built) == len(set(first._codes)) < len(letters)
+    assert {id(l) for l in letters} == {id(l) for l in built}
+    assert first.letters is letters and len(built) == len(set(first._codes))
+    assert letters == tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in w.letters)
+    monkeypatch.undo()
+    assert first == again == include_f(fresh, w)
     assert report == fresh and repr(report) == repr(fresh)
+
+
+def test_copied_gword_reads_back_assigned_letters():
+    """``letters`` is a plain slot: a copy of a coded GWord, whether or not
+    its letters were read, takes an assigned tuple and reads it back, and
+    the original keeps its own."""
+    inst = circle_instance()
+    report = build_retract(inst)
+    expected = (GLetter("A", "alpha", 1), GLetter("B", "beta", -1))
+    for read in (False, True):
+        back = include_f(report, witness(report, "a", "b"))
+        if read:
+            assert back.letters == expected
+        dup = copy.copy(back)
+        assert dup == back and dup.letters == expected
+        dup.letters = back.letters[:-1]
+        assert dup.letters == expected[:1]
+        assert back.letters == expected and len(back) == 2
 
 
 def test_rho_witness_and_include_f_on_tagged_w_edges():
@@ -308,36 +455,31 @@ def test_rho_witness_and_include_f_on_tagged_w_edges():
 
 
 def test_rho_and_witness_share_one_letter_per_w_letter(monkeypatch):
-    """rho, witness and include_f build no Letter: their words hold signed W
-    codes.  The first read of ``letters`` makes one Letter per distinct code,
-    shared by every position that has it, and a second read makes none."""
+    """rho, witness and include_f build no Letter and no GLetter: their
+    words hold signed codes.  The first read of ``letters`` makes one Letter
+    or GLetter per distinct code, shared by every position that has it, and
+    a second read makes none."""
     rng = random.Random(89)
     inst = with_c_loop_everywhere(tagged_instance(rng, max_objects=12, max_side_edges=24))
     report = build_retract(inst)
     fresh = build_retract(inst)
-    # build_retract alone builds no code table and no GLetter.
-    assert report._w_codes is None and not report._gletters
-    built = []
-    post_init = Letter.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(Letter, "__post_init__", counting)
+    # build_retract alone builds no code table.
+    assert report._tables is None
     g = long_run_gword(rng, inst, 200)
     pair = joined_pairs(inst)[0]
+    built = {cls: counted_builds(monkeypatch, cls) for cls in (Letter, GLetter)}
     image, loop = rho(report, g), witness(report, *pair)
     pulled = [include_f(report, w) for w in (image, loop)]
-    assert built == [] and len(image) > 0
-    for word, back in zip((image, loop), pulled):
-        before = len(built)
+    assert built == {Letter: [], GLetter: []} and len(image) > 0
+    for cls, word in ((Letter, image), (Letter, loop), (GLetter, pulled[0]), (GLetter, pulled[1])):
+        made = built[cls]
+        before = len(made)
         letters = word.letters
-        made = built[before:]
-        assert len(made) == len({(l.edge, l.sign) for l in letters})
-        assert {id(l) for l in letters} == {id(l) for l in made}
-        assert word.letters is letters and len(built) == before + len(made)
-        assert back.letters == tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in letters)
+        assert len(made) - before == len(set(word._codes))
+        assert {id(l) for l in letters} == {id(l) for l in made[before:]}
+        assert word.letters is letters and len(made) == before + len(set(word._codes))
+    for word, back in zip((image, loop), pulled):
+        assert back.letters == tuple(GLetter(*report.origin_of(l.edge), l.sign) for l in word.letters)
     monkeypatch.undo()
     assert image == rho(fresh, g) and loop == witness(fresh, *pair)
     assert report == fresh and repr(report) == repr(fresh)
@@ -473,8 +615,11 @@ def test_internal_invariants_survive_python_dash_o():
 
         # A word of signed codes makes its Letters on first read.
         retract.euler_ranks = real
-        loop = retract.witness(retract.build_retract(retract.PushoutInstance(["a", "b"], g, h)), "a", "b")
+        report = retract.build_retract(retract.PushoutInstance(["a", "b"], g, h))
+        loop = retract.witness(report, "a", "b")
         print(loop, len(loop), [(l.edge, l.sign) for l in loop.letters])
+        back = retract.include_f(report, loop)
+        print(back, len(back), [(l.side, l.edge, l.sign) for l in back.letters])
         """
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -483,7 +628,10 @@ def test_internal_invariants_survive_python_dash_o():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "InternalInvariant\n" * 2 + "alpha beta^-1 2 [('alpha', 1), ('beta', -1)]\n"
+    assert out.stdout == "InternalInvariant\n" * 2 + (
+        "alpha beta^-1 2 [('alpha', 1), ('beta', -1)]\n"
+        "A:alpha B:beta^-1 2 [('A', 'alpha', 1), ('B', 'beta', -1)]\n"
+    )
 
 
 def test_engine_has_no_assert_statements():
