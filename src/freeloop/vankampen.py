@@ -17,6 +17,10 @@ The Phragmen-Brouwer predicate feeds this pipeline: disjoint vertex sets D, E
 give the complements U = X - D, V = X - E, and the property fails when a and
 b share a component of U and one of V but lie apart in U intersect V.  That
 decomposition's certificate is then guaranteed to exist.
+
+The pipeline works in vertex indexes: complement masks go straight into the
+decomposition's checks, blocks are read off scan labels, and connectivity
+comes from the blocks of U, V and U intersect V, with no scan of the space.
 """
 
 from __future__ import annotations
@@ -24,10 +28,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import and_, neg, not_, or_
+from operator import and_, neg, or_
 from typing import Iterable, Sequence
 
-from ._kernels import reduce_signed
+from ._kernels import forest_scan, reduce_signed
 from .errors import (
     DeletedSetsAdjacent,
     Disconnected,
@@ -63,19 +67,39 @@ def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
     return mask
 
 
-def _induced(space: DirectedGraph, mask: bytearray) -> DirectedGraph:
-    """The full subgraph on the vertices ``mask`` marks: one byte per vertex
-    of ``space``, in ``space.vertices`` order, nonzero for members."""
-    src, tgt = space._src_idx, space._tgt_idx
-    keep = [mask[s] and mask[t] for s, t in zip(src, tgt)]
+def _bytewise(op, x: bytes, y: bytes) -> bytes:
+    """``op`` (``and_`` or ``or_``) of two 0/1 masks of one length, byte by
+    byte, run as one operation on big ints."""
+    return op(int.from_bytes(x, "big"), int.from_bytes(y, "big")).to_bytes(len(x), "big")
+
+
+def _ends_in(space: DirectedGraph, src_mask: bytes, tgt_mask: bytes) -> bytes:
+    """Per edge of ``space``, in index order, 1 when ``src_mask`` marks its
+    source and ``tgt_mask`` its target; a mask is a 0/1 byte per vertex."""
+    # A list's __getitem__ is a faster call than a bytes object's.
+    at_src = bytes(map(list(src_mask).__getitem__, space._src_idx))
+    return _bytewise(and_, at_src, bytes(map(list(tgt_mask).__getitem__, space._tgt_idx)))
+
+
+def _induced(space: DirectedGraph, mask: bytes, keep: bytes) -> tuple[DirectedGraph, list[int]]:
+    """The full subgraph on the vertices ``mask`` marks, and the space index
+    of each of its edges; ``keep`` is ``_ends_in(space, mask, mask)``."""
     # A member's index in the subgraph: the number of members before it.
-    renumber = list(accumulate(map(bool, mask), initial=0))
-    return DirectedGraph._trusted(
+    renumber = list(accumulate(mask, initial=0)).__getitem__
+    sub = DirectedGraph._trusted(
         tuple(compress(space.vertices, mask)),
         tuple(compress(space.edge_ids, keep)),
-        [renumber[s] for s in compress(src, keep)],
-        [renumber[t] for t in compress(tgt, keep)],
+        list(map(renumber, compress(space._src_idx, keep))),
+        list(map(renumber, compress(space._tgt_idx, keep))),
     )
+    return sub, list(compress(range(space.e_count), keep))
+
+
+def _label(g: DirectedGraph, v: str) -> int:
+    """The index in ``g`` of the smallest vertex of ``v``'s block, as the
+    scan ``components`` keeps it; ``UnknownVertex`` for a non-vertex."""
+    components(g)
+    return g._labels[g.vertex_index(v)]
 
 
 class Decomposition:
@@ -87,19 +111,28 @@ class Decomposition:
     """
 
     def __init__(self, space: DirectedGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
-        in_u, in_v = _vertex_mask(space, u_vertices), _vertex_mask(space, v_vertices)
-        uncovered = bytes(map(or_, in_u, in_v)).find(0)
+        self._build(space, _vertex_mask(space, u_vertices), _vertex_mask(space, v_vertices))
+
+    def _build(self, space: DirectedGraph, in_u: bytes, in_v: bytes) -> Decomposition:
+        """Every check and piece, from each side's 0/1 byte per vertex of
+        ``space``: ``__init__`` marks them from ids, ``_complement`` passes
+        the complements of a scenario's masks."""
+        uncovered = _bytewise(or_, in_u, in_v).find(0)
         if uncovered >= 0:
             raise NotACover(f"vertex {space.vertices[uncovered]!r} is in neither piece")
-        for e, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx):
-            if not ((in_u[s] and in_u[t]) or (in_v[s] and in_v[t])):
-                raise EdgeAcrossPieces(e)
+        keep_u, keep_v = _ends_in(space, in_u, in_u), _ends_in(space, in_v, in_v)
+        straddling = _bytewise(or_, keep_u, keep_v).find(0)
+        if straddling >= 0:
+            raise EdgeAcrossPieces(space.edge_ids[straddling])
         self.space = space
-        self.u_vertices = tuple(compress(space.vertices, in_u))
-        self.v_vertices = tuple(compress(space.vertices, in_v))
-        self.piece_u = _induced(space, in_u)
-        self.piece_v = _induced(space, in_v)
-        self.intersection = _induced(space, bytearray(map(and_, in_u, in_v)))
+        # Each piece's table of space edge indexes, by piece edge index.
+        self.piece_u, self._u_edges = _induced(space, in_u, keep_u)
+        self.piece_v, self._v_edges = _induced(space, in_v, keep_v)
+        self.intersection, self._i_edges = _induced(
+            space, _bytewise(and_, in_u, in_v), _bytewise(and_, keep_u, keep_v)
+        )
+        self.u_vertices, self.v_vertices = self.piece_u.vertices, self.piece_v.vertices
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
@@ -137,12 +170,12 @@ class PbpScenario:
         b: str,
     ):
         in_d, in_e = _vertex_mask(space, d_set), _vertex_mask(space, e_set)
-        overlap = list(compress(space.vertices, map(and_, in_d, in_e)))
+        overlap = list(compress(space.vertices, _bytewise(and_, in_d, in_e)))
         if overlap:
             raise SetsNotDisjoint(f"sets share vertices {overlap!r}")
-        for eid, s, t in zip(space.edge_ids, space._src_idx, space._tgt_idx):
-            if (in_d[s] and in_e[t]) or (in_e[s] and in_d[t]):
-                raise DeletedSetsAdjacent(eid)
+        adjacent = _bytewise(or_, _ends_in(space, in_d, in_e), _ends_in(space, in_e, in_d)).find(1)
+        if adjacent >= 0:
+            raise DeletedSetsAdjacent(space.edge_ids[adjacent])
         a, b = as_id(a), as_id(b)
         for point in (a, b):
             if not space.has_vertex(point):
@@ -155,6 +188,7 @@ class PbpScenario:
         self.space = space
         self.d_set = tuple(compress(space.vertices, in_d))
         self.e_set = tuple(compress(space.vertices, in_e))
+        self._in_d, self._in_e = in_d, in_e
         self.a = a
         self.b = b
 
@@ -165,18 +199,22 @@ class PbpScenario:
         )
 
 
+_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
+
+
 def _complement(sc: PbpScenario) -> tuple[Decomposition, bool]:
     """The decomposition U = X - D, V = X - E, and whether a and b share a
     component of each piece but lie apart in the intersection.  Every vertex
     is outside D or E, and no edge joins D to E, so the pieces cover X."""
-    space, a, b = sc.space, sc.a, sc.b
-    u = compress(space.vertices, map(not_, _vertex_mask(space, sc.d_set)))
-    v = compress(space.vertices, map(not_, _vertex_mask(space, sc.e_set)))
-    dec = Decomposition(space, u, v)
+    a, b = sc.a, sc.b
+    dec = Decomposition.__new__(Decomposition)._build(
+        sc.space, sc._in_d.translate(_COMPLEMENT), sc._in_e.translate(_COMPLEMENT)
+    )
+    u, v, inter = dec.piece_u, dec.piece_v, dec.intersection
     return dec, (
-        components(dec.piece_u).same_block(a, b)
-        and components(dec.piece_v).same_block(a, b)
-        and not components(dec.intersection).same_block(a, b)
+        _label(u, a) == _label(u, b)
+        and _label(v, a) == _label(v, b)
+        and _label(inter, a) != _label(inter, b)
     )
 
 
@@ -192,15 +230,17 @@ class _Expansions(Mapping):
     Word on ``space``, built from the forest on first lookup.
 
     ``records`` maps each generator, in canonical order, to (root, target,
-    edge).  With edge None the expansion is the tree path root -> target;
-    otherwise it is the loop at root through the non-forest edge: tree path
-    out to edge's source, edge, tree path back.  Each tree path is reduced
-    and the edge is on neither, so the chain is reduced as it stands.  The
-    forest's host is an induced subgraph of ``space``, with its ids and ends.
+    edge), with edge an index into the forest's host.  With edge None the
+    expansion is the tree path root -> target; otherwise it is the loop at
+    root through the non-forest edge: tree path out to edge's source, edge,
+    tree path back.  Each tree path is reduced and the edge is on neither,
+    so the chain is reduced as it stands.  The forest's host is an induced
+    subgraph of ``space``, and ``edges`` gives the space index of each of
+    its edges.
     """
 
-    def __init__(self, space: DirectedGraph, forest: Forest, records: dict[str, tuple]):
-        self._space, self._forest, self._records = space, forest, records
+    def __init__(self, space: DirectedGraph, forest: Forest, records: dict, edges: Sequence[int]):
+        self._space, self._forest, self._records, self._edges = space, forest, records, edges
         self._words: dict[str, Word] = {}
 
     def __getitem__(self, gen: str) -> Word:
@@ -218,16 +258,15 @@ class _Expansions(Mapping):
 
     def _codes(self, gen: str) -> list[int]:
         """The expansion of ``gen`` as signed space codes."""
-        root, target, edge = self._records[gen]
+        root, target, i = self._records[gen]
         piece, path = self._forest.host, self._forest._path_codes
         r = piece._vindex[root]
-        if edge is None:
+        if i is None:
             codes = path(r, piece._vindex[target])
         else:
-            i = piece._eindex[edge]
             codes = path(r, piece._src_idx[i]) + [i + 1] + path(piece._tgt_idx[i], r)
-        ids, eindex = piece.edge_ids, self._space._eindex
-        return [eindex[ids[c - 1]] + 1 if c > 0 else -1 - eindex[ids[-c - 1]] for c in codes]
+        edges = self._edges
+        return [edges[c - 1] + 1 if c > 0 else -1 - edges[-c - 1] for c in codes]
 
 
 def _generators(
@@ -236,11 +275,13 @@ def _generators(
     points: tuple[str, ...],
     tie_break: Sequence[str] | None,
     space: DirectedGraph,
+    edges: Sequence[int],
 ) -> tuple[DirectedGraph, _Expansions]:
     """The generating graph of ``piece`` over the basepoints ``points``
     (sorted, distinct, the smallest vertex of each intersection component),
     and the expansion of each generator as a Word on ``space``, of which
-    ``piece`` is an induced subgraph, built on first lookup.
+    ``piece`` is an induced subgraph with space edge indexes ``edges``,
+    built on first lookup.
 
     A piece component meets the intersection exactly when it holds one of
     ``points``; one that does not raises ``PieceMissesIntersection``.  Per
@@ -250,30 +291,29 @@ def _generators(
     back).  These generate every basepoint-to-basepoint path class, and the
     graph has exactly as many components as the piece.
     """
-    point_set = set(points)
     parts = components(piece)
-    # The root of each component, by block number.
-    roots: list[str] = []
-    for block in parts.blocks:
-        root = next((v for v in block if v in point_set), None)
-        if root is None:
-            raise PieceMissesIntersection(
-                f"component {block!r} of piece {name} misses the intersection"
-            )
-        roots.append(root)
+    # The root of each component, by label: its first basepoint.
+    roots: dict[int, str] = {}
+    for s in points:
+        roots.setdefault(_label(piece, s), s)
+    if len(roots) != len(parts):
+        # A block's label is the index of its first vertex.
+        block = next(b for b in parts.blocks if piece._vindex[b[0]] not in roots)
+        raise PieceMissesIntersection(
+            f"component {block!r} of piece {name} misses the intersection"
+        )
     forest = spanning_forest(piece, tie_break)
-    tree = forest.tree_edges
-    block_of = parts.block_of
+    labels, src = piece._labels, piece._src_idx
     # Loop generators in edge-id order, then tree-path generators in
     # basepoint order: every "g:" id sorts before every "t:" id, so the
     # generators are in canonical order.
-    records: dict[str, tuple[str, str, str | None]] = {}
-    for e, s in zip(piece.edge_ids, piece._src_idx):
-        if e not in tree:
-            root = roots[block_of(piece.vertices[s])]
-            records[f"g:{e}"] = (root, root, e)
+    records: dict[str, tuple[str, str, int | None]] = {}
+    for i, e in enumerate(piece.edge_ids):
+        if e not in forest.tree_edges:
+            root = roots[labels[src[i]]]
+            records[f"g:{e}"] = (root, root, i)
     for s in points:
-        root = roots[block_of(s)]
+        root = roots[_label(piece, s)]
         if s != root:
             records[f"t:{s}"] = (root, s, None)
     index = {v: i for i, v in enumerate(points)}
@@ -285,7 +325,7 @@ def _generators(
     )
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
-    return graph, _Expansions(space, forest, records)
+    return graph, _Expansions(space, forest, records, edges)
 
 
 def decomposition_to_instance(
@@ -304,24 +344,24 @@ def decomposition_to_instance(
     inter = dec.intersection
     if inter.v_count == 0:
         raise EmptyIntersection("the pieces share no vertex")
-    inter_parts = components(inter)
-    points = tuple(block[0] for block in inter_parts.blocks)
-    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break, dec.space)
-    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break, dec.space)
+    points = tuple(block[0] for block in components(inter).blocks)
+    space = dec.space
+    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break, space, dec._u_edges)
+    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break, space, dec._v_edges)
     forest_i = spanning_forest(inter, tie_break)
+    labels, src = inter._labels, inter._src_idx
     c_loops: dict[str, list[str]] = {}
-    c_records: dict[str, tuple[str, str, str]] = {}
-    for e, src in zip(inter.edge_ids, inter._src_idx):
-        if e in forest_i.tree_edges:
-            continue
-        s = points[inter_parts.block_of(inter.vertices[src])]
-        c_loops.setdefault(s, []).append(e)
-        c_records[e] = (s, s, e)
+    c_records: dict[str, tuple[str, str, int]] = {}
+    for i, e in enumerate(inter.edge_ids):
+        if e not in forest_i.tree_edges:
+            s = inter.vertices[labels[src[i]]]
+            c_loops.setdefault(s, []).append(e)
+            c_records[e] = (s, s, i)
     instance = PushoutInstance(points, graph_a, graph_b, c_loops)
     return instance, {
         "A": expansions_a,
         "B": expansions_b,
-        "C": _Expansions(dec.space, forest_i, c_records),
+        "C": _Expansions(space, forest_i, c_records, dec._i_edges),
     }
 
 
@@ -375,6 +415,23 @@ def _joined_pair(
     return next(((a, second[key]) for key, a in first.items() if key in second), None)
 
 
+def _space_connected(dec: Decomposition) -> bool:
+    """Every vertex lies in U or V and every edge in one piece, so the space
+    is connected exactly when this graph is: a node per block of U and of V,
+    and per intersection block an edge joining the U-block and the V-block
+    of its first vertex.  An empty space gives no node, and is not."""
+    reps = [block[0] for block in components(dec.intersection).blocks]
+    ends, nodes = [], 0
+    for piece in (dec.piece_u, dec.piece_v):
+        # Number the blocks by label, the index of a block's first vertex.
+        blocks = components(piece).blocks
+        number = {piece._vindex[b[0]]: nodes + i for i, b in enumerate(blocks)}
+        ends.append([number[_label(piece, x)] for x in reps])
+        nodes += len(blocks)
+    joined, _ = forest_scan(nodes, ends[0], ends[1], range(len(reps)))
+    return nodes > 0 and len(joined) == nodes - 1
+
+
 def detect_z_retract(
     dec: Decomposition,
     tie_break: Sequence[str] | None = None,
@@ -384,9 +441,11 @@ def detect_z_retract(
 
     Takes the first basepoint pair in canonical order (after ``prefer``, when
     given) that is joined inside both pieces; absent such a pair there is
-    nothing to certify and the result is None.
+    nothing to certify and the result is None.  A disconnected space raises
+    ``Disconnected`` first, read off the blocks of the pieces and their
+    intersection, with no scan of the space (``_space_connected``).
     """
-    if len(components(dec.space)) != 1:
+    if not _space_connected(dec):
         raise Disconnected("the space is not connected")
     instance, translations = decomposition_to_instance(dec, tie_break)
     report = build_retract(instance, tie_break)
@@ -424,9 +483,6 @@ def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
 
 def certificate_basepoints_for(dec: Decomposition, a: str, b: str) -> tuple[str, str]:
     """Basepoints of the intersection components containing a and b."""
-    parts = components(dec.intersection)
+    inter = dec.intersection
     a, b = as_id(a), as_id(b)
-    return (
-        parts.blocks[parts.block_of(a)][0],
-        parts.blocks[parts.block_of(b)][0],
-    )
+    return inter.vertices[_label(inter, a)], inter.vertices[_label(inter, b)]

@@ -228,9 +228,10 @@ def test_pushout_rank_decides_connectivity_once(tmp_path, monkeypatch, capsys, c
 def test_default_tie_break_scans_no_graph_twice(tmp_path, monkeypatch, capsys, circle_file):
     """``components`` caches the lex forest next to the partition, so under
     the default tie-break ``retract`` scans A, B and W, and ``pbp-check``
-    scans the space, U, V and their intersection once each, then its two
-    generator graphs and W.  The recorded calls keep every scanned
-    ``_src_idx`` alive, so distinct ids mean distinct graphs."""
+    scans U, V and their intersection once each, then its two generator
+    graphs and W.  It never scans the space: connectivity is read off the
+    pieces' blocks.  The recorded calls keep every scanned ``_src_idx``
+    alive, so distinct ids mean distinct graphs."""
     from freeloop import graphs
     from freeloop.jsonio import parse_scenario
     from freeloop.vankampen import pbp_to_decomposition
@@ -242,9 +243,10 @@ def test_default_tie_break_scans_no_graph_twice(tmp_path, monkeypatch, capsys, c
     calls.clear()
     path = write_json(tmp_path / "sc.json", C8_SCENARIO)
     assert _main(capsys, "pbp-check", path)[::2] == (0, "")
-    assert len(calls) == len({id(src) for _, src, _, _ in calls}) == 7
+    assert len(calls) == len({id(src) for _, src, _, _ in calls}) == 6
     scanned = [(n, src, tgt) for n, src, tgt, _ in calls]
-    for g in (dec.space, dec.piece_u, dec.piece_v, dec.intersection):
+    assert scanned.count((dec.space.v_count, dec.space._src_idx, dec.space._tgt_idx)) == 0
+    for g in (dec.piece_u, dec.piece_v, dec.intersection):
         assert scanned.count((g.v_count, g._src_idx, g._tgt_idx)) == 1
 
 
@@ -480,6 +482,34 @@ def test_domain_error_exits_two_with_code(circle_file, tmp_path):
     out = run_cli("pushout-rank", str(path))
     assert out.returncode == 2
     assert out.stderr.startswith("Disconnected")
+
+
+@pytest.mark.parametrize(
+    "space, u, v",
+    [
+        ((["a", "b", "c"], [("x", "a", "b")]), ["a", "b", "c"], ["a", "b", "c"]),
+        # No shared vertex, and a piece component missing the intersection:
+        # connectivity is still the first check.
+        ((["a", "b", "c"], [("x", "a", "b")]), ["a", "b"], ["c"]),
+        (
+            (["a", "b", "c", "d"], [("x", "a", "b"), ("y", "c", "d")]),
+            ["a", "b", "c"],
+            ["c", "d", "a"],
+        ),
+        (([], []), [], []),
+    ],
+    ids=["isolated-vertex", "empty-intersection", "two-arcs", "empty-space"],
+)
+def test_certify_on_a_disconnected_space_exits_two(tmp_path, capsys, space, u, v):
+    vertices, edges = space
+    space = {"vertices": vertices, "edges": _edges(edges)}
+    path = write_json(tmp_path / "dec.json", {"space": space, "u": u, "v": v})
+    for output in ("text", "json"):
+        assert _main(capsys, "certify", path, "--output", output) == (
+            2,
+            "",
+            "Disconnected: the space is not connected\n",
+        )
 
 
 def test_empty_object_set_exits_two_without_traceback(tmp_path):

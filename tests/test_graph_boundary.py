@@ -106,7 +106,7 @@ def test_generator_graph_is_canonical(data):
     piece = draw_graph(data)
     points = set(data.draw(st.lists(st.sampled_from(piece.vertices), min_size=1)))
     points |= {block[0] for block in components(piece).blocks if not points & set(block)}
-    graph, _ = _generators(piece, "U", tuple(sorted(points)), None, piece)
+    graph, _ = _generators(piece, "U", tuple(sorted(points)), None, piece, range(piece.e_count))
     assert_same_graph(graph, DirectedGraph(graph.vertices, dict(graph.edge_ends)))
 
 

@@ -609,7 +609,7 @@ def test_internal_invariants_survive_python_dash_o():
             else VertexPartition(tuple((v,) for v in graph.vertices))
         )
         try:
-            vankampen._generators(g, "U", ("a", "b"), None, g)
+            vankampen._generators(g, "U", ("a", "b"), None, g, range(g.e_count))
         except InternalInvariant as exc:
             print(exc.code)
 

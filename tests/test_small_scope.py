@@ -19,6 +19,7 @@ from freeloop.graphs import DirectedGraph
 from freeloop.vankampen import (
     Decomposition,
     PbpScenario,
+    _space_connected,
     certificate_basepoints_for,
     detect_z_retract,
     pbi_fails,
@@ -130,6 +131,31 @@ def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_
             assert cert.loop_in_space.host == space
             assert cert.report.k == brute_rank(cert.report.instance)[2]
     assert tally == {"covers": 1981, "certificates": 54, "errors": 62}
+
+
+def _graphs(n: int):
+    """Every simple graph on n vertices, connected or not, edges directed
+    from the smaller vertex."""
+    pairs = list(combinations(range(n), 2))
+    for chosen in product((False, True), repeat=len(pairs)):
+        yield _space(n, [p for p, keep in zip(pairs, chosen) if keep])
+
+
+def test_piece_blocks_decide_connectivity_on_every_small_cover():
+    """``_space_connected`` reads connectivity off the blocks of U, V and
+    their intersection.  It agrees with the BFS oracle on every cover of
+    every connected space of the sweep, and on every cover of every graph,
+    connected or not, on 0-4 vertices."""
+    tally = {True: 0, False: 0}
+    spaces = [*connected_graphs(), *(g for n in range(MAX_VERTICES) for g in _graphs(n))]
+    for space in spaces:
+        connected = len(brute_components(space)) == 1
+        for u, v in _covers(space):
+            if reference_decomposition_error(space, u, v) is not None:
+                continue
+            assert _space_connected(Decomposition(space, u, v)) == connected, (space, u, v)
+            tally[connected] += 1
+    assert tally == {True: 3499, False: 1498}
 
 
 def _scenarios(space: DirectedGraph):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeloop.errors import (
+    BadId,
     DeletedSetsAdjacent,
     Disconnected,
     EdgeAcrossPieces,
@@ -34,6 +35,7 @@ from freeloop.vankampen import (
     decomposition_to_instance,
     detect_z_retract,
     _generators,
+    _space_connected,
     pbi_fails,
     pbp_to_decomposition,
 )
@@ -93,6 +95,42 @@ def test_scenario_validation():
         PbpScenario(g, ["zz"], ["v4"], "v2", "v6")
 
 
+def test_deleted_sets_adjacent_names_the_first_joining_edge():
+    """An edge joins D to E whichever way it points; the first such edge in
+    index order is the one named."""
+    g = c8_space()
+    for d, e, first in (
+        (["v0", "v2"], ["v1"], "c0"),  # c0: D -> E, c1: E -> D
+        (["v2"], ["v1", "v3"], "c1"),  # c1: E -> D, c2: D -> E
+        (["v7"], ["v0", "v4"], "c7"),  # c7: D -> E only
+        (["v4"], ["v3"], "c3"),  # c3: E -> D only
+    ):
+        with pytest.raises(DeletedSetsAdjacent) as raised:
+            PbpScenario(g, d, e, "v5", "v6")
+        assert raised.value.edge == first
+    rng = random.Random(97)
+    from support import random_graph
+
+    for _ in range(300):
+        space = random_graph(rng)
+        vs = list(space.vertices)
+        rng.shuffle(vs)
+        d = vs[: rng.randint(0, 3)]
+        e = vs[len(d) : len(d) + rng.randint(0, 3)]
+        joining = [
+            x
+            for x in space.edge_ids
+            if set(space.edge_ends[x]) & set(d) and set(space.edge_ends[x]) & set(e)
+        ]
+        rest = vs[len(d) + len(e) :]
+        a, b = (rest + ["zz", "yy"])[:2]
+        if not joining:
+            continue
+        with pytest.raises(DeletedSetsAdjacent) as raised:
+            PbpScenario(space, d, e, a, b)
+        assert raised.value.edge == joining[0]
+
+
 def test_deleted_sets_adjacent_suggests_subdividing():
     with pytest.raises(DeletedSetsAdjacent, match="subdivide"):
         PbpScenario(c8_space(), ["v0"], ["v1"], "v3", "v6")
@@ -126,6 +164,23 @@ def test_decomposition_validation():
         Decomposition(g, ["v0", "v1"], ["v2", "v3"])
     with pytest.raises(EdgeAcrossPieces):
         Decomposition(g, ["v0", "v1", "v2", "v3"], ["v4", "v5", "v6", "v7"])
+    # Each input below breaks every later rule too, so the error raised shows
+    # the order: bad id, unknown id (U's, then V's), uncovered vertex, then
+    # straddling edge, each naming its first offender.
+    with pytest.raises(BadId):
+        Decomposition(g, ["zz", 1.5], ["yy"])
+    cases = [
+        ((["v1", "zz", "v0", "yy"], ["aa"]), UnknownVertex, "yy"),
+        ((["v0"], ["v1", "zz", "aa"]), UnknownVertex, "aa"),
+        ((["v3", "v1", "v2"], ["v6", "v7"]), NotACover, "v0"),
+        ((["v0", "v1", "v2", "v3"], ["v4", "v5", "v6", "v7"]), EdgeAcrossPieces, "c3"),
+        ((["v5", "v6", "v7", "v0"], ["v0", "v1", "v2", "v3", "v4"]), EdgeAcrossPieces, "c4"),
+    ]
+    for (u, v), error, ident in cases:
+        with pytest.raises(error) as raised:
+            Decomposition(g, u, v)
+        assert type(raised.value) is error
+        assert _offending_id(raised.value) == ident
 
 
 def test_decomposition_pieces_are_induced():
@@ -190,7 +245,7 @@ def test_groupoid_generators_preserves_component_count():
         )
         points = sorted({block[0] for block in components(g).blocks}
                         | {rng.choice(vs) for _ in range(rng.randint(0, 3))})
-        graph, _ = _generators(g, "U", tuple(points), None, g)
+        graph, _ = _generators(g, "U", tuple(points), None, g, range(g.e_count))
         assert len(components(graph)) == len(components(g))
 
 
@@ -278,6 +333,36 @@ def test_detect_z_retract_requires_connected_space():
     dec = Decomposition(space, ["a", "b", "c"], ["a", "b", "c"])
     with pytest.raises(Disconnected):
         detect_z_retract(dec)
+
+
+def test_piece_blocks_decide_connectivity_on_random_decompositions():
+    """The space is connected exactly when the blocks of U and V, joined
+    through the intersection blocks, form one component; the random spaces
+    are often disconnected, and the pieces often are too."""
+    from support import random_graph
+
+    rng = random.Random(101)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        space = random_graph(rng, max_v=9, max_e=8)
+        u, v = set(), set()
+        for x in space.edge_ids:
+            side = u if rng.random() < 0.5 else v
+            side.update(space.edge_ends[x])
+        for x in space.vertices:
+            roll = rng.random()
+            if roll < 0.2 or (roll < 0.6 and x not in v):
+                u.add(x)
+            if roll >= 0.8 or x not in u:
+                v.add(x)
+        dec = Decomposition(space, u, v)
+        connected = len(components(dec.space)) == 1
+        assert _space_connected(dec) == connected, (space, u, v)
+        seen[connected] += 1
+        if not connected:
+            with pytest.raises(Disconnected, match="^the space is not connected$"):
+                detect_z_retract(dec)
+    assert min(seen.values()) >= 100
 
 
 def test_detect_z_retract_on_theta_space():
