@@ -39,6 +39,14 @@ def as_id(value) -> str:
     raise BadId(f"id must be a string or integer label, got {type(value).__name__}")
 
 
+def as_ids(values: Iterable) -> list[str]:
+    """:func:`as_id` of each of ``values``, a collection of labels; a bare
+    ``str`` is refused rather than read as its characters."""
+    if isinstance(values, str):
+        raise BadId(f"expected a collection of ids, got the string {values!r}")
+    return [as_id(v) for v in values]
+
+
 class DirectedGraph:
     """Immutable finite directed multigraph.
 
@@ -62,7 +70,7 @@ class DirectedGraph:
         else:
             items = ((as_id(e), as_id(s), as_id(t)) for e, s, t in edges)
         # ``items`` is lazy, so a duplicate vertex is reported before a bad edge id.
-        self._check([as_id(v) for v in vertices], items)
+        self._check(as_ids(vertices), items)
 
     @classmethod
     def _checked(cls, vertices: list[str], edges: Iterable[tuple[str, str, str]]) -> DirectedGraph:
@@ -130,6 +138,14 @@ class DirectedGraph:
     def _eindex(self) -> dict[str, int]:
         """Edge id to index, built on first use."""
         return dict(zip(self.edge_ids, range(len(self.edge_ids))))
+
+    @cached_property
+    def _code_ends(self) -> list[int]:
+        """The index of the vertex each signed edge code ``c`` ends at, at
+        list index ``c`` of ``[-1, *heads, *reversed(tails)]``: a code ends
+        where its edge's head is, or its tail for a negative code, and
+        starts where its inverse ends.  Built on first use."""
+        return [-1, *self._tgt_idx, *reversed(self._src_idx)]
 
     @cached_property
     def edge_ends(self) -> Mapping[str, tuple[str, str]]:
@@ -291,12 +307,6 @@ class Forest:
                     queue.append(w)
         return parent, up, depth, root
 
-    def path_steps(self, u: str, v: str) -> list[tuple[str, int]]:
-        """Signed edges of the unique tree path from ``u`` to ``v``."""
-        codes = self._path_codes(self.host.vertex_index(u), self.host.vertex_index(v))
-        ids = self.host.edge_ids
-        return [(ids[c - 1], 1) if c > 0 else (ids[-c - 1], -1) for c in codes]
-
     def _path_codes(self, i: int, j: int) -> list[int]:
         """Signed edge codes of the tree path between vertex indexes i and j."""
         parent, up, depth, root = self._nav
@@ -337,8 +347,7 @@ def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str]) -> list[int]:
     """
     head = []
     seen = set()
-    for e in tie_break:
-        e = as_id(e)
+    for e in as_ids(tie_break):
         if e in seen or not g.has_edge(e):
             continue
         seen.add(e)
@@ -377,7 +386,7 @@ def graph_pushout_with_origins(
     such as ``x`` and ``A:x`` cannot meet, since the chain from ``x`` stops
     at ``A:x``, which is not one-sided.
     """
-    shared = sorted({as_id(v) for v in shared_vertices})
+    shared = sorted(set(as_ids(shared_vertices)))
     sides = []
     for which, side, z in (("first", "A", x), ("second", "B", y)):
         if isinstance(z, Forest):

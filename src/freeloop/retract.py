@@ -14,11 +14,11 @@ Equality in G itself is never decided: nontriviality is always certified on
 the retract side, where free reduction solves the word problem, and carried
 back along the retraction.  Words on both sides are signed int codes: a
 ``GWord`` codes its letters over one tagged alphabet (A edges, then B edges,
-then C loops), a ``Word`` over W's edges.  :func:`rho` reads a tagged word
-as runs of one side and cancels whole runs on their endpoints, so only the
-tree paths that survive are walked; :func:`include_f` maps W codes back to
-tagged codes by one table.  Neither makes a ``Letter`` or ``GLetter`` until
-one is read.
+then C loops), a ``Word`` over W's edges; the two share one shell and one
+chain check, in ``words``.  :func:`rho` reads a tagged word as runs of one
+side and cancels whole runs on their endpoints, so only the tree paths that
+survive are walked; :func:`include_f` maps W codes back to tagged codes by
+one table.  Neither makes a ``Letter`` or ``GLetter`` until one is read.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .errors import (
     InternalInvariant,
     NoArrowInA,
     NoArrowInB,
-    NotComposable,
     NotDistinct,
     UnknownLetter,
     UnknownSide,
@@ -48,12 +47,13 @@ from .graphs import (
     DirectedGraph,
     Forest,
     as_id,
+    as_ids,
     components,
     euler_ranks,
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Word
+from .words import Word, _chain_codes, _CodedWord
 
 SIDES = ("A", "B", "C")
 
@@ -74,7 +74,7 @@ class PushoutInstance:
         graph_b: DirectedGraph,
         c_loops: Mapping[str, Iterable[str]] | None = None,
     ):
-        objs = sorted({as_id(v) for v in objects})
+        objs = sorted(set(as_ids(objects)))
         if not objs:
             raise EmptyObjectSet("instance needs at least one object")
         if list(graph_a.vertices) != objs:
@@ -85,7 +85,7 @@ class PushoutInstance:
         owner: dict[str, str] = {}
         previous = None
         for v in sorted((c_loops or {}), key=as_id):
-            ids = sorted(as_id(x) for x in (c_loops or {})[v])
+            ids = sorted(as_ids((c_loops or {})[v]))
             v = as_id(v)
             # Sorted by id, so keys that coerce to one id (1, "1") are adjacent.
             if v == previous:
@@ -106,12 +106,13 @@ class PushoutInstance:
         self._c_owner = owner
 
     @cached_property
-    def _alphabet(self) -> tuple[tuple[str, ...], list, list[int], dict[str, int]]:
+    def _alphabet(self) -> tuple[tuple[str, ...], list, list[int], dict[str, tuple[dict[str, int], int]]]:
         """The tagged alphabet, built on first use: A edges, then B edges,
         then C loops, the letter of sign s on the i-th of them coded
         ``s * (i + 1)``.  Returns the ids in that order; per signed code, at
         list index ``c`` of the ``RetractReport._code_table`` layout, its
-        side and the index of the vertex it ends at; and each C loop's code."""
+        side and the index of the vertex it ends at; and per side, its ids'
+        index among themselves and the code of its first id."""
         ga, gb = self.graph_a, self.graph_b
         owners = list(map(ga._vindex.__getitem__, self._c_owner.values()))
         sides = ["A"] * ga.e_count + ["B"] * gb.e_count + ["C"] * len(owners)
@@ -121,7 +122,11 @@ class PushoutInstance:
             ga.edge_ids + gb.edge_ids + tuple(self._c_owner),
             [None, *sides, *reversed(sides)],
             [-1, *heads, *reversed(tails)],
-            dict(zip(self._c_owner, range(len(sides) - len(owners) + 1, len(sides) + 1))),
+            {
+                "A": (ga._eindex, 1),
+                "B": (gb._eindex, ga.e_count + 1),
+                "C": (dict(zip(self._c_owner, range(len(owners)))), ga.e_count + gb.e_count + 1),
+            },
         )
 
     def side_graph(self, side: str) -> DirectedGraph:
@@ -173,99 +178,34 @@ class GLetter:
         return body if self.sign == 1 else f"{body}^-1"
 
 
-class GWord:
+class GWord(_CodedWord):
     """A composable (not necessarily reduced) word of tagged generators of G.
 
     Equality of GWords is syntactic; equality in the pushout groupoid G is
-    deliberately left undecided.  A GWord stores its letters as signed codes
-    over the instance's tagged alphabet (A edges, then B edges, then C
-    loops), and length, equality and hashing read those.  ``letters`` is
-    made from the codes on first read, one ``GLetter`` per distinct code,
-    unless the word was built from ``GLetter``s, which it then keeps.
+    deliberately left undecided.  A GWord codes its letters over the
+    instance's tagged alphabet (A edges, then B edges, then C loops).
     """
 
-    __slots__ = ("instance", "source", "target", "_codes", "letters")
+    __slots__ = ()
+    instance = _CodedWord._owner  # the shell's owner slot, under its name here
 
     def __init__(self, instance: PushoutInstance, source: str, target: str, letters: Sequence[GLetter] = ()):
-        vindex = instance.graph_a._vindex
-        if source not in vindex:
-            raise UnknownVertex(source)
-        if target not in vindex:
-            raise UnknownVertex(target)
         letters = tuple(letters)
-        a_index, b_index = instance.graph_a._eindex, instance.graph_b._eindex
-        b_base = instance.graph_a.e_count + 1
-        _, _, ends, c_codes = instance._alphabet
-        vertices = instance.objects
-        codes = []
-        cur = vindex[source]
-        for i, letter in enumerate(letters):
-            side, edge = letter.side, letter.edge
-            try:
-                if side == "A":
-                    code = a_index[edge] + 1
-                elif side == "B":
-                    code = b_index[edge] + b_base
-                elif side == "C":
-                    code = c_codes[edge]
-                else:
-                    instance.side_graph(side)  # raises UnknownSide
-            except KeyError:
-                raise UnknownLetter(edge, side=side) from None
-            if letter.sign != 1:
-                code = -code
-            # A code starts where its inverse ends.
-            if ends[-code] != cur:
-                raise NotComposable(
-                    i, f"letter starts at {vertices[ends[-code]]!r}, chain is at {vertices[cur]!r}"
-                )
-            cur = ends[code]
-            codes.append(code)
-        if vertices[cur] != target:
-            raise NotComposable(len(letters), f"target {target!r} does not match chain end {vertices[cur]!r}")
-        self.instance, self.source, self.target, self.letters = instance, source, target, letters
+        _, _, ends, by_side = instance._alphabet
+
+        def code_of(letter: GLetter) -> int:
+            if letter.side not in SIDES:
+                instance.side_graph(letter.side)  # raises UnknownSide
+            index, base = by_side[letter.side]
+            return letter.sign * (index[letter.edge] + base)
+
+        codes, _ = _chain_codes(instance.graph_a, ends, code_of, source, letters, target)
+        self._owner, self.source, self.target, self.letters = instance, source, target, letters
         self._codes = tuple(codes)
 
-    @classmethod
-    def _trusted(cls, instance: PushoutInstance, source: str, target: str, codes: Iterable[int]) -> GWord:
-        """The word of tagged ``codes`` that freeloop derived itself, a chain
-        from ``source`` to ``target`` on ``instance``, unchecked."""
-        self = cls.__new__(cls)
-        self.instance, self.source, self.target, self._codes = instance, source, target, tuple(codes)
-        return self
-
-    def __getattr__(self, name: str):
-        # Called only when normal lookup fails, so ``letters`` is made from
-        # the codes on its first read, one GLetter per distinct code.
-        if name != "letters":
-            raise AttributeError(name)
-        codes = self._codes
-        ids, sides, _, _ = self.instance._alphabet
-        letter_of = {c: GLetter(sides[c], ids[abs(c) - 1], 1 if c > 0 else -1) for c in set(codes)}
-        self.letters = letters = tuple(map(letter_of.__getitem__, codes))
-        return letters
-
-    def __len__(self) -> int:
-        return len(self._codes)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GWord):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self._codes == other._codes
-            and self.instance == other.instance
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.source, self.target, self._codes))
-
-    def __str__(self) -> str:
-        return " ".join(map(str, self.letters)) if self._codes else "1"
-
-    def __repr__(self) -> str:
-        return f"GWord({self.source!r} -> {self.target!r}: {self})"
+    def _letter(self, code: int) -> GLetter:
+        ids, sides, _, _ = self._owner._alphabet
+        return GLetter(sides[code], ids[abs(code) - 1], 1 if code > 0 else -1)
 
 
 @dataclass(eq=True)
@@ -283,11 +223,8 @@ class RetractReport:
     k: int | None
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
-    _tables: dict[str, list[int]] | None = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # Filled on first use by ``_code_table``.
-        self._tables = None
+    # Filled on first use by ``_code_table``.
+    _tables: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def origin_of(self, w_edge: str) -> tuple[str, str]:
         try:

@@ -46,7 +46,7 @@ from .errors import (
     SetsNotDisjoint,
     UnknownVertex,
 )
-from .graphs import DirectedGraph, Forest, as_id, components, spanning_forest
+from .graphs import DirectedGraph, Forest, as_id, as_ids, components, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
 from .words import Word
 
@@ -56,7 +56,7 @@ def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
     members of ``vs``.  A bad id raises ``BadId`` at the first offender in
     ``vs``; then the smallest id that is not a vertex raises
     ``UnknownVertex``."""
-    ids = set(map(as_id, vs))
+    ids = set(as_ids(vs))
     index = g._vindex
     unknown = ids.difference(index)
     if unknown:

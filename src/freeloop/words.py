@@ -13,18 +13,19 @@ nontrivial loop, so a certificate needs no other coordinates.
 
 A word stores its letters as signed edge codes, ``sign * (index + 1)`` over
 ``host.edge_ids``; reduction, composition and inversion work on those.  The
-``Letter`` objects of ``letters`` are made on first read, one per distinct
-code, unless the word was built from ``Letter``s, which it then keeps.
-Letters are checked where they come from outside (``Word``, :func:`reduce`);
-derived words are built from codes by ``Word._trusted`` without a re-check.
+shell ``_CodedWord`` holds the codes, the lazy ``letters`` and the
+comparisons for both ``Word`` and the pushout's tagged ``retract.GWord``,
+and ``_chain_codes`` is the one check of a letter chain for ``Word``,
+:func:`reduce` and ``GWord``: letters from outside are coded as they are
+walked.  Derived words are built from codes by ``_trusted`` without a
+re-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from operator import neg
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from ._kernels import reduce_signed
 from .errors import (
@@ -53,55 +54,33 @@ class Letter:
         return self.edge if self.sign == 1 else f"{self.edge}^-1"
 
 
-def letter_ends(g: DirectedGraph, letter: Letter) -> tuple[str, str]:
-    """Signed (source, target) of a letter on ``g``."""
-    try:
-        s, t = g.edge_ends[letter.edge]
-    except KeyError:
-        raise UnknownLetter(letter.edge) from None
-    return (s, t) if letter.sign == 1 else (t, s)
-
-
-class Word:
-    """A reduced composable word: an arrow of the free groupoid on its host.
-
-    Words carry explicit source and target even when empty; the empty word at
-    ``a`` is the identity arrow at ``a`` and differs from the one at ``b``.
-    Construct words through :func:`reduce`, :func:`identity`, or the word
-    operations; the constructor rejects unreduced input.  Length, equality
-    and hashing read the signed edge codes, not ``letters``.
+class _CodedWord:
+    """The shell that :class:`Word` and ``retract.GWord`` share: a chain of
+    signed letter codes from ``source`` to ``target`` over the alphabet of
+    ``_owner``, which a ``Word`` reads as ``host`` and a ``GWord`` as
+    ``instance``.  Length, equality and hashing read the codes, and words of
+    the two classes never compare equal.  ``letters`` is made from the codes
+    on first read, one letter per distinct code by the subclass's
+    ``_letter``, unless the word was built from letters, which it then keeps.
     """
 
-    __slots__ = ("host", "source", "target", "_codes", "letters")
-
-    def __init__(self, host: DirectedGraph, source: str, target: str, letters: Sequence[Letter] = ()):
-        if not host.has_vertex(source):
-            raise UnknownVertex(source)
-        if not host.has_vertex(target):
-            raise UnknownVertex(target)
-        letters = tuple(letters)
-        end = _chain_end(partial(letter_ends, host), source, letters, reduced=True)
-        if end != target:
-            raise NotComposable(len(letters), f"target {target!r} does not match chain end {end!r}")
-        eindex = host._eindex
-        self.host, self.source, self.target, self.letters = host, source, target, letters
-        self._codes = tuple([l.sign * (eindex[l.edge] + 1) for l in letters])
+    __slots__ = ("_owner", "source", "target", "_codes", "letters")
 
     @classmethod
-    def _trusted(cls, host: DirectedGraph, source: str, target: str, codes: Sequence[int]) -> Word:
-        """The word of reduced signed edge ``codes`` that freeloop derived
-        itself, a chain from ``source`` to ``target`` on ``host``, unchecked."""
+    def _trusted(cls, owner, source: str, target: str, codes: Iterable[int]):
+        """The word of ``codes`` that freeloop derived itself, a chain from
+        ``source`` to ``target`` over ``owner``'s alphabet, unchecked."""
         self = cls.__new__(cls)
-        self.host, self.source, self.target, self._codes = host, source, target, tuple(codes)
+        self._owner, self.source, self.target, self._codes = owner, source, target, tuple(codes)
         return self
 
     def __getattr__(self, name: str):
         # Called only when normal lookup fails, so ``letters`` is made from
-        # the codes on its first read, one Letter per distinct code.
+        # the codes on its first read, one letter per distinct code.
         if name != "letters":
             raise AttributeError(name)
-        codes, ids = self._codes, self.host.edge_ids
-        letter_of = {c: Letter(ids[c - 1], 1) if c > 0 else Letter(ids[-c - 1], -1) for c in set(codes)}
+        codes = self._codes
+        letter_of = {c: self._letter(c) for c in set(codes)}
         self.letters = letters = tuple(map(letter_of.__getitem__, codes))
         return letters
 
@@ -109,13 +88,13 @@ class Word:
         return len(self._codes)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Word):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (
             self.source == other.source
             and self.target == other.target
             and self._codes == other._codes
-            and self.host == other.host
+            and self._owner == other._owner
         )
 
     def __hash__(self) -> int:
@@ -125,22 +104,69 @@ class Word:
         return " ".join(map(str, self.letters)) if self._codes else "1"
 
     def __repr__(self) -> str:
-        return f"Word({self.source!r} -> {self.target!r}: {self})"
+        return f"{type(self).__name__}({self.source!r} -> {self.target!r}: {self})"
 
 
-def _chain_end(ends: Callable, source: str, letters: Sequence, reduced: bool = False) -> str:
-    """Where the chain ``letters`` from ``source`` ends, ``ends`` giving each
-    letter's signed (source, target); raises at the first letter that does not
-    compose or, if ``reduced``, cancels the one before it."""
-    cur = source
+def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) -> tuple[list[int], str]:
+    """The signed codes of ``letters``, a chain from ``source`` over the
+    vertices of ``g``, and the vertex where it ends.
+
+    ``code_of`` codes one letter, raising ``KeyError`` for a letter that
+    names no generator, and ``ends[c]`` is the index of the vertex code
+    ``c`` ends at, in the ``DirectedGraph._code_ends`` layout; a code starts
+    where its inverse ends.  Raises ``UnknownVertex`` for ``source``, then
+    ``target``; then, letter by letter, at the first letter that is unknown,
+    does not compose or, if ``reduced``, cancels the one before it; then if
+    the chain does not end at ``target`` (unless that is None).
+    """
+    vindex, vertices = g._vindex, g.vertices
+    for v in (source,) if target is None else (source, target):
+        if v not in vindex:
+            raise UnknownVertex(v)
+    cur, prev, codes = vindex[source], 0, []
     for i, letter in enumerate(letters):
-        s, t = ends(letter)
-        if s != cur:
-            raise NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}")
-        if reduced and i and letters[i - 1].edge == letter.edge and letters[i - 1].sign == -letter.sign:
+        try:
+            code = code_of(letter)
+        except KeyError:
+            raise UnknownLetter(letter.edge, side=getattr(letter, "side", None)) from None
+        if ends[-code] != cur:
+            raise NotComposable(i, f"letter starts at {vertices[ends[-code]]!r}, chain is at {vertices[cur]!r}")
+        if reduced and code == -prev:
             raise NotReduced(f"word is not reduced at position {i}")
-        cur = t
-    return cur
+        codes.append(code)
+        prev, cur = code, ends[code]
+    end = vertices[cur]
+    if target is not None and end != target:
+        raise NotComposable(len(codes), f"target {target!r} does not match chain end {end!r}")
+    return codes, end
+
+
+def _edge_coder(g: DirectedGraph) -> Callable[[Letter], int]:
+    """The ``code_of`` of letters on ``g``, for :func:`_chain_codes`."""
+    eindex = g._eindex
+    return lambda letter: letter.sign * (eindex[letter.edge] + 1)
+
+
+class Word(_CodedWord):
+    """A reduced composable word: an arrow of the free groupoid on its host.
+
+    Words carry explicit source and target even when empty; the empty word at
+    ``a`` is the identity arrow at ``a`` and differs from the one at ``b``.
+    Construct words through :func:`reduce`, :func:`identity`, or the word
+    operations; the constructor rejects unreduced input.
+    """
+
+    __slots__ = ()
+    host = _CodedWord._owner  # the shell's owner slot, under its name here
+
+    def __init__(self, host: DirectedGraph, source: str, target: str, letters: Sequence[Letter] = ()):
+        letters = tuple(letters)
+        codes, _ = _chain_codes(host, host._code_ends, _edge_coder(host), source, letters, target, reduced=True)
+        self._owner, self.source, self.target, self.letters = host, source, target, letters
+        self._codes = tuple(codes)
+
+    def _letter(self, code: int) -> Letter:
+        return Letter(self._owner.edge_ids[abs(code) - 1], 1 if code > 0 else -1)
 
 
 def identity(g: DirectedGraph, v: str) -> Word:
@@ -156,11 +182,7 @@ def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word
     edge codes (free reduction is confluent, so the strategy does not affect
     the result).
     """
-    if not g.has_vertex(source):
-        raise UnknownVertex(source)
-    target = _chain_end(partial(letter_ends, g), source, raw_letters)
-    eindex = g._eindex
-    codes = [l.sign * (eindex[l.edge] + 1) for l in raw_letters]
+    codes, target = _chain_codes(g, g._code_ends, _edge_coder(g), source, raw_letters)
     return Word._trusted(g, source, target, reduce_signed(codes))
 
 

@@ -8,13 +8,17 @@ counting, and free reduction by repeated single-pair deletion.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from freeloop.errors import (
     EdgeAcrossPieces,
     EmptyIntersection,
     NotACover,
+    NotComposable,
+    NotReduced,
     PieceMissesIntersection,
     SchemaError,
+    UnknownLetter,
     UnknownVertex,
 )
 from freeloop.graphs import DirectedGraph, components
@@ -91,6 +95,62 @@ def is_nonempty_reduced_loop(w: Word) -> bool:
     code = {e: i + 1 for i, e in enumerate(w.host.edge_ids)}
     codes = [l.sign * code[l.edge] for l in w.letters]
     return w.source == w.target and bool(codes) and naive_reduce(codes) == codes
+
+
+def reference_word_error(host, source, target, letters, reduced=False):
+    """The error that building a word of ``letters`` from ``source`` to
+    ``target`` on ``host`` must raise, as ``(class, position, str)``, or None.
+
+    ``host`` is a graph (``Letter``s) or a pushout instance (``GLetter``s);
+    ``target`` None checks no target, as :func:`~freeloop.words.reduce`
+    does, and ``reduced`` refuses a letter that cancels the one before it.
+    The walk goes letter by letter on vertex and edge ids, coding nothing:
+    unknown endpoints first, then per letter whether it is known, starts
+    where the chain is and, if ``reduced``, does not cancel; then the end.
+    """
+    if isinstance(host, PushoutInstance):
+        vertices = host.objects
+        ends = {
+            "A": host.graph_a.edge_ends,
+            "B": host.graph_b.edge_ends,
+            "C": {x: (v, v) for v, ids in host.c_loops for x in ids},
+        }
+
+        def edge_ends(l):
+            if l.edge not in ends[l.side]:
+                raise UnknownLetter(l.edge, side=l.side)
+            return ends[l.side][l.edge]
+
+    else:
+        vertices = host.vertices
+
+        def edge_ends(l):
+            if l.edge not in host.edge_ends:
+                raise UnknownLetter(l.edge)
+            return host.edge_ends[l.edge]
+
+    def error(exc):
+        return type(exc), getattr(exc, "position", None), str(exc)
+
+    for v in [source] + ([] if target is None else [target]):
+        if v not in vertices:
+            return error(UnknownVertex(v))
+    cur = source
+    for i, letter in enumerate(letters):
+        try:
+            s, t = edge_ends(letter)
+        except UnknownLetter as exc:
+            return error(exc)
+        if letter.sign == -1:
+            s, t = t, s
+        if s != cur:
+            return error(NotComposable(i, f"letter starts at {s!r}, chain is at {cur!r}"))
+        if reduced and i and letters[i - 1] == replace(letter, sign=-letter.sign):
+            return error(NotReduced(f"word is not reduced at position {i}"))
+        cur = t
+    if target is not None and cur != target:
+        return error(NotComposable(len(letters), f"target {target!r} does not match chain end {cur!r}"))
+    return None
 
 
 def forest_graph(f) -> DirectedGraph:
@@ -333,7 +393,8 @@ def _tree_bfs_path(adj, u: str, v: str) -> list[int]:
                     back[y] = (code, x)
                     nxt.append(y)
         frontier = nxt
-    assert v in back, f"{v!r} is not in the tree of {u!r}"
+    if v not in back:
+        raise AssertionError(f"{v!r} is not in the tree of {u!r}")
     path = []
     while back[v] is not None:
         code, v = back[v]

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeloop import cli
+from freeloop.errors import BadId
 from freeloop.graphs import (
     DirectedGraph,
     Forest,
@@ -19,7 +20,8 @@ from freeloop.graphs import (
     spanning_forest,
 )
 from freeloop.jsonio import dump_instance, parse_graph
-from freeloop.vankampen import Decomposition, _generators
+from freeloop.retract import PushoutInstance
+from freeloop.vankampen import Decomposition, PbpScenario, _generators
 
 from support import random_connected_instance, reference_parse_graph
 
@@ -265,3 +267,24 @@ def test_cli_pipelines_never_run_the_validating_constructor(tmp_path, monkeypatc
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
     assert calls == []
+
+
+def test_a_bare_string_is_not_a_collection_of_ids():
+    """A ``str`` where a collection of ids belongs is refused with
+    ``BadId``, not split into one id per character."""
+    g = DirectedGraph(["a", "b", "d", "e"], [("x", "a", "b")])
+    builds = {
+        "graph vertices": lambda: DirectedGraph("ab"),
+        "instance objects": lambda: PushoutInstance("abde", g, g),
+        "C loops of an object": lambda: PushoutInstance(g.vertices, g, g, c_loops={"a": "l12"}),
+        "piece u": lambda: Decomposition(g, "abde", g.vertices),
+        "piece v": lambda: Decomposition(g, g.vertices, "abde"),
+        "deleted set D": lambda: PbpScenario(g, "d", ["e"], "a", "b"),
+        "deleted set E": lambda: PbpScenario(g, ["d"], "e", "a", "b"),
+        "tie-break": lambda: spanning_forest(g, "x"),
+        "shared vertices": lambda: graph_pushout_with_origins(g, g, "abde"),
+    }
+    for where, build in builds.items():
+        with pytest.raises(BadId, match="expected a collection of ids"):
+            build()
+            pytest.fail(f"{where}: a string was split into ids")

@@ -26,6 +26,7 @@ from freeloop.graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
+from freeloop.words import Letter, tree_path
 
 from support import (
     brute_components,
@@ -193,26 +194,26 @@ def test_greedy_forests_are_spanning_forests_under_any_tie_break():
         assert spanning_forest(g) == spanning_forest(g, [])
 
 
-def test_path_steps_walks_the_unique_tree_path():
+def test_tree_path_walks_the_unique_tree_path():
     g = DirectedGraph(
         ["a", "b", "c", "d"],
         [("x", "a", "b"), ("y", "c", "b"), ("z", "c", "d")],
     )
     f = spanning_forest(g)
     assert f.tree_edge_ids == ("x", "y", "z")
-    assert f.path_steps("a", "d") == [("x", 1), ("y", -1), ("z", 1)]
-    assert f.path_steps("d", "a") == [("z", -1), ("y", 1), ("x", -1)]
-    assert f.path_steps("a", "a") == []
+    assert tree_path(f, "a", "d").letters == (Letter("x", 1), Letter("y", -1), Letter("z", 1))
+    assert tree_path(f, "d", "a").letters == (Letter("z", -1), Letter("y", 1), Letter("x", -1))
+    assert tree_path(f, "a", "a").letters == ()
 
 
-def test_path_steps_rejects_cross_tree_pairs():
+def test_tree_path_rejects_cross_tree_pairs():
     g = DirectedGraph(["a", "b", "c"], [("x", "a", "b")])
     f = spanning_forest(g)
     with pytest.raises(DifferentTrees):
-        f.path_steps("a", "c")
+        tree_path(f, "a", "c")
 
 
-def test_path_steps_endpoints_on_random_forests():
+def test_tree_path_endpoints_on_random_forests():
     rng = random.Random(17)
     for _ in range(100):
         g = random_graph(rng, max_v=8, max_e=12)
@@ -222,7 +223,7 @@ def test_path_steps_endpoints_on_random_forests():
             for v in g.vertices:
                 if not parts.same_block(u, v):
                     continue
-                steps = f.path_steps(u, v)
+                steps = [(l.edge, l.sign) for l in tree_path(f, u, v).letters]
                 cur = u
                 for e, sign in steps:
                     assert e in f.tree_edges

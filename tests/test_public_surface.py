@@ -13,9 +13,12 @@ from freeloop import dot, errors, graphs, jsonio, retract, vankampen, words
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "freeloop"
 
+# The methods ``Word`` and ``GWord`` take from their one shared shell.
+SHELL = ("_trusted", "__getattr__", "__len__", "__eq__", "__hash__", "__str__", "__repr__")
+
 # Names that are gone, each with the module or class that held it, or the
-# function whose parameter it was.  A class's ``__init__`` is gone when the
-# class defines none of its own.
+# function whose parameter it was.  A class's ``__init__`` or shell method
+# is gone when the class defines none of its own: it may inherit one.
 DELETED = (
     (words, "FreeGroupElement"),
     (retract, "check_connected"),
@@ -56,7 +59,10 @@ DELETED = (
     (retract, "_gletter_ends"),
     (retract, "_w_path"),
     (retract.RetractReport, "_side_codes"),
-)
+    (words, "letter_ends"),
+    (words, "_chain_end"),
+    (graphs.Forest, "path_steps"),
+) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 
 def test_every_exported_name_resolves_and_is_listed_once():
@@ -71,13 +77,26 @@ def test_free_group_element_is_gone():
         if inspect.isfunction(owner):
             assert name not in inspect.signature(owner).parameters, f"{owner.__name__}({name})"
             continue
-        if name == "__init__":
+        if name == "__init__" or name in SHELL:
             assert name not in vars(owner), f"{owner.__name__}.{name}"
             continue
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
         if inspect.ismodule(owner):
             assert name not in freeloop.__all__
             assert not hasattr(freeloop, name), name
+
+
+def test_words_share_one_shell():
+    """Both word classes inherit every shell method from one class, keep
+    their owner readable under their own name, and never compare equal."""
+    for name in SHELL:
+        assert inspect.getattr_static(words.Word, name) is inspect.getattr_static(retract.GWord, name), name
+    g = graphs.DirectedGraph(["a"])
+    inst = retract.PushoutInstance(["a"], g, g)
+    word, gword = words.Word(g, "a", "a"), retract.GWord(inst, "a", "a")
+    assert word.host is g and gword.instance is inst
+    assert word != gword and gword != word
+    assert len(word) == len(gword) == 0 and str(word) == str(gword) == "1"
 
 
 def test_names_the_benchmark_uses_resolve():

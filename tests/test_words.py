@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import copy
 import random
+from dataclasses import replace
 
 import pytest
 
 from freeloop.errors import (
     BadSign,
+    DomainError,
     HostMismatch,
     NotComposable,
     NotReduced,
@@ -16,14 +18,13 @@ from freeloop.errors import (
     UnknownVertex,
 )
 from freeloop.graphs import DirectedGraph, components, spanning_forest
-from freeloop.retract import build_retract, rho
+from freeloop.retract import SIDES, GLetter, GWord, build_retract, rho
 from freeloop.words import (
     Letter,
     Word,
     compose,
     identity,
     invert,
-    letter_ends,
     tree_path,
 )
 from freeloop.words import reduce as reduce_word
@@ -37,6 +38,7 @@ from support import (
     random_gword,
     random_graph,
     random_reduced_word,
+    reference_word_error,
     signed_adjacency,
 )
 
@@ -56,12 +58,17 @@ def test_letter_validation_and_inverse():
             Letter("x", sign)
 
 
-def test_letter_ends_follow_sign():
+def test_word_letters_follow_sign():
+    """A letter of sign +1 runs from its edge's source to its target, one of
+    sign -1 the reverse way, and a letter of an edge the host lacks is
+    unknown."""
     g = two_cycle()
-    assert letter_ends(g, Letter("x", 1)) == ("a", "b")
-    assert letter_ends(g, Letter("x", -1)) == ("b", "a")
+    for sign, (s, t) in ((1, ("a", "b")), (-1, ("b", "a"))):
+        assert Word(g, s, t, [Letter("x", sign)]).letters == (Letter("x", sign),)
+        with pytest.raises(NotComposable):
+            Word(g, t, s, [Letter("x", sign)])
     with pytest.raises(UnknownLetter):
-        letter_ends(g, Letter("zz", 1))
+        Word(g, "a", "a", [Letter("zz", 1)])
 
 
 def test_word_validates_chain_and_reducedness():
@@ -76,6 +83,91 @@ def test_word_validates_chain_and_reducedness():
         Word(g, "a", "b", [Letter("x", 1), Letter("y", 1)])
     with pytest.raises(UnknownVertex):
         Word(g, "zz", "a", [])
+
+
+def _signed_letters(inst):
+    """Every signed letter of ``inst`` as a ``GLetter``, and of its A side as
+    a ``Letter``."""
+    tagged = [
+        GLetter(side, e, sign)
+        for side in ("A", "B")
+        for e in inst.side_graph(side).edge_ids
+        for sign in (1, -1)
+    ]
+    tagged += [GLetter("C", x, sign) for _, ids in inst.c_loops for x in ids for sign in (1, -1)]
+    return tagged, [Letter(l.edge, l.sign) for l in tagged if l.side == "A"]
+
+
+def _corrupted(rng, letters, pool, unknown):
+    """``letters`` after one to three corruptions: a letter of ``unknown``
+    inserted, a letter swapped for one of ``pool`` or for its inverse, or a
+    cancelling pair inserted."""
+    letters = list(letters)
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("unknown", "swap", "invert", "cancel"))
+        i = rng.randrange(len(letters) + 1)
+        if kind == "unknown":
+            letters.insert(i, rng.choice(unknown))
+        elif not letters:
+            continue
+        elif kind == "swap" and pool:
+            letters[min(i, len(letters) - 1)] = rng.choice(pool)
+        elif kind == "invert":
+            j = min(i, len(letters) - 1)
+            letters[j] = replace(letters[j], sign=-letters[j].sign)
+        elif kind == "cancel":
+            j = min(i, len(letters) - 1)
+            letters.insert(j + 1, replace(letters[j], sign=-letters[j].sign))
+    return letters
+
+
+def _error_of(build):
+    try:
+        build()
+    except DomainError as exc:
+        return type(exc), getattr(exc, "position", None), str(exc)
+    return None
+
+
+def test_chain_errors_match_a_walk_on_ids():
+    """Corrupted letter lists raise in ``Word(...)``, ``reduce(...)`` and
+    ``GWord(...)`` the class, position and message of the first error a
+    letter-by-letter walk on ids finds: an unknown generator or one named
+    on the wrong side, a letter that does not compose, a cancelling pair
+    where the word must be reduced, a wrong or unknown endpoint, and
+    combinations of these."""
+    rng = random.Random(47)
+    for _ in range(300):
+        inst = random_connected_instance(rng, max_objects=8, max_side_edges=12)
+        g = inst.graph_a
+        tagged, plain = _signed_letters(inst)
+        # Ids of the other sides are unknown letters here; so is "zz".
+        wrong_side = [GLetter(side, l.edge, l.sign) for l in tagged for side in SIDES if side != l.side]
+        unknown_tagged = wrong_side + [GLetter("A", "zz", 1), GLetter("C", "zz", -1)]
+        unknown_plain = [Letter(l.edge, l.sign) for l in tagged if l.side != "A"] + [Letter("zz", 1)]
+        ends = [*inst.objects, "zz"]
+
+        gword = random_gword(rng, inst, max_len=8)
+        letters = _corrupted(rng, gword.letters, tagged, unknown_tagged)
+        source, target = gword.source, gword.target
+        if rng.random() < 0.3:
+            target = rng.choice(ends)
+        if rng.random() < 0.1:
+            source = rng.choice(ends)
+        expected = reference_word_error(inst, source, target, letters)
+        assert _error_of(lambda: GWord(inst, source, target, letters)) == expected
+
+        word = random_reduced_word(rng, g, max_len=8)
+        letters = _corrupted(rng, word.letters, plain, unknown_plain)
+        source, target = word.source, word.target
+        if rng.random() < 0.3:
+            target = rng.choice(ends)
+        if rng.random() < 0.1:
+            source = rng.choice(ends)
+        expected = reference_word_error(g, source, target, letters, reduced=True)
+        assert _error_of(lambda: Word(g, source, target, letters)) == expected
+        expected = reference_word_error(g, source, None, letters)
+        assert _error_of(lambda: reduce_word(g, source, letters)) == expected
 
 
 def test_identity_words_at_distinct_vertices_differ():
@@ -102,6 +194,8 @@ def test_reduce_matches_naive_oracle_on_random_walks():
         raw_codes = [l.sign * (g.edge_index(l.edge) + 1) for l in letters]
         assert [l.sign * (g.edge_index(l.edge) + 1) for l in w.letters] == naive_reduce(raw_codes)
         assert w.source == source and w.target == cur
+        # The letters are read once, so an iterator gives the same word.
+        assert reduce_word(g, source, iter(letters)) == w
 
 
 def test_reduce_fixes_reduced_words():
