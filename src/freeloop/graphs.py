@@ -9,11 +9,11 @@ default edge scan order, canonical output order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
-from operator import itemgetter
+from itertools import accumulate, groupby
+from operator import eq, itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -41,9 +41,10 @@ def as_id(value) -> str:
 
 def as_ids(values: Iterable) -> list[str]:
     """:func:`as_id` of each of ``values``, a collection of labels; a bare
-    ``str`` is refused rather than read as its characters."""
-    if isinstance(values, str):
-        raise BadId(f"expected a collection of ids, got the string {values!r}")
+    ``str``, ``bytes`` or ``bytearray`` is refused rather than read as its
+    characters or byte values."""
+    if isinstance(values, (str, bytes, bytearray)):
+        raise BadId(f"expected a collection of ids, got the {type(values).__name__} {values!r}")
     return [as_id(v) for v in values]
 
 
@@ -125,8 +126,6 @@ class DirectedGraph:
         self._src_idx = src_idx
         self._tgt_idx = tgt_idx
         self._components: VertexPartition | None = None
-        self._lex_forest: list[int] = []
-        self._labels: list[int] = []
         return self
 
     @cached_property
@@ -163,9 +162,6 @@ class DirectedGraph:
     def e_count(self) -> int:
         return len(self.edge_ids)
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self._vindex
-
     def has_edge(self, e: str) -> bool:
         return e in self._eindex
 
@@ -195,53 +191,65 @@ class DirectedGraph:
         return f"DirectedGraph(vertices={self.vertices!r}, edges={dict(self.edge_ends)!r})"
 
 
-@dataclass(frozen=True)
 class VertexPartition:
-    """Partition of a graph's vertices into weak-connectivity blocks.
+    """Partition of a graph's vertices into weak-connectivity blocks, as a
+    view over the scan :func:`components` keeps: the lex forest's edge
+    indexes, and per vertex a label, the index of its block's first vertex.
 
     Blocks are numbered by their smallest vertex id; block contents are
-    sorted.
-    """
+    sorted.  ``len`` and ``same_block`` read the scan; ``blocks`` and
+    ``block_of``'s numbers are built on first read.  The view does not hold
+    the graph, which holds the view."""
 
-    blocks: tuple[tuple[str, ...], ...]
+    def __init__(self, vertices: tuple[str, ...], forest: list[int], labels: list[int]):
+        self._vertices, self._forest, self._labels = vertices, forest, labels
 
     @cached_property
-    def index(self) -> dict[str, int]:
-        return {v: i for i, block in enumerate(self.blocks) for v in block}
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        # Labels are smallest members, so a stable sort by label lists the
+        # blocks by smallest vertex, each block in vertex order.
+        label = self._labels.__getitem__
+        vertex = self._vertices.__getitem__
+        return tuple(
+            tuple(map(vertex, block))
+            for _, block in groupby(sorted(range(len(self._labels)), key=label), label)
+        )
+
+    @cached_property
+    def _roots_to(self) -> list[int]:
+        # Per vertex index i, the number of roots (labels[i] == i) up to i.
+        labels = self._labels
+        return list(accumulate(map(eq, range(len(labels)), labels)))
+
+    def _label(self, v: str) -> int:
+        vertices = self._vertices  # sorted, so searched by bisection
+        i = bisect_left(vertices, v) if isinstance(v, str) else len(vertices)
+        if i == len(vertices) or vertices[i] != v:
+            raise UnknownVertex(v)
+        return self._labels[i]
 
     def block_of(self, v: str) -> int:
-        try:
-            return self.index[v]
-        except KeyError:
-            raise UnknownVertex(v) from None
+        """The position in ``blocks`` of ``v``'s block."""
+        return self._roots_to[self._label(v)] - 1
 
     def same_block(self, u: str, v: str) -> bool:
-        return self.block_of(u) == self.block_of(v)
+        return self._label(u) == self._label(v)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        # A spanning forest has one edge fewer than vertices per block.
+        return len(self._vertices) - len(self._forest)
 
 
 def components(g: DirectedGraph) -> VertexPartition:
     """Weak-connectivity partition of ``g`` (edge direction ignored).
 
-    The partition comes from one scan of ``g``'s edges in index order, which
-    also yields the lex spanning forest and each vertex's label, the index
-    of its block's smallest vertex; all three are cached on ``g``, so
-    ``spanning_forest(g)`` scans nothing more.
+    The partition is a view over one scan of ``g``'s edges in index order,
+    which yields the lex spanning forest and each vertex's label; it is
+    cached on ``g``, so ``spanning_forest(g)`` scans nothing more.
     """
     if g._components is None:
-        g._lex_forest, g._labels = forest_scan(g.v_count, g._src_idx, g._tgt_idx, range(g.e_count))
-        # Labels are smallest members, so a stable sort by label lists the
-        # blocks by smallest vertex, each block in vertex order.
-        label = g._labels.__getitem__
-        vertex = g.vertices.__getitem__
-        g._components = VertexPartition(
-            tuple(
-                tuple(map(vertex, block))
-                for _, block in groupby(sorted(range(g.v_count), key=label), label)
-            )
-        )
+        scan = forest_scan(g.v_count, g._src_idx, g._tgt_idx, range(g.e_count))
+        g._components = VertexPartition(g.vertices, *scan)
     return g._components
 
 
@@ -250,8 +258,8 @@ class Forest:
 
     The subgraph (all host vertices, ``tree_edges``) is acyclic as an
     undirected graph and has the same components as the host, equivalently
-    ``|tree_edges| = v - #components``.
-    """
+    ``|tree_edges| = v - #components``.  It holds host edge indexes, and
+    names them in ``tree_edge_ids`` and ``tree_edges`` on first read."""
 
     @classmethod
     def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
@@ -259,11 +267,21 @@ class Forest:
         ``host`` accepted: acyclic and spanning by construction."""
         forest = cls.__new__(cls)
         forest.host = host
-        # Host edge ids are sorted, so ascending indexes list the ids sorted.
         forest._tree_idx = sorted(accepted)
-        forest.tree_edge_ids = tuple(map(host.edge_ids.__getitem__, forest._tree_idx))
-        forest.tree_edges = frozenset(forest.tree_edge_ids)
         return forest
+
+    @cached_property
+    def tree_edge_ids(self) -> tuple[str, ...]:
+        # Host edge ids are sorted, so ascending indexes list the ids sorted.
+        return tuple(map(self.host.edge_ids.__getitem__, self._tree_idx))
+
+    @cached_property
+    def tree_edges(self) -> frozenset[str]:
+        return frozenset(self.tree_edge_ids)
+
+    def _off_idx(self) -> list[int]:
+        """The host edge indexes off the forest, ascending."""
+        return sorted(set(range(self.host.e_count)).difference(self._tree_idx))
 
     @cached_property
     def _nav(self) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -363,8 +381,7 @@ def spanning_forest(g: DirectedGraph, tie_break: Sequence[str] | None = None) ->
     tie-break list runs a scan of its own.
     """
     if tie_break is None:
-        components(g)
-        return Forest._accepted(g, g._lex_forest)
+        return Forest._accepted(g, components(g)._forest)
     accepted, _ = forest_scan(g.v_count, g._src_idx, g._tgt_idx, edge_scan_order(g, tie_break))
     return Forest._accepted(g, accepted)
 
@@ -424,12 +441,11 @@ def graph_pushout_with_origins(
 
 def euler_ranks(g: DirectedGraph) -> list[tuple[tuple[str, ...], int]]:
     """Per-component cycle rank ``e - v + 1``, paired with the block's vertices."""
-    blocks = components(g).blocks
-    labels = g._labels
+    parts = components(g)
     # Blocks are numbered by smallest vertex, so in ascending label order.
-    edge_counts = Counter(map(labels.__getitem__, g._src_idx))
+    edge_counts = Counter(map(parts._labels.__getitem__, g._src_idx))
     out = []
-    for block, label in zip(blocks, sorted(set(labels))):
+    for block, label in zip(parts.blocks, sorted(set(parts._labels))):
         rank = edge_counts[label] - len(block) + 1
         if rank < 0:
             raise InternalInvariant("weakly connected block has fewer than v-1 edges")

@@ -18,9 +18,11 @@ give the complements U = X - D, V = X - E, and the property fails when a and
 b share a component of U and one of V but lie apart in U intersect V.  That
 decomposition's certificate is then guaranteed to exist.
 
-The pipeline works in vertex indexes: complement masks go straight into the
-decomposition's checks, blocks are read off scan labels, and connectivity
-comes from the blocks of U, V and U intersect V, with no scan of the space.
+The pipeline works in piece indexes: masks go straight into the checks, a
+vertex maps into a piece by the prefix count of the piece's mask, components
+compare by scan labels, and connectivity comes from the pieces' labels and
+block counts.  It scans no space, indexes no piece's ids, names no piece
+forest's edges, and lists only the intersection's blocks, for the certificate.
 """
 
 from __future__ import annotations
@@ -81,25 +83,18 @@ def _ends_in(space: DirectedGraph, src_mask: bytes, tgt_mask: bytes) -> bytes:
     return _bytewise(and_, at_src, bytes(map(list(tgt_mask).__getitem__, space._tgt_idx)))
 
 
-def _induced(space: DirectedGraph, mask: bytes, keep: bytes) -> tuple[DirectedGraph, list[int]]:
-    """The full subgraph on the vertices ``mask`` marks, and the space index
-    of each of its edges; ``keep`` is ``_ends_in(space, mask, mask)``."""
-    # A member's index in the subgraph: the number of members before it.
-    renumber = list(accumulate(mask, initial=0)).__getitem__
+def _induced(space: DirectedGraph, mask: bytes, keep: bytes) -> tuple[DirectedGraph, list, list]:
+    """The full subgraph on the vertices ``mask`` marks, the space index of
+    each of its edges, and per space vertex the number of members before it,
+    a member's index in the subgraph; ``keep`` is ``_ends_in(space, mask, mask)``."""
+    at = list(accumulate(mask, initial=0))
     sub = DirectedGraph._trusted(
         tuple(compress(space.vertices, mask)),
         tuple(compress(space.edge_ids, keep)),
-        list(map(renumber, compress(space._src_idx, keep))),
-        list(map(renumber, compress(space._tgt_idx, keep))),
+        list(map(at.__getitem__, compress(space._src_idx, keep))),
+        list(map(at.__getitem__, compress(space._tgt_idx, keep))),
     )
-    return sub, list(compress(range(space.e_count), keep))
-
-
-def _label(g: DirectedGraph, v: str) -> int:
-    """The index in ``g`` of the smallest vertex of ``v``'s block, as the
-    scan ``components`` keeps it; ``UnknownVertex`` for a non-vertex."""
-    components(g)
-    return g._labels[g.vertex_index(v)]
+    return sub, list(compress(range(space.e_count), keep)), at
 
 
 class Decomposition:
@@ -125,10 +120,10 @@ class Decomposition:
         if straddling >= 0:
             raise EdgeAcrossPieces(space.edge_ids[straddling])
         self.space = space
-        # Each piece's table of space edge indexes, by piece edge index.
-        self.piece_u, self._u_edges = _induced(space, in_u, keep_u)
-        self.piece_v, self._v_edges = _induced(space, in_v, keep_v)
-        self.intersection, self._i_edges = _induced(
+        # Each piece's space edge index per piece edge, and its prefix counts.
+        self.piece_u, self._u_edges, self._u_at = _induced(space, in_u, keep_u)
+        self.piece_v, self._v_edges, self._v_at = _induced(space, in_v, keep_v)
+        self.intersection, self._i_edges, self._i_at = _induced(
             space, _bytewise(and_, in_u, in_v), _bytewise(and_, keep_u, keep_v)
         )
         self.u_vertices, self.v_vertices = self.piece_u.vertices, self.piece_v.vertices
@@ -162,12 +157,7 @@ class PbpScenario:
     """
 
     def __init__(
-        self,
-        space: DirectedGraph,
-        d_set: Iterable[str],
-        e_set: Iterable[str],
-        a: str,
-        b: str,
+        self, space: DirectedGraph, d_set: Iterable[str], e_set: Iterable[str], a: str, b: str
     ):
         in_d, in_e = _vertex_mask(space, d_set), _vertex_mask(space, e_set)
         overlap = list(compress(space.vertices, _bytewise(and_, in_d, in_e)))
@@ -178,9 +168,7 @@ class PbpScenario:
             raise DeletedSetsAdjacent(space.edge_ids[adjacent])
         a, b = as_id(a), as_id(b)
         for point in (a, b):
-            if not space.has_vertex(point):
-                raise UnknownVertex(point)
-            i = space._vindex[point]
+            i = space.vertex_index(point)
             if in_d[i] or in_e[i]:
                 raise PointInDeletedSet(point)
         if a == b:
@@ -206,15 +194,19 @@ def _complement(sc: PbpScenario) -> tuple[Decomposition, bool]:
     """The decomposition U = X - D, V = X - E, and whether a and b share a
     component of each piece but lie apart in the intersection.  Every vertex
     is outside D or E, and no edge joins D to E, so the pieces cover X."""
-    a, b = sc.a, sc.b
     dec = Decomposition.__new__(Decomposition)._build(
         sc.space, sc._in_d.translate(_COMPLEMENT), sc._in_e.translate(_COMPLEMENT)
     )
-    u, v, inter = dec.piece_u, dec.piece_v, dec.intersection
+    a, b = sc.space._vindex[sc.a], sc.space._vindex[sc.b]
+
+    def joined(piece: DirectedGraph, at: list[int]) -> bool:
+        labels = components(piece)._labels
+        return labels[at[a]] == labels[at[b]]
+
     return dec, (
-        _label(u, a) == _label(u, b)
-        and _label(v, a) == _label(v, b)
-        and _label(inter, a) != _label(inter, b)
+        joined(dec.piece_u, dec._u_at)
+        and joined(dec.piece_v, dec._v_at)
+        and not joined(dec.intersection, dec._i_at)
     )
 
 
@@ -230,13 +222,12 @@ class _Expansions(Mapping):
     Word on ``space``, built from the forest on first lookup.
 
     ``records`` maps each generator, in canonical order, to (root, target,
-    edge), with edge an index into the forest's host.  With edge None the
-    expansion is the tree path root -> target; otherwise it is the loop at
-    root through the non-forest edge: tree path out to edge's source, edge,
-    tree path back.  Each tree path is reduced and the edge is on neither,
-    so the chain is reduced as it stands.  The forest's host is an induced
-    subgraph of ``space``, and ``edges`` gives the space index of each of
-    its edges.
+    edge), indexes into the forest's host.  With edge None the expansion is
+    the tree path root -> target; otherwise it is the loop at root through
+    the non-forest edge: tree path out to edge's source, edge, tree path
+    back.  Each tree path is reduced and the edge is on neither, so the chain
+    is reduced as it stands.  The forest's host is an induced subgraph of
+    ``space``, and ``edges`` gives the space index of each of its edges.
     """
 
     def __init__(self, space: DirectedGraph, forest: Forest, records: dict, edges: Sequence[int]):
@@ -246,8 +237,8 @@ class _Expansions(Mapping):
     def __getitem__(self, gen: str) -> Word:
         word = self._words.get(gen)
         if word is None:
-            root, target, _ = self._records[gen]
-            word = self._words[gen] = Word._trusted(self._space, root, target, self._codes(gen))
+            ids = map(self._forest.host.vertices.__getitem__, self._records[gen][:2])
+            word = self._words[gen] = Word._trusted(self._space, *ids, self._codes(gen))
         return word
 
     def __iter__(self):
@@ -260,31 +251,26 @@ class _Expansions(Mapping):
         """The expansion of ``gen`` as signed space codes."""
         root, target, i = self._records[gen]
         piece, path = self._forest.host, self._forest._path_codes
-        r = piece._vindex[root]
         if i is None:
-            codes = path(r, piece._vindex[target])
+            codes = path(root, target)
         else:
-            codes = path(r, piece._src_idx[i]) + [i + 1] + path(piece._tgt_idx[i], r)
+            codes = path(root, piece._src_idx[i]) + [i + 1] + path(piece._tgt_idx[i], root)
         edges = self._edges
         return [edges[c - 1] + 1 if c > 0 else -1 - edges[-c - 1] for c in codes]
 
 
 def _generators(
-    piece: DirectedGraph,
-    name: str,
-    points: tuple[str, ...],
-    tie_break: Sequence[str] | None,
-    space: DirectedGraph,
-    edges: Sequence[int],
+    piece: DirectedGraph, name: str, at: list[int], tie_break: Sequence[str] | None,
+    space: DirectedGraph, edges: Sequence[int],
 ) -> tuple[DirectedGraph, _Expansions]:
-    """The generating graph of ``piece`` over the basepoints ``points``
-    (sorted, distinct, the smallest vertex of each intersection component),
-    and the expansion of each generator as a Word on ``space``, of which
-    ``piece`` is an induced subgraph with space edge indexes ``edges``,
-    built on first lookup.
+    """The generating graph of ``piece`` over the basepoints at its vertex
+    indexes ``at`` (ascending, the smallest vertex of each intersection
+    component), and the expansion of each generator as a Word on ``space``,
+    of which ``piece`` is an induced subgraph with space edge indexes
+    ``edges``, built on first lookup.
 
-    A piece component meets the intersection exactly when it holds one of
-    ``points``; one that does not raises ``PieceMissesIntersection``.  Per
+    A piece component meets the intersection exactly when it holds a
+    basepoint; one that does not raises ``PieceMissesIntersection``.  Per
     component, the smallest basepoint is the root; each other basepoint s
     gets a tree-path generator ``t:s`` (root to s), and each non-forest edge e
     gets a loop generator ``g:e`` at the root (tree path out, e, tree path
@@ -292,36 +278,34 @@ def _generators(
     graph has exactly as many components as the piece.
     """
     parts = components(piece)
-    # The root of each component, by label: its first basepoint.
-    roots: dict[int, str] = {}
-    for s in points:
-        roots.setdefault(_label(piece, s), s)
+    labels, src = parts._labels, piece._src_idx
+    # The root of each component, by label: the index of its first basepoint.
+    roots: dict[int, int] = {}
+    for p in at:
+        roots.setdefault(labels[p], p)
     if len(roots) != len(parts):
-        # A block's label is the index of its first vertex.
-        block = next(b for b in parts.blocks if piece._vindex[b[0]] not in roots)
-        raise PieceMissesIntersection(
-            f"component {block!r} of piece {name} misses the intersection"
-        )
+        # Blocks are listed by label, the index of their first vertex.
+        block = next(b for b, r in zip(parts.blocks, sorted(set(labels))) if r not in roots)
+        raise PieceMissesIntersection(f"component {block!r} of piece {name} misses the intersection")
     forest = spanning_forest(piece, tie_break)
-    labels, src = piece._labels, piece._src_idx
     # Loop generators in edge-id order, then tree-path generators in
     # basepoint order: every "g:" id sorts before every "t:" id, so the
     # generators are in canonical order.
-    records: dict[str, tuple[str, str, int | None]] = {}
-    for i, e in enumerate(piece.edge_ids):
-        if e not in forest.tree_edges:
-            root = roots[labels[src[i]]]
-            records[f"g:{e}"] = (root, root, i)
-    for s in points:
-        root = roots[_label(piece, s)]
-        if s != root:
-            records[f"t:{s}"] = (root, s, None)
-    index = {v: i for i, v in enumerate(points)}
+    records: dict[str, tuple[int, int, int | None]] = {}
+    for i in forest._off_idx():
+        root = roots[labels[src[i]]]
+        records[f"g:{piece.edge_ids[i]}"] = (root, root, i)
+    points = tuple(map(piece.vertices.__getitem__, at))
+    for s, p in zip(points, at):
+        root = roots[labels[p]]
+        if p != root:
+            records[f"t:{s}"] = (root, p, None)
+    number = dict(zip(at, range(len(at))))
     graph = DirectedGraph._trusted(
         points,
         tuple(records),
-        [index[root] for root, _, _ in records.values()],
-        [index[target] for _, target, _ in records.values()],
+        [number[root] for root, _, _ in records.values()],
+        [number[target] for _, target, _ in records.values()],
     )
     if len(components(graph)) != len(parts):
         raise InternalInvariant("generator graph and piece have different component counts")
@@ -346,17 +330,18 @@ def decomposition_to_instance(
         raise EmptyIntersection("the pieces share no vertex")
     points = tuple(block[0] for block in components(inter).blocks)
     space = dec.space
-    graph_a, expansions_a = _generators(dec.piece_u, "U", points, tie_break, space, dec._u_edges)
-    graph_b, expansions_b = _generators(dec.piece_v, "V", points, tie_break, space, dec._v_edges)
+    idx = list(map(space._vindex.__getitem__, points))
+    u_at, v_at = [dec._u_at[i] for i in idx], [dec._v_at[i] for i in idx]
+    graph_a, expansions_a = _generators(dec.piece_u, "U", u_at, tie_break, space, dec._u_edges)
+    graph_b, expansions_b = _generators(dec.piece_v, "V", v_at, tie_break, space, dec._v_edges)
     forest_i = spanning_forest(inter, tie_break)
-    labels, src = inter._labels, inter._src_idx
+    labels, src = components(inter)._labels, inter._src_idx
     c_loops: dict[str, list[str]] = {}
-    c_records: dict[str, tuple[str, str, int]] = {}
-    for i, e in enumerate(inter.edge_ids):
-        if e not in forest_i.tree_edges:
-            s = inter.vertices[labels[src[i]]]
-            c_loops.setdefault(s, []).append(e)
-            c_records[e] = (s, s, i)
+    c_records: dict[str, tuple[int, int, int]] = {}
+    for i in forest_i._off_idx():
+        r, e = labels[src[i]], inter.edge_ids[i]
+        c_loops.setdefault(inter.vertices[r], []).append(e)
+        c_records[e] = (r, r, i)
     instance = PushoutInstance(points, graph_a, graph_b, c_loops)
     return instance, {
         "A": expansions_a,
@@ -420,14 +405,15 @@ def _space_connected(dec: Decomposition) -> bool:
     is connected exactly when this graph is: a node per block of U and of V,
     and per intersection block an edge joining the U-block and the V-block
     of its first vertex.  An empty space gives no node, and is not."""
-    reps = [block[0] for block in components(dec.intersection).blocks]
+    vindex = dec.space._vindex
+    reps = [vindex[block[0]] for block in components(dec.intersection).blocks]
     ends, nodes = [], 0
-    for piece in (dec.piece_u, dec.piece_v):
-        # Number the blocks by label, the index of a block's first vertex.
-        blocks = components(piece).blocks
-        number = {piece._vindex[b[0]]: nodes + i for i, b in enumerate(blocks)}
-        ends.append([number[_label(piece, x)] for x in reps])
-        nodes += len(blocks)
+    for piece, at in ((dec.piece_u, dec._u_at), (dec.piece_v, dec._v_at)):
+        # Number the blocks that hold a representative, by label; the rest
+        # of the piece's blocks are nodes that no edge reaches.
+        labels, number = components(piece)._labels, {}
+        ends.append([number.setdefault(labels[at[x]], nodes + len(number)) for x in reps])
+        nodes += len(components(piece))
     joined, _ = forest_scan(nodes, ends[0], ends[1], range(len(reps)))
     return nodes > 0 and len(joined) == nodes - 1
 
@@ -442,8 +428,8 @@ def detect_z_retract(
     Takes the first basepoint pair in canonical order (after ``prefer``, when
     given) that is joined inside both pieces; absent such a pair there is
     nothing to certify and the result is None.  A disconnected space raises
-    ``Disconnected`` first, read off the blocks of the pieces and their
-    intersection, with no scan of the space (``_space_connected``).
+    ``Disconnected`` first, read off the labels of the pieces and their
+    intersection's blocks, with no scan of the space (``_space_connected``).
     """
     if not _space_connected(dec):
         raise Disconnected("the space is not connected")
@@ -457,13 +443,8 @@ def detect_z_retract(
     loop_in_space = _expand_to_space(translations, dec.space, gword)
     if len(loop_in_space) == 0:
         raise InternalInvariant("witness expansion collapsed in the space")
-    inter_blocks = components(dec.intersection).blocks
-    return ZRetractCertificate(
-        report=report,
-        basepoints=tuple((block, block[0]) for block in inter_blocks),
-        loop_in_space=loop_in_space,
-        retract_image=loop,
-    )
+    basepoints = tuple((block, block[0]) for block in components(dec.intersection).blocks)
+    return ZRetractCertificate(report, basepoints, loop_in_space, loop)
 
 
 def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
@@ -475,14 +456,16 @@ def pbp_to_decomposition(sc: PbpScenario) -> Decomposition:
     """
     dec, fails = _complement(sc)
     if not fails:
-        raise PbiHolds(
-            "neither-separates-but-union-does fails; no decomposition is induced"
-        )
+        raise PbiHolds("neither-separates-but-union-does fails; no decomposition is induced")
     return dec
 
 
 def certificate_basepoints_for(dec: Decomposition, a: str, b: str) -> tuple[str, str]:
     """Basepoints of the intersection components containing a and b."""
-    inter = dec.intersection
-    a, b = as_id(a), as_id(b)
-    return inter.vertices[_label(inter, a)], inter.vertices[_label(inter, b)]
+    inter, at, points = dec.intersection, dec._i_at, []
+    for v in (as_id(a), as_id(b)):
+        i = dec.space._vindex.get(v, -1)
+        if i < 0 or at[i] == at[i + 1]:  # the count steps only past a member
+            raise UnknownVertex(v)
+        points.append(inter.vertices[components(inter)._labels[at[i]]])
+    return tuple(points)

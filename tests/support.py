@@ -21,7 +21,7 @@ from freeloop.errors import (
     UnknownLetter,
     UnknownVertex,
 )
-from freeloop.graphs import DirectedGraph, components
+from freeloop.graphs import DirectedGraph, components, spanning_forest
 from freeloop.jsonio import _id_list, _id_value, _require
 from freeloop.retract import GLetter, GWord, PushoutInstance
 from freeloop.vankampen import Decomposition, decomposition_to_instance
@@ -67,6 +67,48 @@ def brute_components(g: DirectedGraph):
         seen |= block
         blocks.append(tuple(sorted(block)))
     return tuple(sorted(blocks))
+
+
+def partition_view_faults(g: DirectedGraph) -> list[str]:
+    """Where ``components(g)``, read first here, disagrees with
+    ``brute_components``: its length, which must list no blocks, then its
+    blocks, every ``block_of`` and every pair's ``same_block``.  Ids that
+    are not vertices (before, between and after the sorted ids, and an int)
+    must raise ``UnknownVertex`` with its message, and the lex forest must
+    name its edge indexes on first read.  Empty when all agree."""
+    want = brute_components(g)
+    number = {v: i for i, block in enumerate(want) for v in block}
+    parts = components(g)
+    faults = []
+    if len(parts) != len(want):
+        faults.append(f"len {len(parts)} != {len(want)}")
+    if "blocks" in vars(parts):
+        faults.append("len listed the blocks")
+    if parts.blocks != want:
+        faults.append(f"blocks {parts.blocks!r} != {want!r}")
+    faults += [f"block_of({v!r})" for v in g.vertices if parts.block_of(v) != number[v]]
+    faults += [
+        f"same_block({u!r}, {v!r})"
+        for u in g.vertices
+        for v in g.vertices
+        if parts.same_block(u, v) != (number[u] == number[v])
+    ]
+    absent = ["", *(v + "\0" for v in g.vertices), "~", 0]
+    for v in absent:
+        for call in (lambda: parts.block_of(v), lambda: parts.same_block(v, v)):
+            try:
+                call()
+                faults.append(f"{v!r} found")
+            except UnknownVertex as exc:
+                if str(exc) != f"unknown vertex {v!r}":
+                    faults.append(str(exc))
+    forest = spanning_forest(g)
+    if "tree_edge_ids" in vars(forest) or "tree_edges" in vars(forest):
+        faults.append("forest named its edges when built")
+    ids = tuple(g.edge_ids[i] for i in forest._tree_idx)
+    if (forest.tree_edge_ids, forest.tree_edges) != (ids, frozenset(ids)):
+        faults.append(f"forest ids {forest.tree_edge_ids!r} != {ids!r}")
+    return faults
 
 
 def brute_rank(inst: PushoutInstance):

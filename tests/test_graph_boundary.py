@@ -108,7 +108,8 @@ def test_generator_graph_is_canonical(data):
     piece = draw_graph(data)
     points = set(data.draw(st.lists(st.sampled_from(piece.vertices), min_size=1)))
     points |= {block[0] for block in components(piece).blocks if not points & set(block)}
-    graph, _ = _generators(piece, "U", tuple(sorted(points)), None, piece, range(piece.e_count))
+    at = sorted(map(piece.vertex_index, points))
+    graph, _ = _generators(piece, "U", at, None, piece, range(piece.e_count))
     assert_same_graph(graph, DirectedGraph(graph.vertices, dict(graph.edge_ends)))
 
 
@@ -270,21 +271,26 @@ def test_cli_pipelines_never_run_the_validating_constructor(tmp_path, monkeypatc
 
 
 def test_a_bare_string_is_not_a_collection_of_ids():
-    """A ``str`` where a collection of ids belongs is refused with
-    ``BadId``, not split into one id per character."""
+    """A ``str``, ``bytes`` or ``bytearray`` where a collection of ids
+    belongs is refused with ``BadId``, not split into one id per character
+    or per byte value (bytes iterate as ints, which are valid labels)."""
     g = DirectedGraph(["a", "b", "d", "e"], [("x", "a", "b")])
-    builds = {
-        "graph vertices": lambda: DirectedGraph("ab"),
-        "instance objects": lambda: PushoutInstance("abde", g, g),
-        "C loops of an object": lambda: PushoutInstance(g.vertices, g, g, c_loops={"a": "l12"}),
-        "piece u": lambda: Decomposition(g, "abde", g.vertices),
-        "piece v": lambda: Decomposition(g, g.vertices, "abde"),
-        "deleted set D": lambda: PbpScenario(g, "d", ["e"], "a", "b"),
-        "deleted set E": lambda: PbpScenario(g, ["d"], "e", "a", "b"),
-        "tie-break": lambda: spanning_forest(g, "x"),
-        "shared vertices": lambda: graph_pushout_with_origins(g, g, "abde"),
-    }
-    for where, build in builds.items():
-        with pytest.raises(BadId, match="expected a collection of ids"):
-            build()
-            pytest.fail(f"{where}: a string was split into ids")
+    for kind in (str, bytes, bytearray):
+        ids = kind if kind is str else (lambda text: kind(text, "ascii"))
+        builds = {
+            "graph vertices": lambda: DirectedGraph(ids("ab")),
+            "instance objects": lambda: PushoutInstance(ids("abde"), g, g),
+            "C loops of an object": lambda: PushoutInstance(
+                g.vertices, g, g, c_loops={"a": ids("l12")}
+            ),
+            "piece u": lambda: Decomposition(g, ids("abde"), g.vertices),
+            "piece v": lambda: Decomposition(g, g.vertices, ids("abde")),
+            "deleted set D": lambda: PbpScenario(g, ids("d"), ["e"], "a", "b"),
+            "deleted set E": lambda: PbpScenario(g, ["d"], ids("e"), "a", "b"),
+            "tie-break": lambda: spanning_forest(g, ids("x")),
+            "shared vertices": lambda: graph_pushout_with_origins(g, g, ids("abde")),
+        }
+        for where, build in builds.items():
+            with pytest.raises(BadId, match="expected a collection of ids"):
+                build()
+                pytest.fail(f"{where}: a {kind.__name__} was split into ids")

@@ -62,6 +62,8 @@ DELETED = (
     (words, "letter_ends"),
     (words, "_chain_end"),
     (graphs.Forest, "path_steps"),
+    (graphs.DirectedGraph, "has_vertex"),
+    (graphs.VertexPartition, "index"),
 ) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 

@@ -30,7 +30,9 @@ from support import (
     brute_components,
     brute_rank,
     is_nonempty_reduced_loop,
+    partition_view_faults,
     reference_decomposition_error,
+    reference_induced,
     reference_pbi_fails,
     reference_pieces,
 )
@@ -100,6 +102,18 @@ def test_sweep_enumerates_every_connected_graph_on_up_to_five_vertices():
     for space in connected_graphs():
         counts[space.v_count] += 1
     assert counts[1:] == [1, 1, 2, 6, 21]
+
+
+def test_partition_view_matches_bfs_oracle_on_every_induced_subgraph():
+    """Every vertex subset of every sweep space, the empty one included,
+    induces a new graph whose partition view agrees with the BFS oracle."""
+    induced = 0
+    for space in connected_graphs():
+        for size in range(space.v_count + 1):
+            for subset in combinations(space.vertices, size):
+                assert partition_view_faults(reference_induced(space, subset)) == [], subset
+                induced += 1
+    assert induced == 790
 
 
 def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():

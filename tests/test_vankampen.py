@@ -42,6 +42,7 @@ from freeloop.vankampen import (
 from freeloop.words import Word
 
 from support import (
+    brute_components,
     brute_rank,
     c8_space,
     circle_decomposition,
@@ -55,6 +56,7 @@ from support import (
     reference_pbi_fails,
     reference_pieces,
     reference_separates,
+    ring_ladder,
 )
 
 
@@ -245,7 +247,8 @@ def test_groupoid_generators_preserves_component_count():
         )
         points = sorted({block[0] for block in components(g).blocks}
                         | {rng.choice(vs) for _ in range(rng.randint(0, 3))})
-        graph, _ = _generators(g, "U", tuple(points), None, g, range(g.e_count))
+        at = list(map(g.vertex_index, points))
+        graph, _ = _generators(g, "U", at, None, g, range(g.e_count))
         assert len(components(graph)) == len(components(g))
 
 
@@ -504,6 +507,13 @@ def test_pbp_pipeline_on_the_antipodal_cycle():
     assert not parts.same_block("v2", "v6")
     prefer = certificate_basepoints_for(dec, sc.a, sc.b)
     assert prefer == ("v1", "v5")
+    assert certificate_basepoints_for(dec, "v7", "v3") == ("v5", "v1")
+    # A vertex outside the intersection, or outside the space, is unknown;
+    # a is looked up before b.
+    for a, b, unknown in (("v0", "v2", "v0"), ("v2", "v4", "v4"), ("x", "v0", "x"), (7, "v1", "7")):
+        with pytest.raises(UnknownVertex) as raised:
+            certificate_basepoints_for(dec, a, b)
+        assert str(raised.value) == f"unknown vertex {unknown!r}"
     cert = detect_z_retract(dec, prefer=prefer)
     assert cert is not None
     assert cert.loop_in_space.source == "v1"
@@ -511,6 +521,44 @@ def test_pbp_pipeline_on_the_antipodal_cycle():
     assert sorted(l.edge for l in cert.loop_in_space.letters) == sorted(
         c8_space().edge_ids
     )
+
+
+def test_pbp_pipeline_names_no_piece_ids(monkeypatch):
+    """pbp-check's library calls work in piece indexes: U, V and their
+    intersection build no id index, U and V list no blocks, and the three
+    piece forests never name their edges.  Only the intersection lists its
+    blocks, which the certificate prints."""
+    from freeloop import vankampen
+    from freeloop.jsonio import dump_certificate, parse_scenario
+
+    forests = []
+    real = vankampen.spanning_forest
+
+    def recorded(g, tie_break=None):
+        forests.append(real(g, tie_break))
+        return forests[-1]
+
+    monkeypatch.setattr(vankampen, "spanning_forest", recorded)
+    cycle = PbpScenario(c8_space(), ["v0"], ["v4"], "v2", "v6")
+    ladder = parse_scenario(ring_ladder(random.Random(5), 16))
+    for sc in (cycle, ladder):
+        forests.clear()
+        dec = pbp_to_decomposition(sc)
+        prefer = certificate_basepoints_for(dec, sc.a, sc.b)
+        cert = detect_z_retract(dec, prefer=prefer)
+        payload = dump_certificate(cert)
+        pieces = (dec.piece_u, dec.piece_v, dec.intersection)
+        assert is_nonempty_reduced_loop(cert.loop_in_space)
+        assert [b["component"] for b in payload["basepoints"]] == [
+            list(block) for block in brute_components(dec.intersection)
+        ]
+        assert len(forests) == 3 and all(f.host is p for f, p in zip(forests, pieces))
+        for piece in pieces:
+            assert "_vindex" not in vars(piece)
+        for piece in pieces[:2]:
+            assert piece._components is not None and "blocks" not in vars(piece._components)
+        for f in forests:
+            assert "tree_edge_ids" not in vars(f) and "tree_edges" not in vars(f)
 
 
 def test_pbp_pipeline_on_random_failing_scenarios():
