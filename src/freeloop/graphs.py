@@ -9,11 +9,10 @@ default edge scan order, canonical output order.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from functools import cached_property
-from itertools import accumulate, groupby
-from operator import eq, itemgetter
+from itertools import groupby
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -197,9 +196,10 @@ class VertexPartition:
     indexes, and per vertex a label, the index of its block's first vertex.
 
     Blocks are numbered by their smallest vertex id; block contents are
-    sorted.  ``len`` and ``same_block`` read the scan; ``blocks`` and
-    ``block_of``'s numbers are built on first read.  The view does not hold
-    the graph, which holds the view."""
+    sorted.  ``len`` reads the scan and ``blocks`` is built on first read.
+    Two vertices share a block when their labels agree: callers look the
+    labels up by vertex index, through the graph's ``vertex_index``.  The
+    view does not hold the graph, which holds the view."""
 
     def __init__(self, vertices: tuple[str, ...], forest: list[int], labels: list[int]):
         self._vertices, self._forest, self._labels = vertices, forest, labels
@@ -214,26 +214,6 @@ class VertexPartition:
             tuple(map(vertex, block))
             for _, block in groupby(sorted(range(len(self._labels)), key=label), label)
         )
-
-    @cached_property
-    def _roots_to(self) -> list[int]:
-        # Per vertex index i, the number of roots (labels[i] == i) up to i.
-        labels = self._labels
-        return list(accumulate(map(eq, range(len(labels)), labels)))
-
-    def _label(self, v: str) -> int:
-        vertices = self._vertices  # sorted, so searched by bisection
-        i = bisect_left(vertices, v) if isinstance(v, str) else len(vertices)
-        if i == len(vertices) or vertices[i] != v:
-            raise UnknownVertex(v)
-        return self._labels[i]
-
-    def block_of(self, v: str) -> int:
-        """The position in ``blocks`` of ``v``'s block."""
-        return self._roots_to[self._label(v)] - 1
-
-    def same_block(self, u: str, v: str) -> bool:
-        return self._label(u) == self._label(v)
 
     def __len__(self) -> int:
         # A spanning forest has one edge fewer than vertices per block.
@@ -256,10 +236,10 @@ def components(g: DirectedGraph) -> VertexPartition:
 class Forest:
     """A spanning forest of a host graph, as :func:`spanning_forest` builds it.
 
-    The subgraph (all host vertices, ``tree_edges``) is acyclic as an
+    The subgraph (all host vertices, the tree edges) is acyclic as an
     undirected graph and has the same components as the host, equivalently
-    ``|tree_edges| = v - #components``.  It holds host edge indexes, and
-    names them in ``tree_edge_ids`` and ``tree_edges`` on first read."""
+    it has ``v - #components`` edges.  It holds host edge indexes, compares
+    and hashes by them, and names them in ``tree_edge_ids`` on first read."""
 
     @classmethod
     def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
@@ -275,21 +255,18 @@ class Forest:
         # Host edge ids are sorted, so ascending indexes list the ids sorted.
         return tuple(map(self.host.edge_ids.__getitem__, self._tree_idx))
 
-    @cached_property
-    def tree_edges(self) -> frozenset[str]:
-        return frozenset(self.tree_edge_ids)
-
     def _off_idx(self) -> list[int]:
         """The host edge indexes off the forest, ascending."""
         return sorted(set(range(self.host.e_count)).difference(self._tree_idx))
 
     @cached_property
-    def _nav(self) -> tuple[list[int], list[int], list[int], list[int]]:
+    def _nav(self) -> tuple[list[int], list[int], list[int]]:
         # Per-vertex navigation, indexed like ``host.vertices``: the parent
         # vertex, the signed edge code (sign * (edge index + 1)) of the step
-        # to the parent, the depth, and the root of the vertex's tree.  The
-        # trees are searched breadth first from their smallest vertex, over
-        # flat per-vertex ``[code, neighbour, code, neighbour, ...]`` lists.
+        # to the parent, and the depth, 0 at a root.  The trees are searched
+        # breadth first from their smallest vertex, over flat per-vertex
+        # ``[code, neighbour, code, neighbour, ...]`` lists; depth -1 marks
+        # a vertex the search has not reached.
         host = self.host
         n = host.v_count
         src, tgt = host._src_idx, host._tgt_idx
@@ -304,32 +281,29 @@ class Forest:
             half_edges.append(s)
         parent = list(range(n))
         up = [0] * n
-        depth = [0] * n
-        root = [-1] * n
+        depth = [-1] * n
         for start in range(n):
-            if root[start] >= 0:
+            if depth[start] >= 0:
                 continue
-            root[start] = start
+            depth[start] = 0
             queue = [start]
             for u in queue:  # the queue grows while it is read: FIFO order
                 d = depth[u] + 1
                 half_edges = iter(adj[u])
                 for code in half_edges:
                     w = next(half_edges)
-                    if root[w] >= 0:
+                    if depth[w] >= 0:
                         continue
-                    root[w] = start
                     depth[w] = d
                     parent[w] = u
                     up[w] = -code  # traversing w -> u inverts the step
                     queue.append(w)
-        return parent, up, depth, root
+        return parent, up, depth
 
-    def _path_codes(self, i: int, j: int) -> list[int]:
-        """Signed edge codes of the tree path between vertex indexes i and j."""
-        parent, up, depth, root = self._nav
-        if root[i] != root[j]:
-            raise DifferentTrees(self.host.vertices[i], self.host.vertices[j])
+    def _path_codes(self, u: int, v: int) -> list[int]:
+        """Signed edge codes of the tree path between vertex indexes u and v."""
+        parent, up, depth = self._nav
+        i, j = u, v
         ascent: list[int] = []
         descent: list[int] = []
         while depth[i] > depth[j]:
@@ -339,6 +313,8 @@ class Forest:
             descent.append(-up[j])
             j = parent[j]
         while i != j:
+            if not depth[i]:  # both climbs reached their roots apart
+                raise DifferentTrees(self.host.vertices[u], self.host.vertices[v])
             ascent.append(up[i])
             i = parent[i]
             descent.append(-up[j])
@@ -348,10 +324,11 @@ class Forest:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Forest):
             return NotImplemented
-        return self.host == other.host and self.tree_edges == other.tree_edges
+        # Equal hosts list the same edge ids in the same order.
+        return self.host == other.host and self._tree_idx == other._tree_idx
 
     def __hash__(self) -> int:
-        return hash((self.host, self.tree_edges))
+        return hash((self.host, tuple(self._tree_idx)))
 
     def __repr__(self) -> str:
         return f"Forest(tree_edges={self.tree_edge_ids!r})"

@@ -110,7 +110,7 @@ class PushoutInstance:
         """The tagged alphabet, built on first use: A edges, then B edges,
         then C loops, the letter of sign s on the i-th of them coded
         ``s * (i + 1)``.  Returns the ids in that order; per signed code, at
-        list index ``c`` of the ``RetractReport._code_table`` layout, its
+        list index ``c`` of the ``RetractReport._tables`` layout, its
         side and the index of the vertex it ends at; and per side, its ids'
         index among themselves and the code of its first id."""
         ga, gb = self.graph_a, self.graph_b
@@ -223,8 +223,6 @@ class RetractReport:
     k: int | None
     per_component_ranks: tuple[tuple[tuple[str, ...], int], ...]
     edge_origins: dict[str, tuple[str, str]] = field(repr=False)
-    # Filled on first use by ``_code_table``.
-    _tables: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def origin_of(self, w_edge: str) -> tuple[str, str]:
         try:
@@ -232,23 +230,22 @@ class RetractReport:
         except KeyError:
             raise UnknownLetter(w_edge) from None
 
-    def _code_table(self, key: str) -> list[int]:
+    @cached_property
+    def _tables(self) -> dict[str, list[int]]:
         """The image of each signed code ``c`` at list index ``c`` of
         ``[0, t_1 .. t_m, -t_m .. -t_1]``.  Key "A" or "B" maps that side's
         edge codes to W codes (0 off the side's forest); key "W" maps W
         codes to tagged codes.  All three are built on first use."""
-        if self._tables is None:
-            inst = self.instance
-            tables = {s: [0] * inst.side_graph(s).e_count for s in ("A", "B")}
-            base = {"A": 1, "B": inst.graph_a.e_count + 1}
-            tagged = tables["W"] = []
-            for code, w_edge in enumerate(self.w.edge_ids, 1):
-                s, edge = self.edge_origins[w_edge]
-                i = inst.side_graph(s)._eindex[edge]
-                tables[s][i] = code
-                tagged.append(base[s] + i)
-            self._tables = {k: [0, *t, *(-c for c in reversed(t))] for k, t in tables.items()}
-        return self._tables[key]
+        inst = self.instance
+        tables = {s: [0] * inst.side_graph(s).e_count for s in ("A", "B")}
+        base = {"A": 1, "B": inst.graph_a.e_count + 1}
+        tagged = tables["W"] = []
+        for code, w_edge in enumerate(self.w.edge_ids, 1):
+            s, edge = self.edge_origins[w_edge]
+            i = inst.side_graph(s)._eindex[edge]
+            tables[s][i] = code
+            tagged.append(base[s] + i)
+        return {k: [0, *t, *(-c for c in reversed(t))] for k, t in tables.items()}
 
 
 def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None) -> RetractReport:
@@ -268,7 +265,7 @@ def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None)
     ranks = tuple(euler_ranks(w))
     if w.v_count != n_c:
         raise InternalInvariant("W does not have one vertex per object")
-    if w.e_count != len(forest_x.tree_edges) + len(forest_y.tree_edges):
+    if w.e_count != len(forest_x._tree_idx) + len(forest_y._tree_idx):
         raise InternalInvariant("W does not have exactly the two forests' edges")
     k = None
     if len(ranks) == 1:
@@ -295,7 +292,7 @@ def _run_paths(report: RetractReport, runs: Iterable[tuple[str, int, int]]) -> l
     """The signed W codes of the tree paths of ``runs``, each a side and two
     vertex indexes in one tree of that side's forest, concatenated."""
     walks = {
-        side: (forest._path_codes, report._code_table(side).__getitem__)
+        side: (forest._path_codes, report._tables[side].__getitem__)
         for side, forest in (("A", report.forest_x), ("B", report.forest_y))
     }
     codes: list[int] = []
@@ -356,7 +353,7 @@ def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    tagged = report._code_table("W")
+    tagged = report._tables["W"]
     return GWord._trusted(report.instance, w.source, w.target, map(tagged.__getitem__, w._codes))
 
 
@@ -370,15 +367,18 @@ def witness(report: RetractReport, a: str, b: str) -> Word:
     in signed W codes and returns a word of them.
     """
     a, b = as_id(a), as_id(b)
-    # same_block raises UnknownVertex for a, then b, before any other check.
-    if not components(report.instance.graph_a).same_block(a, b):
+    inst = report.instance
+    # Both sides index the objects alike; UnknownVertex names a, then b, first.
+    i, j = inst.graph_a.vertex_index(a), inst.graph_a.vertex_index(b)
+    labels = components(inst.graph_a)._labels
+    if labels[i] != labels[j]:
         raise NoArrowInA(f"no arrow {a!r} -> {b!r} in A: different components")
-    if not components(report.instance.graph_b).same_block(a, b):
+    labels = components(inst.graph_b)._labels
+    if labels[i] != labels[j]:
         raise NoArrowInB(f"no arrow {a!r} -> {b!r} in B: different components")
     if a == b:
         raise NotDistinct(f"objects must be distinct, got {a!r} twice")
-    vindex = report.instance.graph_a._vindex
-    codes = _run_paths(report, (("A", vindex[a], vindex[b]), ("B", vindex[b], vindex[a])))
+    codes = _run_paths(report, (("A", i, j), ("B", j, i)))
     loop = reduce_signed(codes)
     if not (len(loop) >= 2 and len(loop) == len(codes)):
         raise InternalInvariant("witness halves cancelled at their junction")

@@ -384,18 +384,19 @@ def _joined_pair(
 ) -> tuple[str, str] | None:
     """The first pair of distinct objects joined in both A and B: ``prefer``
     when it qualifies, else the least pair of object indexes that does."""
-    parts_a, parts_b = components(instance.graph_a), components(instance.graph_b)
-    # Objects are joined in both sides exactly when their keys agree.
-    keys = {o: (parts_a.block_of(o), parts_b.block_of(o)) for o in instance.objects}
+    # Both sides index the objects alike, and objects are joined in both
+    # exactly when their keys, the pairs of their labels, agree.
+    keys = list(zip(components(instance.graph_a)._labels, components(instance.graph_b)._labels))
     if prefer is not None:
         a, b = as_id(prefer[0]), as_id(prefer[1])
-        if a != b and a in keys and keys[a] == keys.get(b):
+        vindex = instance.graph_a._vindex
+        if a != b and a in vindex and b in vindex and keys[vindex[a]] == keys[vindex[b]]:
             return a, b
     # The least pair (i, j): i is the first object whose key recurs and j the
     # next object with that key, so one scan finds both.
     first: dict[tuple[int, int], str] = {}
     second: dict[tuple[int, int], str] = {}
-    for o, key in keys.items():
+    for o, key in zip(instance.objects, keys):
         (second if key in first else first).setdefault(key, o)
     return next(((a, second[key]) for key, a in first.items() if key in second), None)
 

@@ -14,7 +14,7 @@ import subprocess
 import sys
 import time
 
-from freeloop.graphs import components, euler_ranks, spanning_forest
+from freeloop.graphs import euler_ranks, spanning_forest
 from freeloop.retract import GWord, build_retract, include_f, rho, witness
 from freeloop.vankampen import (
     PbpScenario,
@@ -27,6 +27,7 @@ from freeloop.vankampen import (
 from freeloop.words import Word, compose, tree_path
 
 from support import (
+    block_number,
     brute_rank,
     c8_space,
     circle_decomposition,
@@ -120,10 +121,10 @@ def test_criterion_4_forest_groupoid_oracle():
         fg = forest_graph(spanning_forest(g))
         forest = spanning_forest(fg)
         words = enumerate_reduced_words(fg)
-        parts = components(fg)
+        number = block_number(fg)
         for u in fg.vertices:
             for v in fg.vertices:
-                if parts.same_block(u, v):
+                if number[u] == number[v]:
                     candidates = words[(u, v)]
                     assert len(candidates) == 1
                     assert Word(fg, u, v, candidates[0]) == tree_path(

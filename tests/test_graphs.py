@@ -29,6 +29,7 @@ from freeloop.graphs import (
 from freeloop.words import Letter, tree_path
 
 from support import (
+    block_number,
     brute_components,
     forest_graph,
     is_forest_graph,
@@ -155,7 +156,7 @@ def test_spanning_forest_properties_on_random_graphs():
         fg = forest_graph(f)
         assert is_forest_graph(fg)
         assert components(fg).blocks == components(g).blocks
-        assert len(f.tree_edges) == g.v_count - len(components(g))
+        assert len(f.tree_edge_ids) == g.v_count - len(components(g))
 
 
 def test_spanning_forest_is_deterministic_and_lex_greedy():
@@ -174,7 +175,7 @@ def test_a_cycle_forest_leaves_out_the_edge_its_scan_reaches_last():
         (["c3"], "c2"),
     ):
         f = spanning_forest(g, tie)
-        assert set(g.edge_ids) - f.tree_edges == {left_out}
+        assert set(g.edge_ids) - set(f.tree_edge_ids) == {left_out}
         assert is_forest_graph(forest_graph(f))
 
 
@@ -188,11 +189,29 @@ def test_greedy_forests_are_spanning_forests_under_any_tie_break():
         tie = list(g.edge_ids)
         rng.shuffle(tie)
         f = spanning_forest(g, tie)
-        assert f.tree_edge_ids == tuple(sorted(f.tree_edges))
+        assert f.tree_edge_ids == tuple(sorted(set(f.tree_edge_ids)))
         fg = forest_graph(f)
         assert is_forest_graph(fg)
         assert components(fg).blocks == components(g).blocks
         assert spanning_forest(g) == spanning_forest(g, [])
+
+
+def test_forests_compare_and_hash_by_their_edges():
+    """A cached-scan forest and a tie-break forest that accept the same
+    edges compare equal and hash alike, also on two distinct but equal
+    hosts; forests one edge apart, or on hosts that differ, do not."""
+    edges = [("x", "a", "b"), ("y", "b", "c"), ("z", "c", "a")]
+    g = DirectedGraph(["a", "b", "c"], edges)
+    twin = DirectedGraph(["c", "b", "a"], edges[::-1])
+    assert twin is not g and twin == g
+    lex = spanning_forest(g)
+    assert lex.tree_edge_ids == ("x", "y")
+    for f in (spanning_forest(g, ["y"]), spanning_forest(twin), spanning_forest(twin, ["y", "x"])):
+        assert f == lex and hash(f) == hash(lex)
+    for f in (spanning_forest(g, ["z"]), spanning_forest(twin, ["y", "z"])):
+        assert f != lex and len(set(f.tree_edge_ids) ^ set(lex.tree_edge_ids)) == 2
+    other = DirectedGraph(["a", "b", "c"], [("x", "a", "b"), ("y", "c", "b"), ("z", "c", "a")])
+    assert spanning_forest(other).tree_edge_ids == ("x", "y") and spanning_forest(other) != lex
 
 
 def test_tree_path_walks_the_unique_tree_path():
@@ -212,6 +231,22 @@ def test_tree_path_rejects_cross_tree_pairs():
     f = spanning_forest(g)
     with pytest.raises(DifferentTrees):
         tree_path(f, "a", "c")
+    # Trees rooted at a (a, b, c at depths 0, 1, 2) and at d (d, e at
+    # depths 0, 1), and the lone f: pairs at unequal depths, a root with a
+    # non-root, and two roots.
+    g = DirectedGraph(
+        ["a", "b", "c", "d", "e", "f"],
+        [("x", "a", "b"), ("y", "c", "b"), ("z", "e", "d")],
+    )
+    for tie in (None, ["z", "y", "x"]):
+        f = spanning_forest(g, tie)
+        for u, v in (("c", "e"), ("c", "d"), ("b", "e"), ("a", "e"), ("c", "f"), ("a", "d"), ("d", "f")):
+            for s, t in ((u, v), (v, u)):
+                with pytest.raises(DifferentTrees) as raised:
+                    tree_path(f, s, t)
+                assert (raised.value.u, raised.value.v) == (s, t)
+                assert str(raised.value) == f"vertices {s!r} and {t!r} lie in different trees"
+        assert tree_path(f, "c", "a").letters == (Letter("y", 1), Letter("x", -1))
 
 
 def test_tree_path_endpoints_on_random_forests():
@@ -219,15 +254,15 @@ def test_tree_path_endpoints_on_random_forests():
     for _ in range(100):
         g = random_graph(rng, max_v=8, max_e=12)
         f = spanning_forest(g)
-        parts = components(g)
+        number = block_number(g)
         for u in g.vertices:
             for v in g.vertices:
-                if not parts.same_block(u, v):
+                if number[u] != number[v]:
                     continue
                 steps = [(l.edge, l.sign) for l in tree_path(f, u, v).letters]
                 cur = u
                 for e, sign in steps:
-                    assert e in f.tree_edges
+                    assert e in f.tree_edge_ids
                     s, t = g.edge_ends[e]
                     if sign == 1:
                         assert s == cur
@@ -259,8 +294,15 @@ def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
         blocks = brute_components(g)
         assert components(g).blocks == blocks
         for f in (spanning_forest(g), spanning_forest(g, g.edge_ids[::-1])):
+            parent, _, depth = f._nav
+
+            def root(i):
+                while depth[i]:
+                    i = parent[i]
+                return i
+
             for block in blocks:
-                roots = {f._nav[3][g.vertex_index(v)] for v in block}
+                roots = {root(g.vertex_index(v)) for v in block}
                 assert roots == {g.vertex_index(block[0])}
 
 
@@ -297,7 +339,7 @@ def test_pushout_accepts_forests_and_counts_match():
         fx, fy = spanning_forest(x), spanning_forest(y)
         w, _ = graph_pushout_with_origins(fx, fy, vs)
         assert w.v_count == n
-        assert w.e_count == len(fx.tree_edges) + len(fy.tree_edges)
+        assert w.e_count == len(fx.tree_edge_ids) + len(fy.tree_edge_ids)
 
 
 TAG_HEAVY_IDS = ("x", "y", "A:x", "B:x", "A:A:x", "A:B:x", "B:A:x", "B:B:x")

@@ -64,6 +64,9 @@ DELETED = (
     (graphs.Forest, "path_steps"),
     (graphs.DirectedGraph, "has_vertex"),
     (graphs.VertexPartition, "index"),
+    (graphs.VertexPartition, "block_of"),
+    (graphs.VertexPartition, "same_block"),
+    (graphs.Forest, "tree_edges"),
 ) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from freeloop.errors import (
+    BadId,
     BadSign,
     DuplicateId,
     HostMismatch,
@@ -46,6 +47,7 @@ from freeloop.retract import (
 from freeloop.words import Letter, identity
 
 from support import (
+    block_number,
     brute_rank,
     circle_instance,
     is_nonempty_reduced_loop,
@@ -149,8 +151,8 @@ def test_build_retract_counts_and_rank_formula_agree():
         inst = random_connected_instance(rng, max_objects=12, max_side_edges=20)
         report = build_retract(inst)
         assert report.w.v_count == report.n_c == len(inst.objects)
-        assert report.w.e_count == len(report.forest_x.tree_edges) + len(
-            report.forest_y.tree_edges
+        assert report.w.e_count == len(report.forest_x.tree_edge_ids) + len(
+            report.forest_y.tree_edge_ids
         )
         assert report.k == brute_rank(inst)[2]
         assert report.per_component_ranks == tuple(euler_ranks(report.w))
@@ -464,7 +466,7 @@ def test_rho_and_witness_share_one_letter_per_w_letter(monkeypatch):
     report = build_retract(inst)
     fresh = build_retract(inst)
     # build_retract alone builds no code table.
-    assert report._tables is None
+    assert "_tables" not in vars(report)
     g = long_run_gword(rng, inst, 200)
     pair = joined_pairs(inst)[0]
     built = {cls: counted_builds(monkeypatch, cls) for cls in (Letter, GLetter)}
@@ -495,11 +497,23 @@ def test_witness_on_circle_is_the_two_letter_loop():
 
 
 def test_witness_preconditions():
+    """Ids are coerced first, then a and b looked up in that order, then
+    the sides' components compared, A first; distinctness comes last."""
     report = build_retract(circle_instance())
     with pytest.raises(NotDistinct):
         witness(report, "a", "a")
-    with pytest.raises(UnknownVertex):
-        witness(report, "a", "zz")
+    for a, b in ((1.5, "a"), ("a", None), (1.5, "zz"), ("zz", [])):
+        with pytest.raises(BadId):
+            witness(report, a, b)
+    for a, b, unknown in (
+        ("zz", "yy", "zz"), ("zz", "a", "zz"), ("a", "zz", "zz"), ("zz", "zz", "zz"), (7, "a", "7")
+    ):
+        with pytest.raises(UnknownVertex) as raised:
+            witness(report, a, b)
+        assert str(raised.value) == f"unknown vertex {unknown!r}"
+    apart = PushoutInstance(["a", "b"], DirectedGraph(["a", "b"]), DirectedGraph(["a", "b"]))
+    with pytest.raises(NoArrowInA):
+        witness(build_retract(apart), "a", "b")
     path_report = build_retract(path_instance())
     with pytest.raises(NoArrowInB):
         witness(path_report, "a", "b")
@@ -518,14 +532,14 @@ def test_witness_mixes_both_forests_whenever_defined():
     while found < 40:
         inst = random_connected_instance(rng, max_objects=8, max_side_edges=12)
         report = build_retract(inst)
-        parts_a = components(inst.graph_a)
-        parts_b = components(inst.graph_b)
+        number_a = block_number(inst.graph_a)
+        number_b = block_number(inst.graph_b)
         pair = next(
             (
                 (u, v)
                 for i, u in enumerate(inst.objects)
                 for v in inst.objects[i + 1 :]
-                if parts_a.same_block(u, v) and parts_b.same_block(u, v)
+                if number_a[u] == number_a[v] and number_b[u] == number_b[v]
             ),
             None,
         )
@@ -546,7 +560,7 @@ def test_certify_on_circle_gives_one_letter_coordinates():
     report = build_retract(circle_instance())
     loop = witness(report, "a", "b")
     assert is_nonempty_reduced_loop(loop)
-    tree = spanning_forest(report.w).tree_edges
+    tree = set(spanning_forest(report.w).tree_edge_ids)
     assert len([l for l in loop.letters if l.edge not in tree]) == 1
 
 

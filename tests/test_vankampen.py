@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,6 @@ from freeloop.errors import (
 )
 from freeloop.graphs import (
     DirectedGraph,
-    VertexPartition,
     components,
     euler_ranks,
 )
@@ -35,6 +36,7 @@ from freeloop.vankampen import (
     decomposition_to_instance,
     detect_z_retract,
     _generators,
+    _joined_pair,
     _space_connected,
     pbi_fails,
     pbp_to_decomposition,
@@ -42,6 +44,7 @@ from freeloop.vankampen import (
 from freeloop.words import Word
 
 from support import (
+    block_number,
     brute_components,
     brute_rank,
     c8_space,
@@ -392,12 +395,12 @@ def _double_loop_pair(instance, prefer=None):
     """The pair a scan of ``prefer``, then every (objs[i], objs[j]) with
     i < j, meets first among distinct objects joined in both sides."""
     objs = instance.objects
-    parts_a, parts_b = components(instance.graph_a), components(instance.graph_b)
+    number_a, number_b = block_number(instance.graph_a), block_number(instance.graph_b)
     pairs = [] if prefer is None else [prefer]
     pairs += [(objs[i], objs[j]) for i in range(len(objs)) for j in range(i + 1, len(objs))]
     for a, b in pairs:
         if a != b and a in objs and b in objs:
-            if parts_a.same_block(a, b) and parts_b.same_block(a, b):
+            if number_a[a] == number_a[b] and number_b[a] == number_b[b]:
                 return a, b
     return None
 
@@ -451,21 +454,33 @@ def caterpillar_decomposition(m: int) -> Decomposition:
     return Decomposition(space, space.vertices, leaves)
 
 
-def test_detect_z_retract_scan_is_linear_in_basepoints(monkeypatch):
-    calls = []
-    block_of = VertexPartition.block_of
+def test_detect_z_retract_scan_is_linear_in_basepoints():
+    """The search for a joined pair runs a fixed number of lines per
+    basepoint, counted in ``_joined_pair`` and the code nested in it."""
+    code = _joined_pair.__code__
+    scan = {code, *(c for c in code.co_consts if isinstance(c, types.CodeType))}
+    lines = []
 
-    def counted(self, v):
-        calls.append(v)
-        return block_of(self, v)
+    def local(frame, event, arg):
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return local
 
-    monkeypatch.setattr(VertexPartition, "block_of", counted)
+    def enter(frame, event, arg):
+        return local if frame.f_code in scan else None
+
     counts = []
     for m in (50, 100, 200):
-        calls.clear()
-        assert detect_z_retract(caterpillar_decomposition(m)) is None
-        counts.append(len(calls))
-    # Each added basepoint costs the same fixed number of lookups.
+        dec = caterpillar_decomposition(m)
+        lines.clear()
+        previous = sys.gettrace()
+        sys.settrace(enter)
+        try:
+            assert detect_z_retract(dec) is None
+        finally:
+            sys.settrace(previous)
+        counts.append(len(lines))
+    # Each added basepoint costs the same fixed number of lines.
     assert counts[2] - counts[1] == 2 * (counts[1] - counts[0]) <= 8 * 100
 
 def test_certificates_on_random_decompositions_are_sound():
@@ -503,8 +518,8 @@ def test_pbp_pipeline_on_the_antipodal_cycle():
     sc = PbpScenario(c8_space(), ["v0"], ["v4"], "v2", "v6")
     dec = pbp_to_decomposition(sc)
     assert dec.u_vertices == tuple(f"v{i}" for i in range(1, 8))
-    parts = components(dec.intersection)
-    assert not parts.same_block("v2", "v6")
+    number = block_number(dec.intersection)
+    assert number["v2"] != number["v6"]
     prefer = certificate_basepoints_for(dec, sc.a, sc.b)
     assert prefer == ("v1", "v5")
     assert certificate_basepoints_for(dec, "v7", "v3") == ("v5", "v1")
@@ -558,7 +573,7 @@ def test_pbp_pipeline_names_no_piece_ids(monkeypatch):
         for piece in pieces[:2]:
             assert piece._components is not None and "blocks" not in vars(piece._components)
         for f in forests:
-            assert "tree_edge_ids" not in vars(f) and "tree_edges" not in vars(f)
+            assert "tree_edge_ids" not in vars(f)
 
 
 def test_pbp_pipeline_on_random_failing_scenarios():
