@@ -1,14 +1,21 @@
 """Shared generators and independent oracles for the test suite.
 
-The oracles deliberately avoid the code paths they check: connectivity and
-the retract's rank by plain BFS instead of union-find, acyclicity by edge
-counting, and free reduction by repeated single-pair deletion.
+The oracles deliberately avoid the code paths they check.  Tree paths, rho,
+witness loops and component counts come from the benchmark's checker,
+``perfbench/checkers.py``, loaded by path as :data:`checkers`: it shares no
+code with freeloop, and the adapters here only read ids and ends off public
+attributes to build its documents.  Here live the oracles the checker lacks:
+:func:`brute_components` lists blocks by BFS, :func:`naive_reduce` reduces
+by repeated single-pair deletion, acyclicity is edge counting, and the word,
+decomposition and parse references walk ids one by one.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from dataclasses import replace
+from pathlib import Path
 
 from freeloop.errors import (
     EdgeAcrossPieces,
@@ -26,6 +33,20 @@ from freeloop.jsonio import _id_list, _id_value, _require
 from freeloop.retract import GLetter, GWord, PushoutInstance
 from freeloop.vankampen import Decomposition, decomposition_to_instance
 from freeloop.words import Letter, Word
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def perfbench_module(name: str):
+    """``perfbench/<name>.py``, loaded by path: the benchmark's checkers and
+    input generators import nothing from freeloop."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+checkers = perfbench_module("checkers")
 
 
 def naive_reduce(codes):
@@ -100,20 +121,16 @@ def partition_view_faults(g: DirectedGraph) -> list[str]:
 
 
 def brute_rank(inst: PushoutInstance):
-    """``((n_A, n_B, n_C), connected, k)`` of a pushout instance, from BFS.
+    """``((n_A, n_B, n_C), connected, k)`` of a pushout instance, from the
+    checker's component counts.
 
     C is totally disconnected, so n_C is the object count.  The pushout G is
     connected exactly when the union of both sides' edges is; then ``k`` is
     ``n_C - n_A - n_B + 1``, and otherwise None.
     """
-    a, b = inst.graph_a, inst.graph_b
-    union = DirectedGraph(
-        inst.objects,
-        [(f"A:{e}", *a.edge_ends[e]) for e in a.edge_ids]
-        + [(f"B:{e}", *b.edge_ends[e]) for e in b.edge_ids],
-    )
-    counts = (len(brute_components(a)), len(brute_components(b)), len(inst.objects))
-    connected = len(brute_components(union)) == 1
+    objects, a, b = inst.objects, inst.graph_a.edge_ends.values(), inst.graph_b.edge_ends.values()
+    counts = (checkers.count_components(objects, a), checkers.count_components(objects, b), len(objects))
+    connected = checkers.count_components(objects, [*a, *b]) == 1
     k = counts[2] - counts[0] - counts[1] + 1 if connected else None
     return counts, connected, k
 
@@ -204,7 +221,7 @@ def reference_kruskal(n, src, tgt, order):
 
 def is_forest_graph(g: DirectedGraph) -> bool:
     """Acyclicity by counting: e = v - #components holds exactly for forests."""
-    return g.e_count == g.v_count - len(brute_components(g))
+    return g.e_count == g.v_count - checkers.count_components(g.vertices, g.edge_ends.values())
 
 
 def signed_adjacency(g: DirectedGraph):
@@ -412,76 +429,35 @@ def long_run_gword(
     return GWord(inst, source, cur, letters)
 
 
-def _tree_bfs_path(adj, u: str, v: str) -> list[int]:
-    back: dict[str, tuple[int, str] | None] = {u: None}
-    frontier = [u]
-    while frontier and v not in back:
-        nxt = []
-        for x in frontier:
-            for code, y in adj[x]:
-                if y not in back:
-                    back[y] = (code, x)
-                    nxt.append(y)
-        frontier = nxt
-    if v not in back:
-        raise AssertionError(f"{v!r} is not in the tree of {u!r}")
-    path = []
-    while back[v] is not None:
-        code, v = back[v]
-        path.append(code)
-    return path[::-1]
+def _rho_oracle(report):
+    """The checker's rho oracle, built from the ids and ends the report
+    names: its objects, its side graphs' edges, its forests' tree edges and
+    the origin of each W edge."""
+    inst = report.instance
+    doc = {"objects": inst.objects}
+    for key, g in (("graph_a", inst.graph_a), ("graph_b", inst.graph_b)):
+        doc[key] = {"edges": [{"id": e, "src": s, "tgt": t} for e, (s, t) in g.edge_ends.items()]}
+    trees = {"A": report.forest_x.tree_edge_ids, "B": report.forest_y.tree_edge_ids}
+    return checkers.RhoOracle(doc, trees, report.edge_origins)
 
 
-def _w_tree_adjacency(report) -> dict[str, dict[str, list[tuple[int, str]]]]:
-    """Per side, each object's (signed W code, neighbour) steps along the
-    side's tree edges (``forest.tree_edge_ids``, relabelled to W by
-    ``edge_origins``)."""
-    to_w = {origin: w_edge for w_edge, origin in report.edge_origins.items()}
-    w_code = {e: i + 1 for i, e in enumerate(report.w.edge_ids)}
-    adj = {}
-    for side, forest in (("A", report.forest_x), ("B", report.forest_y)):
-        g_side = report.instance.side_graph(side)
-        nbrs: dict[str, list[tuple[int, str]]] = {v: [] for v in g_side.vertices}
-        for e in forest.tree_edge_ids:
-            s, t = g_side.edge_ends[e]
-            code = w_code[to_w[(side, e)]]
-            nbrs[s].append((code, t))
-            nbrs[t].append((-code, s))
-        adj[side] = nbrs
-    return adj
+def checker_rho(report, g: GWord) -> Word:
+    """``rho(report, g)`` as the checker expects it: each A- or B-letter
+    becomes the tree path between its ends, C-letters vanish, and the
+    concatenation is stack-reduced."""
+    letters = [{"side": l.side, "edge": l.edge, "sign": l.sign} for l in g.letters]
+    image = _rho_oracle(report).expected(letters)
+    return Word(report.w, g.source, g.target, [Letter(e, sign) for e, sign in image])
 
 
-def _w_word(report, source: str, target: str, codes: list[int]) -> Word:
-    """The checked word on W of raw signed W codes, reduced by :func:`naive_reduce`."""
-    ids = report.w.edge_ids
-    letters = [Letter(ids[abs(c) - 1], 1 if c > 0 else -1) for c in naive_reduce(codes)]
-    return Word(report.w, source, target, letters)
-
-
-def naive_rho(report, g: GWord) -> Word:
-    """The retraction letter by letter, sharing no code with ``rho``.
-
-    Each A- or B-letter becomes the BFS path between its ends through its
-    side's tree edges, C-letters vanish, and the concatenation is reduced
-    by :func:`naive_reduce`.
-    """
-    adj = _w_tree_adjacency(report)
-    codes: list[int] = []
-    for letter in g.letters:
-        if letter.side == "C":
-            continue
-        s, t = report.instance.side_graph(letter.side).edge_ends[letter.edge]
-        if letter.sign == -1:
-            s, t = t, s
-        codes += _tree_bfs_path(adj[letter.side], s, t)
-    return _w_word(report, g.source, g.target, codes)
-
-
-def naive_witness(report, a: str, b: str) -> Word:
-    """The witness loop from BFS halves, X-tree a -> b then Y-tree b -> a,
-    reduced by :func:`naive_reduce`."""
-    adj = _w_tree_adjacency(report)
-    return _w_word(report, a, a, _tree_bfs_path(adj["A"], a, b) + _tree_bfs_path(adj["B"], b, a))
+def checker_witness(report, a: str, b: str) -> Word:
+    """The witness loop from the checker's tree paths, X-tree a -> b then
+    Y-tree b -> a, stack-reduced."""
+    oracle = _rho_oracle(report)
+    halves = []
+    for side, u, v in (("A", a, b), ("B", b, a)):
+        halves += [(oracle.w_id[(side, e)], sign) for e, sign in oracle.paths[side].path(u, v)]
+    return Word(report.w, a, a, [Letter(e, sign) for e, sign in checkers.stack_reduce(halves)])
 
 
 def random_connected_space(rng: random.Random, max_v=10, max_extra=8) -> DirectedGraph:

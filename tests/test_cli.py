@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import gc
-import importlib.util
 import io
 import json
 import os
@@ -19,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from freeloop import cli, errors
 from freeloop.graphs import Forest
 from freeloop.words import Letter
-from support import ring_ladder
+from support import perfbench_module, ring_ladder
 
 CIRCLE_INSTANCE = {
     "objects": ["a", "b"],
@@ -398,6 +397,14 @@ def test_rho_refuses_a_sign_that_is_not_the_int_1_or_minus_1(circle_file, tmp_pa
     assert (out.out, out.err) == ("", 'SchemaError: letter #0 "sign" must be 1 or -1\n')
 
 
+def test_rho_refuses_letters_that_are_not_an_array(circle_file, tmp_path, capsys):
+    gword = {"source": "a", "target": "a", "letters": {"side": "A", "edge": "alpha", "sign": 1}}
+    word_path = write_json(tmp_path / "gword.json", gword)
+    assert cli.main(["rho", circle_file, "--word", word_path]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", 'SchemaError: gword "letters" must be a JSON array\n')
+
+
 def test_vk_instance_command(decomposition_file):
     out = run_cli("vk-instance", decomposition_file, "--output", "json")
     payload = json.loads(out.stdout)
@@ -664,16 +671,6 @@ def test_output_does_not_depend_on_the_hash_seed(tmp_path):
 # -- the cyclic collector is paused while a command runs ----------------------
 
 
-def _perfbench_inputs():
-    """``perfbench/inputs.py``, the benchmark's input generators; it imports
-    nothing from freeloop."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
-    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def _exit_cases(tmp_path) -> list[tuple[list[str], int]]:
     """(argv, exit code) of runs that end in exit 1 or 2."""
     circle = write_json(tmp_path / "circle.json", CIRCLE_INSTANCE)
@@ -734,7 +731,7 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
         for extra in (["--output", "text"], ["--output", "json"], ["--emit-dot", dot])
     ]
     cases += _exit_cases(tmp_path)
-    inputs = _perfbench_inputs()
+    inputs = perfbench_module("inputs")
     cycle = inputs.cycle_scenario(random.Random("pbp_cycle-1"), 4000)
     instance = inputs.pushout_instance(random.Random("retract_random-1"), 1500, 6000)
     cases += [

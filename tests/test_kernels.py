@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 from freeloop import _kernels
 from freeloop._kernels import _pure
 
-from support import brute_components, naive_reduce, reference_kruskal
+from support import brute_components, checkers, naive_reduce, reference_kruskal
 
 BACKEND_PARAMS = pytest.mark.parametrize("kernel", [_pure], ids=["pure"])
 
@@ -37,29 +37,12 @@ def _blocks_from_labels(labels):
     return sorted(tuple(v) for v in grouped.values())
 
 
-def _index_blocks(n, src, tgt):
-    adj = {i: set() for i in range(n)}
-    for s, t in zip(src, tgt):
-        adj[s].add(t)
-        adj[t].add(s)
-    seen = set()
-    blocks = []
-    for start in range(n):
-        if start in seen:
-            continue
-        block = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w not in block:
-                        block.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        seen |= block
-        blocks.append(tuple(sorted(block)))
-    return sorted(blocks)
+def _labels_match_bfs(labels, n, src, tgt) -> bool:
+    """Labels give the BFS blocks exactly when every edge joins two equal
+    labels and there are as many labels as the checker counts components."""
+    count = checkers.count_components(range(n), zip(src, tgt))
+    same = all(labels[s] == labels[t] for s, t in zip(src, tgt))
+    return len(labels) == n and same and len(set(labels)) == count
 
 
 @BACKEND_PARAMS
@@ -88,17 +71,17 @@ def test_reduce_examples(kernel):
 
 @BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_union_find_matches_bfs_oracle(kernel, data, choice):
+def test_forest_scan_labels_match_bfs_oracle(kernel, data, choice):
     """The scan's labels partition the vertices as BFS does, in any order."""
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
     _, labels = kernel.forest_scan(n, src, tgt, order)
-    assert _blocks_from_labels(labels) == _index_blocks(n, src, tgt)
+    assert _labels_match_bfs(labels, n, src, tgt)
 
 
 @BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_union_find_labels_by_smallest_member(kernel, data, choice):
+def test_forest_scan_labels_by_smallest_member(kernel, data, choice):
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
     _, labels = kernel.forest_scan(n, src, tgt, order)
@@ -108,23 +91,22 @@ def test_union_find_labels_by_smallest_member(kernel, data, choice):
 
 @BACKEND_PARAMS
 @given(data=index_graphs())
-def test_greedy_forest_is_maximal_acyclic_subsequence(kernel, data):
+def test_forest_scan_accepts_a_maximal_acyclic_subsequence(kernel, data):
     n, src, tgt = data
     order = list(range(len(src)))
     accepted, _ = kernel.forest_scan(n, src, tgt, order)
     assert accepted == sorted(accepted)
     assert set(accepted) <= set(order)
-    # forest on exactly the scanned edges: tree size = v - #components
-    blocks = _index_blocks(n, src, tgt)
-    assert len(accepted) == n - len(blocks)
-    fsrc = [src[i] for i in accepted]
-    ftgt = [tgt[i] for i in accepted]
-    assert _index_blocks(n, fsrc, ftgt) == blocks
+    # A forest spanning the graph's blocks: v - #components edges and as
+    # many components as the graph, so its blocks are the graph's.
+    count = checkers.count_components(range(n), zip(src, tgt))
+    assert len(accepted) == n - count
+    assert checkers.count_components(range(n), [(src[i], tgt[i]) for i in accepted]) == count
 
 
 @BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_greedy_forest_matches_reference_kruskal_in_any_order(kernel, data, choice):
+def test_forest_scan_matches_reference_kruskal_in_any_order(kernel, data, choice):
     """Linking roots by smaller index changes no acceptance: on a permuted
     scan, and on a scan led by required edges as a tie-break list leads it,
     the kernel accepts what a union-find-free Kruskal accepts."""
@@ -175,8 +157,8 @@ def test_kernels_on_long_paths_and_stars_make_no_python_calls(kernel, shape, dir
     # The index-order scan, as ``components`` runs it.
     (accepted, labels), calls = _python_calls_inside(kernel.forest_scan, n, src, tgt, range(len(src)))
     assert calls == 0
-    assert _blocks_from_labels(labels) == _index_blocks(n, src, tgt) == [tuple(range(n))]
     assert labels == [0] * n
+    assert _labels_match_bfs(labels, n, src, tgt)
     assert accepted == list(range(len(src)))
 
 

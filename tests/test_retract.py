@@ -11,6 +11,7 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -49,12 +50,12 @@ from freeloop.words import Letter, identity
 from support import (
     block_number,
     brute_rank,
+    checker_rho,
+    checker_witness,
     circle_instance,
     is_nonempty_reduced_loop,
     joined_pairs,
     long_run_gword,
-    naive_rho,
-    naive_witness,
     random_connected_instance,
     random_gword,
     random_reduced_word,
@@ -172,6 +173,9 @@ def test_gword_validates_chain_and_letters():
         GWord(inst, "zz", "zz", [])
     with pytest.raises(UnknownSide):
         GLetter("D", "alpha", 1)
+    # A letter-like object skips GLetter's check; the word still names the side.
+    with pytest.raises(UnknownSide, match="no generating graph for side 'D'"):
+        GWord(inst, "a", "b", [SimpleNamespace(side="D", edge="alpha", sign=1)])
     for sign in (0, 2, True, 1.0, -1.0):
         with pytest.raises(BadSign):
             GLetter("A", "alpha", sign)
@@ -202,6 +206,8 @@ def test_rho_on_single_forest_letter_is_that_letter():
     image = rho(report, GWord(inst, "a", "b", [GLetter("A", "alpha", 1)]))
     assert [(l.edge, l.sign) for l in image.letters] == [("alpha", 1)]
     assert report.origin_of("alpha") == ("A", "alpha")
+    with pytest.raises(UnknownLetter, match="'gamma'"):
+        report.origin_of("gamma")
 
 
 def test_rho_kills_c_letters_everywhere():
@@ -259,11 +265,11 @@ def test_rho_matches_letter_by_letter_oracle_on_long_runs():
         for g in words:
             assert len(g) >= 300
             assert g.letters[0].side == g.letters[-1].side == "C"
-            assert rho(report, g) == naive_rho(report, g)
+            assert rho(report, g) == checker_rho(report, g)
         for side in ("A", "B"):
             closed = long_run_gword(rng, inst, 300, sides=(side,), closed_share=1.0)
             assert closed.source == closed.target
-            assert rho(report, closed) == naive_rho(report, closed)
+            assert rho(report, closed) == checker_rho(report, closed)
             assert rho(report, closed) == identity(report.w, closed.source)
         checked += 1
 
@@ -333,7 +339,7 @@ def test_rho_cancels_whole_runs(source, text, image):
     got = rho(report, g)
     assert str(got) == image
     assert (got.source, got.target) == (g.source, g.target)
-    assert got == naive_rho(report, g)
+    assert got == checker_rho(report, g)
 
 
 def test_rho_of_spliced_cancelling_segments_matches_the_oracle():
@@ -356,7 +362,7 @@ def test_rho_of_spliced_cancelling_segments_matches_the_oracle():
             for letters in (head + seg, head + seg + back + tail, head + seg + back + seg):
                 word = GWord(inst, g.source, tagged_end(inst, g.source, letters), letters)
                 images.append(rho(report, word))
-                assert images[-1] == naive_rho(report, word)
+                assert images[-1] == checker_rho(report, word)
             assert images[1] == rho(report, g) and images[2] == images[0]
             cancelled += bool(seg)
     assert cancelled >= 200
@@ -448,11 +454,11 @@ def test_rho_witness_and_include_f_on_tagged_w_edges():
         tags.update(e.rpartition(":")[0] for e in report.w.edge_ids)
         for _ in range(3):
             g = random_gword(rng, inst, max_len=40)
-            assert rho(report, g) == naive_rho(report, g)
+            assert rho(report, g) == checker_rho(report, g)
             w = random_reduced_word(rng, report.w, max_len=20)
             assert rho(report, include_f(report, w)) == w
         for pair in joined_pairs(inst):
-            assert witness(report, *pair) == naive_witness(report, *pair)
+            assert witness(report, *pair) == checker_witness(report, *pair)
     assert min(tags["A"], tags["B"], tags["A:A"]) >= 10
 
 
@@ -647,12 +653,16 @@ def test_internal_invariants_survive_python_dash_o():
 
 
 def test_engine_has_no_assert_statements():
-    """Every invariant is an explicit error, so none vanishes under ``-O``."""
-    src = Path(__file__).resolve().parent.parent / "src" / "freeloop"
-    modules = sorted(src.rglob("*.py"))
+    """Every invariant is an explicit error, so none vanishes under ``-O``.
+    The oracle modules count too: pytest rewrites only test modules, so an
+    ``assert`` in ``tests/support.py`` or the benchmark's checker would be
+    stripped there as well."""
+    root = Path(__file__).resolve().parent.parent
+    modules = sorted((root / "src" / "freeloop").rglob("*.py"))
     assert modules
+    modules += [root / "tests" / "support.py", root / "perfbench" / "checkers.py"]
     found = [
-        f"{path.relative_to(src)}:{node.lineno}"
+        f"{path.relative_to(root)}:{node.lineno}"
         for path in modules
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.Assert)

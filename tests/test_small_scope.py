@@ -4,7 +4,8 @@ isomorphism, with every two-piece cover and every separation scenario.
 Most defects show up on some small input (the small-scope hypothesis), so
 the sweep checks the certificate pipeline exhaustively there instead of on
 random samples.  The expected results come from the BFS oracles in
-``support``.
+``support`` and the benchmark's checker, which also checks that every
+certificate's loops are walks.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from freeloop.vankampen import (
 from support import (
     brute_components,
     brute_rank,
+    checkers,
     is_nonempty_reduced_loop,
     partition_view_faults,
     reference_decomposition_error,
@@ -116,6 +118,17 @@ def test_partition_view_matches_bfs_oracle_on_every_induced_subgraph():
     assert induced == 790
 
 
+def _walk_problems(word, g: DirectedGraph) -> list[str]:
+    """The checker's reasons why ``word`` is no reduced walk on the edge
+    ends of ``g``."""
+    doc = {
+        "source": word.source,
+        "target": word.target,
+        "letters": [{"edge": l.edge, "sign": l.sign} for l in word.letters],
+    }
+    return checkers.walk_problems(doc, g.edge_ends, "loop")
+
+
 def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():
     tally = {"covers": 0, "certificates": 0, "errors": 0}
     for space in connected_graphs():
@@ -143,6 +156,8 @@ def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_
             assert is_nonempty_reduced_loop(cert.loop_in_space)
             assert is_nonempty_reduced_loop(cert.retract_image)
             assert cert.loop_in_space.host == space
+            assert _walk_problems(cert.loop_in_space, space) == []
+            assert _walk_problems(cert.retract_image, cert.report.w) == []
             assert cert.report.k == brute_rank(cert.report.instance)[2]
     assert tally == {"covers": 1981, "certificates": 54, "errors": 62}
 

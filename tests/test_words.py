@@ -31,10 +31,10 @@ from freeloop.words import reduce as reduce_word
 
 from support import (
     block_number,
+    checker_rho,
     enumerate_reduced_words,
     forest_graph,
     naive_reduce,
-    naive_rho,
     random_connected_instance,
     random_gword,
     random_graph,
@@ -327,7 +327,7 @@ def test_words_from_codes_equal_words_from_letters():
         inst = random_connected_instance(rng)
         report = build_retract(inst)
         gword = random_gword(rng, inst)
-        _same_arrow(rho(report, gword), naive_rho(report, gword))
+        _same_arrow(rho(report, gword), checker_rho(report, gword))
 
 
 def test_copied_word_reads_back_assigned_letters():
