@@ -239,15 +239,19 @@ class Forest:
     The subgraph (all host vertices, the tree edges) is acyclic as an
     undirected graph and has the same components as the host, equivalently
     it has ``v - #components`` edges.  It holds host edge indexes, compares
-    and hashes by them, and names them in ``tree_edge_ids`` on first read."""
+    and hashes by them, and names them in ``tree_edge_ids`` on first read.
+    Its scan's labels tell each vertex's tree.  Tree path queries fill its
+    search tables in place, so one thread at a time may query a forest."""
 
     @classmethod
-    def _accepted(cls, host: DirectedGraph, accepted: Iterable[int]) -> Forest:
+    def _accepted(cls, host: DirectedGraph, accepted: Iterable[int], labels: list[int]) -> Forest:
         """The forest of the edge indexes a greedy scan over every edge of
-        ``host`` accepted: acyclic and spanning by construction."""
+        ``host`` accepted, with its labels: acyclic and spanning by design."""
         forest = cls.__new__(cls)
         forest.host = host
         forest._tree_idx = sorted(accepted)
+        forest._labels = labels
+        forest._searches = {}
         return forest
 
     @cached_property
@@ -263,55 +267,72 @@ class Forest:
     def _nav(self) -> tuple[list[int], list[int], list[int]]:
         # Per-vertex navigation, indexed like ``host.vertices``: the parent
         # vertex, the signed edge code (sign * (edge index + 1)) of the step
-        # to the parent, and the depth, 0 at a root.  The trees are searched
-        # breadth first from their smallest vertex, over flat per-vertex
-        # ``[code, neighbour, code, neighbour, ...]`` lists; depth -1 marks
-        # a vertex the search has not reached.
-        host = self.host
-        n = host.v_count
-        src, tgt = host._src_idx, host._tgt_idx
-        adj: list[list[int]] = [[] for _ in range(n)]
+        # to the parent, and the depth, 0 at a root.  Depth -1 marks a
+        # vertex no search has reached yet (see ``_reach``).
+        n = self.host.v_count
+        return list(range(n)), [0] * n, [-1] * n
+
+    @cached_property
+    def _adj(self) -> list:
+        # Per vertex, the codes of the tree edges leaving it (a code ends at
+        # ``host._code_ends[code]``), emptied once ``_reach`` searches it.
+        src, tgt = self.host._src_idx, self.host._tgt_idx
+        adj = [[] for _ in range(self.host.v_count)]
         for i in self._tree_idx:
-            s, t = src[i], tgt[i]
-            half_edges = adj[s]
-            half_edges.append(i + 1)
-            half_edges.append(t)
-            half_edges = adj[t]
-            half_edges.append(-(i + 1))
-            half_edges.append(s)
-        parent = list(range(n))
-        up = [0] * n
-        depth = [-1] * n
-        for start in range(n):
-            if depth[start] >= 0:
+            adj[src[i]].append(i + 1)
+            adj[tgt[i]].append(-1 - i)
+        return adj
+
+    def _reach(self, u: int, v: int) -> None:
+        """Search the trees of vertex indexes u and v breadth first until
+        both have a depth, each from the first vertex a query named in it.
+        ``_searches`` keeps a tree's queue by label, with an iterator over
+        it for later queries to resume: it reads items appended behind it."""
+        parent, up, depth = self._nav
+        adj, ends, searches = self._adj, self.host._code_ends, self._searches
+        for x in (u, v):
+            if depth[x] >= 0:
                 continue
-            depth[start] = 0
-            queue = [start]
-            for u in queue:  # the queue grows while it is read: FIFO order
-                d = depth[u] + 1
-                half_edges = iter(adj[u])
-                for code in half_edges:
-                    w = next(half_edges)
-                    if depth[w] >= 0:
-                        continue
-                    depth[w] = d
-                    parent[w] = u
-                    up[w] = -code  # traversing w -> u inverts the step
-                    queue.append(w)
-        return parent, up, depth
+            search = searches.get(self._labels[x])
+            if search is None:
+                depth[x] = 0
+                queue = [x]
+                searches[self._labels[x]] = queue, iter(queue)
+                continue
+            queue, pending = search
+            for p in pending:
+                d = depth[p] + 1
+                for code in adj[p]:
+                    w = ends[code]
+                    if depth[w] < 0:
+                        depth[w] = d
+                        parent[w] = p
+                        up[w] = -code  # traversing w -> p inverts the step
+                        queue.append(w)
+                adj[p] = ()
+                if depth[x] >= 0:
+                    break
+            else:
+                raise InternalInvariant("a tree search ended before reaching a vertex of its tree")
 
     def _path_codes(self, u: int, v: int) -> list[int]:
         """Signed edge codes of the tree path between vertex indexes u and v."""
         parent, up, depth = self._nav
+        du, dv = depth[u], depth[v]
+        if du < 0 or dv < 0:
+            self._reach(u, v)
+            du, dv = depth[u], depth[v]
         i, j = u, v
         ascent: list[int] = []
         descent: list[int] = []
-        while depth[i] > depth[j]:
+        while du > dv:
             ascent.append(up[i])
             i = parent[i]
-        while depth[j] > depth[i]:
+            du -= 1
+        while dv > du:
             descent.append(-up[j])
             j = parent[j]
+            dv -= 1
         while i != j:
             if not depth[i]:  # both climbs reached their roots apart
                 raise DifferentTrees(self.host.vertices[u], self.host.vertices[v])
@@ -358,9 +379,10 @@ def spanning_forest(g: DirectedGraph, tie_break: Sequence[str] | None = None) ->
     tie-break list runs a scan of its own.
     """
     if tie_break is None:
-        return Forest._accepted(g, components(g)._forest)
-    accepted, _ = forest_scan(g.v_count, g._src_idx, g._tgt_idx, edge_scan_order(g, tie_break))
-    return Forest._accepted(g, accepted)
+        parts = components(g)
+        return Forest._accepted(g, parts._forest, parts._labels)
+    order = edge_scan_order(g, tie_break)
+    return Forest._accepted(g, *forest_scan(g.v_count, g._src_idx, g._tgt_idx, order))
 
 
 def graph_pushout_with_origins(

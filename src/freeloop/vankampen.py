@@ -18,11 +18,15 @@ give the complements U = X - D, V = X - E, and the property fails when a and
 b share a component of U and one of V but lie apart in U intersect V.  That
 decomposition's certificate is then guaranteed to exist.
 
-The pipeline works in piece indexes: masks go straight into the checks, a
-vertex maps into a piece by the prefix count of the piece's mask, components
-compare by scan labels, and connectivity comes from the pieces' labels and
-block counts.  It scans no space, indexes no piece's ids, names no piece
-forest's edges, and lists only the intersection's blocks, for the certificate.
+The pipeline works in piece indexes.  Each vertex has a class byte (bit 0 in
+U, bit 1 in V) and each edge the bits its two ends share, read once per end;
+every check and every piece mask is a search or a ``translate`` of those two.
+A vertex maps into a piece by the prefix count of the piece's mask,
+components compare by scan labels, and connectivity comes from the pieces'
+labels and block counts.  It scans no space, indexes no piece's ids, names no
+piece forest's edges, and lists only the intersection's blocks, for the
+certificate.  A piece forest is searched only as far as the tree paths the
+certificate expands.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, compress
-from operator import and_, neg, or_
+from operator import neg
 from typing import Iterable, Sequence
 
 from ._kernels import forest_scan, reduce_signed
@@ -53,10 +57,10 @@ from .retract import PushoutInstance, RetractReport, build_retract, include_f, w
 from .words import Word
 
 
-def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
-    """One byte per vertex of ``g``, in ``g.vertices`` order: 1 for the
-    members of ``vs``.  A bad id raises ``BadId`` at the first offender in
-    ``vs``; then the smallest id that is not a vertex raises
+def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> int:
+    """The big int of one byte per vertex of ``g``, in ``g.vertices`` order:
+    1 for the members of ``vs``.  A bad id raises ``BadId`` at the first
+    offender in ``vs``; then the smallest id that is not a vertex raises
     ``UnknownVertex``."""
     ids = set(as_ids(vs))
     index = g._vindex
@@ -66,27 +70,33 @@ def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> bytearray:
     mask = bytearray(g.v_count)
     for v in ids:
         mask[index[v]] = 1
-    return mask
+    return int.from_bytes(mask, "big")
 
 
-def _bytewise(op, x: bytes, y: bytes) -> bytes:
-    """``op`` (``and_`` or ``or_``) of two 0/1 masks of one length, byte by
-    byte, run as one operation on big ints."""
-    return op(int.from_bytes(x, "big"), int.from_bytes(y, "big")).to_bytes(len(x), "big")
-
-
-def _ends_in(space: DirectedGraph, src_mask: bytes, tgt_mask: bytes) -> bytes:
-    """Per edge of ``space``, in index order, 1 when ``src_mask`` marks its
-    source and ``tgt_mask`` its target; a mask is a 0/1 byte per vertex."""
+def _classes(space: DirectedGraph, in_u: int, in_v: int) -> tuple[bytes, bytes]:
+    """Per vertex of ``space`` its class byte, bit 0 set in U and bit 1 in
+    V, from the big ints of the sides' 0/1 masks (so ``&`` and ``|`` act byte
+    by byte); and per edge the bits its ends share: bit 0 in U, bit 1 in V."""
+    classes = (in_u | in_v << 1).to_bytes(space.v_count, "big")
     # A list's __getitem__ is a faster call than a bytes object's.
-    at_src = bytes(map(list(src_mask).__getitem__, space._src_idx))
-    return _bytewise(and_, at_src, bytes(map(list(tgt_mask).__getitem__, space._tgt_idx)))
+    at = list(classes).__getitem__
+    at_src = int.from_bytes(bytes(map(at, space._src_idx)), "big")
+    at_tgt = int.from_bytes(bytes(map(at, space._tgt_idx)), "big")
+    return classes, (at_src & at_tgt).to_bytes(space.e_count, "big")
 
 
-def _induced(space: DirectedGraph, mask: bytes, keep: bytes) -> tuple[DirectedGraph, list, list]:
-    """The full subgraph on the vertices ``mask`` marks, the space index of
-    each of its edges, and per space vertex the number of members before it,
-    a member's index in the subgraph; ``keep`` is ``_ends_in(space, mask, mask)``."""
+# Class bits to a 0/1 mask of U, of V, and of their intersection.
+_IN_U = bytes(c & 1 for c in range(256))
+_IN_V = bytes(c >> 1 & 1 for c in range(256))
+_IN_BOTH = bytes(c == 3 for c in range(256))
+
+
+def _induced(space: DirectedGraph, classes: bytes, shared: bytes, side: bytes) -> tuple:
+    """The full subgraph on the vertices and edges whose ``_classes`` bits
+    ``side``, one of the tables above, marks; the space index of each of its
+    edges; and per space vertex the number of members before it, a member's
+    index in the subgraph."""
+    mask, keep = classes.translate(side), shared.translate(side)
     at = list(accumulate(mask, initial=0))
     sub = DirectedGraph._trusted(
         tuple(compress(space.vertices, mask)),
@@ -106,26 +116,24 @@ class Decomposition:
     """
 
     def __init__(self, space: DirectedGraph, u_vertices: Iterable[str], v_vertices: Iterable[str]):
-        self._build(space, _vertex_mask(space, u_vertices), _vertex_mask(space, v_vertices))
+        in_u, in_v = _vertex_mask(space, u_vertices), _vertex_mask(space, v_vertices)
+        self._build(space, *_classes(space, in_u, in_v))
 
-    def _build(self, space: DirectedGraph, in_u: bytes, in_v: bytes) -> Decomposition:
-        """Every check and piece, from each side's 0/1 byte per vertex of
-        ``space``: ``__init__`` marks them from ids, ``_complement`` passes
-        the complements of a scenario's masks."""
-        uncovered = _bytewise(or_, in_u, in_v).find(0)
+    def _build(self, space: DirectedGraph, classes: bytes, shared: bytes) -> Decomposition:
+        """Every check and piece, from the ``_classes`` of ``space``:
+        ``__init__`` marks them from ids, ``_complement`` passes a
+        scenario's."""
+        uncovered = classes.find(0)
         if uncovered >= 0:
             raise NotACover(f"vertex {space.vertices[uncovered]!r} is in neither piece")
-        keep_u, keep_v = _ends_in(space, in_u, in_u), _ends_in(space, in_v, in_v)
-        straddling = _bytewise(or_, keep_u, keep_v).find(0)
+        straddling = shared.find(0)
         if straddling >= 0:
             raise EdgeAcrossPieces(space.edge_ids[straddling])
         self.space = space
         # Each piece's space edge index per piece edge, and its prefix counts.
-        self.piece_u, self._u_edges, self._u_at = _induced(space, in_u, keep_u)
-        self.piece_v, self._v_edges, self._v_at = _induced(space, in_v, keep_v)
-        self.intersection, self._i_edges, self._i_at = _induced(
-            space, _bytewise(and_, in_u, in_v), _bytewise(and_, keep_u, keep_v)
-        )
+        self.piece_u, self._u_edges, self._u_at = _induced(space, classes, shared, _IN_U)
+        self.piece_v, self._v_edges, self._v_at = _induced(space, classes, shared, _IN_V)
+        self.intersection, self._i_edges, self._i_at = _induced(space, classes, shared, _IN_BOTH)
         self.u_vertices, self.v_vertices = self.piece_u.vertices, self.piece_v.vertices
         return self
 
@@ -159,24 +167,27 @@ class PbpScenario:
     def __init__(
         self, space: DirectedGraph, d_set: Iterable[str], e_set: Iterable[str], a: str, b: str
     ):
-        in_d, in_e = _vertex_mask(space, d_set), _vertex_mask(space, e_set)
-        overlap = list(compress(space.vertices, _bytewise(and_, in_d, in_e)))
+        d, e, n = _vertex_mask(space, d_set), _vertex_mask(space, e_set), space.v_count
+        overlap = list(compress(space.vertices, (d & e).to_bytes(n, "big")))
         if overlap:
             raise SetsNotDisjoint(f"sets share vertices {overlap!r}")
-        adjacent = _bytewise(or_, _ends_in(space, in_d, in_e), _ends_in(space, in_e, in_d)).find(1)
+        # The classes of U = X - D and V = X - E: D is class 2 and E class 1,
+        # so an edge's ends share no bit exactly when it joins D to E.
+        ones = int.from_bytes(b"\1" * n, "big")
+        classes, shared = _classes(space, ones ^ d, ones ^ e)
+        adjacent = shared.find(0)
         if adjacent >= 0:
             raise DeletedSetsAdjacent(space.edge_ids[adjacent])
         a, b = as_id(a), as_id(b)
         for point in (a, b):
-            i = space.vertex_index(point)
-            if in_d[i] or in_e[i]:
+            if classes[space.vertex_index(point)] != 3:
                 raise PointInDeletedSet(point)
         if a == b:
             raise NotDistinct(f"marked points must be distinct, got {a!r} twice")
         self.space = space
-        self.d_set = tuple(compress(space.vertices, in_d))
-        self.e_set = tuple(compress(space.vertices, in_e))
-        self._in_d, self._in_e = in_d, in_e
+        self.d_set = tuple(compress(space.vertices, d.to_bytes(n, "big")))
+        self.e_set = tuple(compress(space.vertices, e.to_bytes(n, "big")))
+        self._classes, self._shared = classes, shared
         self.a = a
         self.b = b
 
@@ -187,16 +198,11 @@ class PbpScenario:
         )
 
 
-_COMPLEMENT = bytes.maketrans(b"\0\1", b"\1\0")
-
-
 def _complement(sc: PbpScenario) -> tuple[Decomposition, bool]:
     """The decomposition U = X - D, V = X - E, and whether a and b share a
     component of each piece but lie apart in the intersection.  Every vertex
     is outside D or E, and no edge joins D to E, so the pieces cover X."""
-    dec = Decomposition.__new__(Decomposition)._build(
-        sc.space, sc._in_d.translate(_COMPLEMENT), sc._in_e.translate(_COMPLEMENT)
-    )
+    dec = Decomposition.__new__(Decomposition)._build(sc.space, sc._classes, sc._shared)
     a, b = sc.space._vindex[sc.a], sc.space._vindex[sc.b]
 
     def joined(piece: DirectedGraph, at: list[int]) -> bool:

@@ -757,7 +757,7 @@ def test_commands_leave_no_cyclic_garbage(tmp_path, capsys):
 def _ladder_check(tmp_path, monkeypatch, capsys, n):
     """pbp-check on an n-rung ring ladder: (loop length, Letters built on
     space edges with --output json, the same with text output, codes walked
-    along forests, basepoints, deepest forest)."""
+    along forests, basepoints, deepest vertex the forests' searches reached)."""
     doc = ring_ladder(random.Random(n), n)
     path = write_json(tmp_path / f"ladder{n}.json", doc)
     built, walked = [], []
@@ -779,6 +779,9 @@ def _ladder_check(tmp_path, monkeypatch, capsys, n):
     space_edges = {e["id"] for e in doc["space"]["edges"]}
     json_letters = sum(e in space_edges for e in built)
     walk = sum(length for _, length in walked)
+    # A forest is searched only as far as its queries go; unreached
+    # vertices have depth -1, and every walked code is a step of a climb
+    # between reached vertices.
     depth = max(max(forest._nav[2]) for forest, _ in walked)
     built.clear()
     code, _, err = _main(capsys, "pbp-check", path)

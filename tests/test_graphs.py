@@ -31,6 +31,7 @@ from freeloop.words import Letter, tree_path
 from support import (
     block_number,
     brute_components,
+    checkers,
     forest_graph,
     is_forest_graph,
     partition_view_faults,
@@ -226,27 +227,58 @@ def test_tree_path_walks_the_unique_tree_path():
     assert tree_path(f, "a", "a").letters == ()
 
 
+def _checker_path(f, u, v):
+    """The checker's tree path from u to v in ``f``, as (edge, sign) pairs:
+    a BFS of its own, from each tree's first vertex in id order."""
+    host = f.host
+    return checkers.TreePaths(host.vertices, f.tree_edge_ids, host.edge_ends).path(u, v)
+
+
 def test_tree_path_rejects_cross_tree_pairs():
     g = DirectedGraph(["a", "b", "c"], [("x", "a", "b")])
     f = spanning_forest(g)
     with pytest.raises(DifferentTrees):
         tree_path(f, "a", "c")
-    # Trees rooted at a (a, b, c at depths 0, 1, 2) and at d (d, e at
-    # depths 0, 1), and the lone f: pairs at unequal depths, a root with a
-    # non-root, and two roots.
+    # Trees a - b - c (x: a -> b, y: c -> b) and d - e, and the lone f.
+    # Pairs at unequal and equal depths, a root with a non-root, and two
+    # roots, each asked after queries that leave both trees unsearched, one
+    # searched, both searched, or a tree searched only in part.
     g = DirectedGraph(
         ["a", "b", "c", "d", "e", "f"],
         [("x", "a", "b"), ("y", "c", "b"), ("z", "e", "d")],
     )
+    before = (
+        (),
+        (("a", "a"),),
+        (("e", "d"),),
+        (("b", "b"), ("d", "d"), ("f", "f")),
+        tuple((v, v) for v in g.vertices),
+        (("a", "b"),),  # rooted at a, stops before c
+        (("c", "b"), ("e", "e")),  # rooted at c, stops before a; d unsearched
+    )
+    pairs = (("c", "e"), ("c", "d"), ("b", "e"), ("a", "e"), ("c", "f"), ("a", "d"), ("d", "f"))
+    in_tree = (("c", "a"), ("a", "c"), ("b", "a"), ("c", "b"), ("d", "e"), ("e", "e"), ("f", "f"))
+    partial = 0
     for tie in (None, ["z", "y", "x"]):
-        f = spanning_forest(g, tie)
-        for u, v in (("c", "e"), ("c", "d"), ("b", "e"), ("a", "e"), ("c", "f"), ("a", "d"), ("d", "f")):
-            for s, t in ((u, v), (v, u)):
-                with pytest.raises(DifferentTrees) as raised:
-                    tree_path(f, s, t)
-                assert (raised.value.u, raised.value.v) == (s, t)
-                assert str(raised.value) == f"vertices {s!r} and {t!r} lie in different trees"
+        for queries in before:
+            for u, v in pairs:
+                for s, t in ((u, v), (v, u)):
+                    f = spanning_forest(g, tie)
+                    for q in queries:
+                        tree_path(f, *q)
+                    partial += -1 in f._nav[2] and any(d >= 0 for d in f._nav[2])
+                    with pytest.raises(DifferentTrees) as raised:
+                        tree_path(f, s, t)
+                    assert (raised.value.u, raised.value.v) == (s, t)
+                    assert str(raised.value) == f"vertices {s!r} and {t!r} lie in different trees"
+            f = spanning_forest(g, tie)
+            for q in queries:
+                tree_path(f, *q)
+            for s, t in in_tree:
+                steps = [(l.edge, l.sign) for l in tree_path(f, s, t).letters]
+                assert steps == _checker_path(f, s, t)
         assert tree_path(f, "c", "a").letters == (Letter("y", 1), Letter("x", -1))
+    assert partial > 0
 
 
 def test_tree_path_endpoints_on_random_forests():
@@ -277,10 +309,12 @@ def test_tree_path_endpoints_on_random_forests():
                 )
 
 
-def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
+def test_tree_searches_are_rooted_at_the_first_vertex_queried_on_sparse_forests():
     """Forests of many trees and isolated vertices, ids shuffled against the
-    shape: each tree is searched from its smallest vertex, and the
-    sort-grouped ``components`` agrees with BFS."""
+    shape, queried in random order: each tree's search is rooted at the
+    first vertex a query names in it, and once every vertex has been named
+    the parent, step and depth tables are the checker's BFS from those
+    roots.  The sort-grouped ``components`` agrees with BFS."""
     rng = random.Random(29)
     for _ in range(150):
         n = rng.randint(1, 60)
@@ -293,17 +327,38 @@ def test_trees_are_rooted_at_their_smallest_vertex_on_sparse_forests():
         g = DirectedGraph(vs, edges)
         blocks = brute_components(g)
         assert components(g).blocks == blocks
+        tree = {v: k for k, block in enumerate(blocks) for v in block}
         for f in (spanning_forest(g), spanning_forest(g, g.edge_ids[::-1])):
-            parent, _, depth = f._nav
+            parent, up, depth = f._nav
+            assert set(depth) == {-1}
+            roots: dict[int, str] = {}
 
             def root(i):
                 while depth[i]:
                     i = parent[i]
-                return i
+                return g.vertices[i]
 
-            for block in blocks:
-                roots = {root(g.vertex_index(v)) for v in block}
-                assert roots == {g.vertex_index(block[0])}
+            queries = [tuple(rng.sample(vs, 2)) for _ in range(n // 4)]
+            for s, t in queries + [(v, v) for v in rng.sample(vs, n)]:
+                roots.setdefault(tree[s], s)
+                roots.setdefault(tree[t], t)
+                i, j = g.vertex_index(s), g.vertex_index(t)
+                if tree[s] == tree[t]:
+                    f._path_codes(i, j)
+                else:
+                    with pytest.raises(DifferentTrees):
+                        f._path_codes(i, j)
+                assert depth[i] >= 0 and depth[j] >= 0
+                assert (root(i), root(j)) == (roots[tree[s]], roots[tree[t]])
+            # The checker searches each tree from its first vertex listed.
+            bfs = checkers.TreePaths([*roots.values(), *vs], f.tree_edge_ids, g.edge_ends)
+            for i, v in enumerate(g.vertices):
+                assert depth[i] == bfs.depth[v]
+                if depth[i]:
+                    e, sign, p = bfs.up[v]
+                    assert (parent[i], up[i]) == (g.vertex_index(p), sign * (g.edge_index(e) + 1))
+                else:
+                    assert (parent[i], up[i]) == (i, 0)
 
 
 def test_pushout_disjointly_unions_edges_over_shared_vertices():

@@ -36,6 +36,7 @@ from freeloop.vankampen import (
     decomposition_to_instance,
     detect_z_retract,
     _generators,
+    _complement,
     _joined_pair,
     _space_connected,
     pbi_fails,
@@ -53,7 +54,9 @@ from support import (
     is_nonempty_reduced_loop,
     joined_pairs,
     naive_reduce,
+    perfbench_module,
     random_decomposition,
+    random_graph,
     random_many_basepoint_decomposition,
     reference_decomposition_error,
     reference_pbi_fails,
@@ -114,8 +117,6 @@ def test_deleted_sets_adjacent_names_the_first_joining_edge():
             PbpScenario(g, d, e, "v5", "v6")
         assert raised.value.edge == first
     rng = random.Random(97)
-    from support import random_graph
-
     for _ in range(300):
         space = random_graph(rng)
         vs = list(space.vertices)
@@ -345,8 +346,6 @@ def test_piece_blocks_decide_connectivity_on_random_decompositions():
     """The space is connected exactly when the blocks of U and V, joined
     through the intersection blocks, form one component; the random spaces
     are often disconnected, and the pieces often are too."""
-    from support import random_graph
-
     rng = random.Random(101)
     seen = {True: 0, False: 0}
     for _ in range(400):
@@ -538,13 +537,10 @@ def test_pbp_pipeline_on_the_antipodal_cycle():
     )
 
 
-def test_pbp_pipeline_names_no_piece_ids(monkeypatch):
-    """pbp-check's library calls work in piece indexes: U, V and their
-    intersection build no id index, U and V list no blocks, and the three
-    piece forests never name their edges.  Only the intersection lists its
-    blocks, which the certificate prints."""
+def _pbp_forests(monkeypatch, sc):
+    """pbp-check's library calls on ``sc``: the decomposition, its
+    certificate, and the forests built on the way, in build order."""
     from freeloop import vankampen
-    from freeloop.jsonio import dump_certificate, parse_scenario
 
     forests = []
     real = vankampen.spanning_forest
@@ -553,27 +549,106 @@ def test_pbp_pipeline_names_no_piece_ids(monkeypatch):
         forests.append(real(g, tie_break))
         return forests[-1]
 
-    monkeypatch.setattr(vankampen, "spanning_forest", recorded)
-    cycle = PbpScenario(c8_space(), ["v0"], ["v4"], "v2", "v6")
+    with monkeypatch.context() as patch:
+        patch.setattr(vankampen, "spanning_forest", recorded)
+        dec = pbp_to_decomposition(sc)
+        cert = detect_z_retract(dec, prefer=certificate_basepoints_for(dec, sc.a, sc.b))
+    return dec, cert, forests
+
+
+def _searched_only_to_the_certificate(dec, forests):
+    """U's and V's forests were searched, each leaving some vertex unreached
+    (depth -1), and the intersection's forest was never navigated."""
+    pieces = (dec.piece_u, dec.piece_v, dec.intersection)
+    assert len(forests) == 3 and all(f.host is p for f, p in zip(forests, pieces))
+    for f in forests[:2]:
+        depth = f._nav[2]
+        assert 0 in depth and -1 in depth
+    assert "_nav" not in vars(forests[2]) and "_adj" not in vars(forests[2])
+
+
+def test_pbp_pipeline_names_no_piece_ids(monkeypatch):
+    """pbp-check's library calls work in piece indexes: U, V and their
+    intersection build no id index, U and V list no blocks, and the three
+    piece forests never name their edges.  Only the intersection lists its
+    blocks, which the certificate prints.  Each piece forest is searched
+    only as far as the certificate's tree paths go: on this cycle and this
+    ladder neither U's nor V's target is the last vertex its search would
+    reach."""
+    from freeloop.jsonio import dump_certificate, parse_scenario
+
+    cycle = PbpScenario(c8_space(), ["v0"], ["v5"], "v2", "v7")
     ladder = parse_scenario(ring_ladder(random.Random(5), 16))
     for sc in (cycle, ladder):
-        forests.clear()
-        dec = pbp_to_decomposition(sc)
-        prefer = certificate_basepoints_for(dec, sc.a, sc.b)
-        cert = detect_z_retract(dec, prefer=prefer)
+        dec, cert, forests = _pbp_forests(monkeypatch, sc)
         payload = dump_certificate(cert)
         pieces = (dec.piece_u, dec.piece_v, dec.intersection)
         assert is_nonempty_reduced_loop(cert.loop_in_space)
         assert [b["component"] for b in payload["basepoints"]] == [
             list(block) for block in brute_components(dec.intersection)
         ]
-        assert len(forests) == 3 and all(f.host is p for f, p in zip(forests, pieces))
+        _searched_only_to_the_certificate(dec, forests)
         for piece in pieces:
             assert "_vindex" not in vars(piece)
         for piece in pieces[:2]:
             assert piece._components is not None and "blocks" not in vars(piece._components)
         for f in forests:
             assert "tree_edge_ids" not in vars(f)
+
+
+def test_pbp_certificate_searches_piece_forests_only_to_its_targets(monkeypatch):
+    """On a 300-cycle with shuffled ids, as the benchmark builds it, the
+    certificate needs one tree path per piece, from the generator root to
+    its target: each of U's and V's searches stops there, short of the
+    piece's far vertices, and the intersection's forest is never searched."""
+    from freeloop.jsonio import parse_scenario
+
+    inputs = perfbench_module("inputs")
+    for seed in range(3):
+        doc = inputs.cycle_scenario(random.Random(seed), 300)
+        dec, cert, forests = _pbp_forests(monkeypatch, parse_scenario(doc))
+        assert len(cert.loop_in_space) == 300
+        _searched_only_to_the_certificate(dec, forests)
+
+
+def test_scenario_classes_give_the_decomposition_built_from_ids():
+    """The class and shared bits a scenario keeps give ``_complement`` the
+    same pieces, space edge indexes and prefix counts as ``Decomposition(
+    space, X - D, X - E)``; and on random U and V id lists, the cover errors
+    name the first offender of a brute-force per-edge check.  The spaces
+    have self-loops and parallel edges."""
+    rng = random.Random(61)
+    fields = ("piece_u", "piece_v", "intersection", "_u_edges", "_v_edges", "_i_edges")
+    fields += ("_u_at", "_v_at", "_i_at")
+    compared, raised = 0, {NotACover: 0, EdgeAcrossPieces: 0}
+    for _ in range(500):
+        space = random_graph(rng)
+        vs = list(space.vertices)
+        rng.shuffle(vs)
+        d = vs[: rng.randint(0, 3)]
+        e = vs[len(d) : len(d) + rng.randint(0, 3)]
+        rest = vs[len(d) + len(e) :]
+        try:
+            sc = PbpScenario(space, d, e, *rest[:2]) if len(rest) >= 2 else None
+        except DeletedSetsAdjacent:
+            sc = None
+        if sc is not None:
+            dec, _ = _complement(sc)
+            ref = Decomposition(space, [x for x in vs if x not in d], [x for x in vs if x not in e])
+            for name in fields:
+                assert getattr(dec, name) == getattr(ref, name), name
+            compared += 1
+        u = rng.sample(vs, rng.randint(0, len(vs)))
+        v = rng.sample(vs, rng.randint(0, len(vs)))
+        if rng.random() < 0.5:
+            v += [x for x in vs if x not in u]
+        expected = reference_decomposition_error(space, u, v)
+        if expected is None:
+            Decomposition(space, u, v)
+        else:
+            _expect_error(expected, lambda: Decomposition(space, u, v))
+            raised[expected[0]] += 1
+    assert compared > 100 and min(raised.values()) > 50, (compared, raised)
 
 
 def test_pbp_pipeline_on_random_failing_scenarios():
