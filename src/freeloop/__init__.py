@@ -8,7 +8,6 @@ noncontractible loops whose nontriviality is checkable by free reduction
 alone.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .errors import DomainError, SchemaError
 from .graphs import (
     DirectedGraph,
@@ -48,6 +47,10 @@ from .words import (
 )
 
 __version__ = "0.1.0"
+
+# The one implementation of the scan and the reduction is pure Python; the
+# name stays only because perfbench/run.py's run header reads it.
+KERNEL_BACKEND = "pure"
 
 __all__ = [
     "KERNEL_BACKEND",

@@ -50,12 +50,6 @@ class UnknownVertex(DomainError):
         self.vertex = vertex
 
 
-class UnknownEdge(DomainError):
-    def __init__(self, edge: str):
-        super().__init__(f"unknown edge {edge!r}")
-        self.edge = edge
-
-
 class VertexSetMismatch(DomainError):
     pass
 

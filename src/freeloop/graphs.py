@@ -16,14 +16,12 @@ from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
-from ._kernels import forest_scan
 from .errors import (
     BadId,
     DanglingEndpoint,
     DifferentTrees,
     DuplicateId,
     InternalInvariant,
-    UnknownEdge,
     UnknownVertex,
     VertexSetMismatch,
 )
@@ -161,20 +159,11 @@ class DirectedGraph:
     def e_count(self) -> int:
         return len(self.edge_ids)
 
-    def has_edge(self, e: str) -> bool:
-        return e in self._eindex
-
     def vertex_index(self, v: str) -> int:
         try:
             return self._vindex[v]
         except KeyError:
             raise UnknownVertex(v) from None
-
-    def edge_index(self, e: str) -> int:
-        try:
-            return self._eindex[e]
-        except KeyError:
-            raise UnknownEdge(e) from None
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -218,6 +207,41 @@ class VertexPartition:
     def __len__(self) -> int:
         # A spanning forest has one edge fewer than vertices per block.
         return len(self._vertices) - len(self._forest)
+
+
+def forest_scan(n, src, tgt, order):
+    """Kruskal scan of the edges ``src[i] - tgt[i]`` for ``i`` in ``order``.
+
+    Returns the accepted indexes, in scan order, and a label per vertex: the
+    smallest member of its set once every scanned edge is merged.
+
+    The union-find is inlined, so no step makes a Python call.  Finds use
+    path halving (each visited node is relinked to its grandparent,
+    ``parent[x] = x = parent[parent[x]]``), and a union always links the
+    larger root under the smaller one.  So every parent index is at most its
+    child's, and a root is the smallest member of its set: one ascending pass
+    ``parent[i] = parent[parent[i]]`` then leaves each vertex labelled by
+    that member.  Which edges a scan accepts depends only on whether their
+    ends already share a set, never on which root survives a union.
+    """
+    parent = list(range(n))
+    accepted = []
+    for idx in order:
+        a, b = src[idx], tgt[idx]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            if a < b:
+                parent[b] = a
+            else:
+                parent[a] = b
+            accepted.append(idx)
+    # parent[i] <= i, so parent[i]'s own root is already final when i is reached.
+    for i in range(n):
+        parent[i] = parent[parent[i]]
+    return accepted, parent
 
 
 def components(g: DirectedGraph) -> VertexPartition:
@@ -361,13 +385,15 @@ def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str]) -> list[int]:
     ``tie_break`` entries naming edges absent from ``g`` are skipped, so one
     priority list can serve several graphs.
     """
+    eindex = g._eindex
     head = []
     seen = set()
     for e in as_ids(tie_break):
-        if e in seen or not g.has_edge(e):
+        i = eindex.get(e)
+        if i is None or e in seen:
             continue
         seen.add(e)
-        head.append(g.edge_index(e))
+        head.append(i)
     tail = [i for i, e in enumerate(g.edge_ids) if e not in seen]
     return head + tail
 

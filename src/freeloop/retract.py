@@ -28,7 +28,6 @@ from functools import cached_property
 from itertools import groupby
 from typing import Iterable, Mapping, Sequence
 
-from ._kernels import reduce_signed
 from .errors import (
     BadSign,
     DuplicateId,
@@ -53,7 +52,7 @@ from .graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Word, _chain_codes, _CodedWord
+from .words import Word, _chain_codes, _CodedWord, reduce_signed
 
 SIDES = ("A", "B", "C")
 

@@ -37,7 +37,6 @@ from itertools import accumulate, compress
 from operator import neg
 from typing import Iterable, Sequence
 
-from ._kernels import forest_scan, reduce_signed
 from .errors import (
     DeletedSetsAdjacent,
     Disconnected,
@@ -52,9 +51,9 @@ from .errors import (
     SetsNotDisjoint,
     UnknownVertex,
 )
-from .graphs import DirectedGraph, Forest, as_id, as_ids, components, spanning_forest
+from .graphs import DirectedGraph, Forest, as_id, as_ids, components, forest_scan, spanning_forest
 from .retract import PushoutInstance, RetractReport, build_retract, include_f, witness
-from .words import Word
+from .words import Word, reduce_signed
 
 
 def _vertex_mask(g: DirectedGraph, vs: Iterable[str]) -> int:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Callable, Iterable, Sequence
 
-from ._kernels import reduce_signed
 from .errors import (
     BadSign,
     HostMismatch,
@@ -172,6 +171,17 @@ class Word(_CodedWord):
 def identity(g: DirectedGraph, v: str) -> Word:
     """The identity arrow at ``v``: the empty word from ``v`` to ``v``."""
     return Word(g, v, v)
+
+
+def reduce_signed(codes):
+    """Cancel adjacent ``c, -c`` pairs until none remain (one stack pass)."""
+    stack = []
+    for c in codes:
+        if stack and stack[-1] == -c:
+            stack.pop()
+        else:
+            stack.append(c)
+    return stack
 
 
 def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word:

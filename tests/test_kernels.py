@@ -1,18 +1,22 @@
-"""Kernel contract tests: the pure-Python kernels against independent oracles."""
+"""Kernel contract tests: the two innermost loops, ``graphs.forest_scan``
+(the union-find scan behind components and spanning forests) and
+``words.reduce_signed`` (free reduction of signed codes), against
+independent oracles, and a pin of where those loops live."""
 
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from freeloop import _kernels
-from freeloop._kernels import _pure
+import freeloop
+from freeloop import graphs, retract, vankampen, words
+from freeloop.graphs import forest_scan
+from freeloop.words import reduce_signed
 
 from support import brute_components, checkers, naive_reduce, reference_kruskal
-
-BACKEND_PARAMS = pytest.mark.parametrize("kernel", [_pure], ids=["pure"])
 
 codes_lists = st.lists(
     st.integers(min_value=-9, max_value=9).filter(bool), max_size=60
@@ -45,56 +49,50 @@ def _labels_match_bfs(labels, n, src, tgt) -> bool:
     return len(labels) == n and same and len(set(labels)) == count
 
 
-@BACKEND_PARAMS
 @given(codes=codes_lists)
-def test_reduce_matches_naive_oracle(kernel, codes):
+def test_reduce_matches_naive_oracle(codes):
     """Stack reduction agrees with one-pair-at-a-time deletion."""
-    assert list(kernel.reduce_signed(codes)) == naive_reduce(codes)
+    assert list(reduce_signed(codes)) == naive_reduce(codes)
 
 
-@BACKEND_PARAMS
 @given(codes=codes_lists)
-def test_reduce_is_idempotent_and_irreducible(kernel, codes):
-    reduced = list(kernel.reduce_signed(codes))
-    assert list(kernel.reduce_signed(reduced)) == reduced
+def test_reduce_is_idempotent_and_irreducible(codes):
+    reduced = list(reduce_signed(codes))
+    assert list(reduce_signed(reduced)) == reduced
     assert all(a != -b for a, b in zip(reduced, reduced[1:]))
 
 
-@BACKEND_PARAMS
-def test_reduce_examples(kernel):
-    assert list(kernel.reduce_signed([])) == []
-    assert list(kernel.reduce_signed([1, -1])) == []
-    assert list(kernel.reduce_signed([1, 2, -2, -1])) == []
-    assert list(kernel.reduce_signed([1, 2, -1])) == [1, 2, -1]
-    assert list(kernel.reduce_signed([3, -3, 3])) == [3]
+def test_reduce_examples():
+    assert list(reduce_signed([])) == []
+    assert list(reduce_signed([1, -1])) == []
+    assert list(reduce_signed([1, 2, -2, -1])) == []
+    assert list(reduce_signed([1, 2, -1])) == [1, 2, -1]
+    assert list(reduce_signed([3, -3, 3])) == [3]
 
 
-@BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_forest_scan_labels_match_bfs_oracle(kernel, data, choice):
+def test_forest_scan_labels_match_bfs_oracle(data, choice):
     """The scan's labels partition the vertices as BFS does, in any order."""
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
-    _, labels = kernel.forest_scan(n, src, tgt, order)
+    _, labels = forest_scan(n, src, tgt, order)
     assert _labels_match_bfs(labels, n, src, tgt)
 
 
-@BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_forest_scan_labels_by_smallest_member(kernel, data, choice):
+def test_forest_scan_labels_by_smallest_member(data, choice):
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
-    _, labels = kernel.forest_scan(n, src, tgt, order)
+    _, labels = forest_scan(n, src, tgt, order)
     for block in _blocks_from_labels(labels):
         assert all(labels[v] == block[0] == min(block) for v in block)
 
 
-@BACKEND_PARAMS
 @given(data=index_graphs())
-def test_forest_scan_accepts_a_maximal_acyclic_subsequence(kernel, data):
+def test_forest_scan_accepts_a_maximal_acyclic_subsequence(data):
     n, src, tgt = data
     order = list(range(len(src)))
-    accepted, _ = kernel.forest_scan(n, src, tgt, order)
+    accepted, _ = forest_scan(n, src, tgt, order)
     assert accepted == sorted(accepted)
     assert set(accepted) <= set(order)
     # A forest spanning the graph's blocks: v - #components edges and as
@@ -104,19 +102,18 @@ def test_forest_scan_accepts_a_maximal_acyclic_subsequence(kernel, data):
     assert checkers.count_components(range(n), [(src[i], tgt[i]) for i in accepted]) == count
 
 
-@BACKEND_PARAMS
 @given(data=index_graphs(), choice=st.data())
-def test_forest_scan_matches_reference_kruskal_in_any_order(kernel, data, choice):
+def test_forest_scan_matches_reference_kruskal_in_any_order(data, choice):
     """Linking roots by smaller index changes no acceptance: on a permuted
     scan, and on a scan led by required edges as a tie-break list leads it,
     the kernel accepts what a union-find-free Kruskal accepts."""
     n, src, tgt = data
     order = choice.draw(st.permutations(range(len(src))))
-    accepted, _ = kernel.forest_scan(n, src, tgt, order)
+    accepted, _ = forest_scan(n, src, tgt, order)
     assert accepted == reference_kruskal(n, src, tgt, order)
     required = choice.draw(st.lists(st.sampled_from(order), unique=True) if order else st.just([]))
     order = required + [i for i in order if i not in required]
-    accepted, _ = kernel.forest_scan(n, src, tgt, order)
+    accepted, _ = forest_scan(n, src, tgt, order)
     assert accepted == reference_kruskal(n, src, tgt, order)
 
 
@@ -147,27 +144,32 @@ def _long_shape(shape, direction):
     return max(tgt) + 1, src, tgt
 
 
-@BACKEND_PARAMS
 @pytest.mark.parametrize("direction", ["ascending", "descending"])
 @pytest.mark.parametrize("shape", ["path", "star"])
-def test_kernels_on_long_paths_and_stars_make_no_python_calls(kernel, shape, direction):
+def test_kernels_on_long_paths_and_stars_make_no_python_calls(shape, direction):
     """Each find is inlined, so the chains that a descending path builds
     neither recurse nor cost a call per step."""
     n, src, tgt = _long_shape(shape, direction)
     # The index-order scan, as ``components`` runs it.
-    (accepted, labels), calls = _python_calls_inside(kernel.forest_scan, n, src, tgt, range(len(src)))
+    (accepted, labels), calls = _python_calls_inside(forest_scan, n, src, tgt, range(len(src)))
     assert calls == 0
     assert labels == [0] * n
     assert _labels_match_bfs(labels, n, src, tgt)
     assert accepted == list(range(len(src)))
 
 
-def test_selected_backend_is_exported():
-    """The package exports the word reduction and exactly one graph scan."""
-    assert _kernels.BACKEND == "pure"
-    assert sorted(_kernels.__all__) == ["BACKEND", "forest_scan", "reduce_signed"]
-    assert _kernels.reduce_signed is _pure.reduce_signed
-    assert _kernels.forest_scan is _pure.forest_scan
+def test_kernels_are_defined_in_graphs_and_words():
+    """The scan is defined in ``graphs`` and the reduction in ``words``, the
+    other layers import those very objects, and no ``_kernels`` package is
+    left.  ``rglob`` looks for files: a leftover ``__pycache__`` would make
+    an import of the old package find a namespace package."""
+    src = Path(freeloop.__file__).resolve().parent
+    assert [p for p in src.rglob("*.py") if "_kernels" in p.relative_to(src).parts[:-1]] == []
+    assert forest_scan.__module__ == "freeloop.graphs"
+    assert reduce_signed.__module__ == "freeloop.words"
+    assert vankampen.forest_scan is graphs.forest_scan
+    assert vankampen.reduce_signed is retract.reduce_signed is words.reduce_signed
+    assert freeloop.KERNEL_BACKEND == "pure"
 
 
 def test_components_use_brute_oracle_on_random_shapes():

@@ -67,6 +67,9 @@ DELETED = (
     (graphs.VertexPartition, "block_of"),
     (graphs.VertexPartition, "same_block"),
     (graphs.Forest, "tree_edges"),
+    (graphs.DirectedGraph, "has_edge"),
+    (graphs.DirectedGraph, "edge_index"),
+    (errors, "UnknownEdge"),
 ) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 

@@ -436,7 +436,7 @@ def test_detect_z_retract_certifies_every_joined_basepoint_pair():
             loop = cert.loop_in_space
             # The checking constructor accepts it as a closed reduced walk at a.
             assert Word(dec.space, a, a, loop.letters) == loop and len(loop) > 0
-            codes = [l.sign * (dec.space.edge_index(l.edge) + 1) for l in loop.letters]
+            codes = [l.sign * (dec.space._eindex[l.edge] + 1) for l in loop.letters]
             assert naive_reduce(codes) == codes
             certified += 1
     assert certified >= 150

@@ -192,8 +192,8 @@ def test_reduce_matches_naive_oracle_on_random_walks():
             letter, cur = rng.choice(adj[cur])
             letters.append(letter)
         w = reduce_word(g, source, letters)
-        raw_codes = [l.sign * (g.edge_index(l.edge) + 1) for l in letters]
-        assert [l.sign * (g.edge_index(l.edge) + 1) for l in w.letters] == naive_reduce(raw_codes)
+        raw_codes = [l.sign * (g._eindex[l.edge] + 1) for l in letters]
+        assert [l.sign * (g._eindex[l.edge] + 1) for l in w.letters] == naive_reduce(raw_codes)
         assert w.source == source and w.target == cur
         # The letters are read once, so an iterator gives the same word.
         assert reduce_word(g, source, iter(letters)) == w
@@ -284,7 +284,7 @@ def _lettered(g, source, target, codes):
 
 
 def _codes(w):
-    return [l.sign * (w.host.edge_index(l.edge) + 1) for l in w.letters]
+    return [l.sign * (w.host._eindex[l.edge] + 1) for l in w.letters]
 
 
 def _same_arrow(coded, lettered):
@@ -310,7 +310,7 @@ def test_words_from_codes_equal_words_from_letters():
                 break
             letter, cur = rng.choice(adj[cur])
             raw.append(letter)
-        raw_codes = [l.sign * (g.edge_index(l.edge) + 1) for l in raw]
+        raw_codes = [l.sign * (g._eindex[l.edge] + 1) for l in raw]
         reduced = reduce_word(g, source, raw)
         _same_arrow(reduced, _lettered(g, source, cur, naive_reduce(raw_codes)))
         w = random_reduced_word(rng, g, source=cur)
