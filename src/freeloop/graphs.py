@@ -340,7 +340,8 @@ class Forest:
                 raise InternalInvariant("a tree search ended before reaching a vertex of its tree")
 
     def _path_codes(self, u: int, v: int) -> list[int]:
-        """Signed edge codes of the tree path between vertex indexes u and v."""
+        """Signed edge codes of the tree path between vertex indexes u and v,
+        in a fresh list that the caller may extend in place."""
         parent, up, depth = self._nav
         du, dv = depth[u], depth[v]
         if du < 0 or dv < 0:
@@ -364,7 +365,9 @@ class Forest:
             i = parent[i]
             descent.append(-up[j])
             j = parent[j]
-        return ascent + descent[::-1]
+        descent.reverse()
+        ascent += descent
+        return ascent
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Forest):

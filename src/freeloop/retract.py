@@ -17,8 +17,8 @@ back along the retraction.  Words on both sides are signed int codes: a
 then C loops), a ``Word`` over W's edges; the two share one shell and one
 chain check, in ``words``.  :func:`rho` reads a tagged word as runs of one
 side and cancels whole runs on their endpoints, so only the tree paths that
-survive are walked; :func:`include_f` maps W codes back to tagged codes by
-one table.  Neither makes a ``Letter`` or ``GLetter`` until one is read.
+survive are walked, in X and Y hosted on W; :func:`include_f` maps W codes
+back by one table.  Neither makes a ``Letter`` or ``GLetter`` until read.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ class PushoutInstance:
     def _alphabet(self) -> tuple[tuple[str, ...], list, list[int], dict[str, tuple[dict[str, int], int]]]:
         """The tagged alphabet, built on first use: A edges, then B edges,
         then C loops, the letter of sign s on the i-th of them coded
-        ``s * (i + 1)``.  Returns the ids in that order; per signed code, at
-        list index ``c`` of the ``RetractReport._tables`` layout, its
-        side and the index of the vertex it ends at; and per side, its ids'
-        index among themselves and the code of its first id."""
+        ``s * (i + 1)``.  Returns the ids in that order; per signed code
+        ``c``, at list index ``c`` (a negative code from the end, after a
+        slot 0), its side and the index of the vertex it ends at; and per
+        side, its ids' index among themselves and the code of its first id."""
         ga, gb = self.graph_a, self.graph_b
         owners = list(map(ga._vindex.__getitem__, self._c_owner.values()))
         sides = ["A"] * ga.e_count + ["B"] * gb.e_count + ["C"] * len(owners)
@@ -193,9 +193,11 @@ class GWord(_CodedWord):
         _, _, ends, by_side = instance._alphabet
 
         def code_of(letter: GLetter) -> int:
-            if letter.side not in SIDES:
+            try:
+                index, base = by_side[letter.side]
+            except (KeyError, TypeError):  # TypeError: an unhashable side
                 instance.side_graph(letter.side)  # raises UnknownSide
-            index, base = by_side[letter.side]
+                raise
             return letter.sign * (index[letter.edge] + base)
 
         codes, _ = _chain_codes(instance.graph_a, ends, code_of, source, letters, target)
@@ -210,7 +212,8 @@ class GWord(_CodedWord):
 @dataclass(eq=True)
 class RetractReport:
     """Everything the retraction needs: chosen forests, the pushout graph W,
-    component counts, the rank, and the origin of every W edge."""
+    component counts, the rank and each W edge's origin.  One thread at a
+    time may call :func:`rho` or :func:`witness` on a report."""
 
     instance: PushoutInstance
     forest_x: Forest
@@ -230,21 +233,21 @@ class RetractReport:
             raise UnknownLetter(w_edge) from None
 
     @cached_property
-    def _tables(self) -> dict[str, list[int]]:
-        """The image of each signed code ``c`` at list index ``c`` of
-        ``[0, t_1 .. t_m, -t_m .. -t_1]``.  Key "A" or "B" maps that side's
-        edge codes to W codes (0 off the side's forest); key "W" maps W
-        codes to tagged codes.  All three are built on first use."""
+    def _on_w(self) -> tuple[dict[str, Forest], list[int]]:
+        """X and Y hosted on W by side, so tree paths come back as W codes
+        (W indexes the objects as A and B do, so the labels carry over); and
+        the tagged code of each signed W code ``c`` at list index ``c`` of
+        ``[0, t_1 .. t_m, -t_m .. -t_1]``.  Built on first use, in one pass."""
         inst = self.instance
-        tables = {s: [0] * inst.side_graph(s).e_count for s in ("A", "B")}
         base = {"A": 1, "B": inst.graph_a.e_count + 1}
-        tagged = tables["W"] = []
-        for code, w_edge in enumerate(self.w.edge_ids, 1):
+        trees, tagged = {"A": [], "B": []}, []
+        for i, w_edge in enumerate(self.w.edge_ids):
             s, edge = self.edge_origins[w_edge]
-            i = inst.side_graph(s)._eindex[edge]
-            tables[s][i] = code
-            tagged.append(base[s] + i)
-        return {k: [0, *t, *(-c for c in reversed(t))] for k, t in tables.items()}
+            trees[s].append(i)
+            tagged.append(base[s] + inst.side_graph(s)._eindex[edge])
+        labels = {"A": self.forest_x._labels, "B": self.forest_y._labels}
+        forests = {s: Forest._accepted(self.w, trees[s], labels[s]) for s in labels}
+        return forests, [0, *tagged, *(-c for c in reversed(tagged))]
 
 
 def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None) -> RetractReport:
@@ -290,14 +293,10 @@ def build_retract(inst: PushoutInstance, tie_break: Sequence[str] | None = None)
 def _run_paths(report: RetractReport, runs: Iterable[tuple[str, int, int]]) -> list[int]:
     """The signed W codes of the tree paths of ``runs``, each a side and two
     vertex indexes in one tree of that side's forest, concatenated."""
-    walks = {
-        side: (forest._path_codes, report._tables[side].__getitem__)
-        for side, forest in (("A", report.forest_x), ("B", report.forest_y))
-    }
+    forests = report._on_w[0]
     codes: list[int] = []
     for side, i, j in runs:
-        path, to_w = walks[side]
-        codes += map(to_w, path(i, j))
+        codes += forests[side]._path_codes(i, j)
     return codes
 
 
@@ -352,7 +351,7 @@ def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
-    tagged = report._tables["W"]
+    tagged = report._on_w[1]
     return GWord._trusted(report.instance, w.source, w.target, map(tagged.__getitem__, w._codes))
 
 

@@ -20,6 +20,7 @@ from freeloop.errors import (
 )
 from freeloop.graphs import (
     DirectedGraph,
+    Forest,
     components,
     euler_ranks,
     graph_pushout_with_origins,
@@ -276,6 +277,46 @@ def test_tree_path_rejects_cross_tree_pairs():
                 assert steps == _checker_path(f, s, t)
         assert tree_path(f, "c", "a").letters == (Letter("y", 1), Letter("x", -1))
     assert partial > 0
+
+
+def test_path_codes_returns_a_fresh_list_also_on_a_forest_hosted_on_w():
+    """Callers extend ``_path_codes``' result in place, so each call returns
+    a fresh list, and appending to one leaves a later query on the same pair
+    as it was.  A forest of one side's tree edges hosted on the pushout W,
+    with that side's labels, walks the same paths under W's edge names and
+    still raises ``DifferentTrees`` across its trees."""
+    # A: trees a - b - c and d - e; B joins them, with an id A also has.
+    g = DirectedGraph(
+        ["a", "b", "c", "d", "e"],
+        [("x", "a", "b"), ("y", "c", "b"), ("z", "e", "d")],
+    )
+    h = DirectedGraph(g.vertices, [("x", "b", "d"), ("u", "e", "a"), ("v", "a", "c")])
+    fx, fy = spanning_forest(g), spanning_forest(h)
+    w, origins = graph_pushout_with_origins(fx, fy, g.vertices)
+    on_w = Forest._accepted(w, [i for i, e in enumerate(w.edge_ids) if origins[e][0] == "A"], fx._labels)
+    assert on_w.tree_edge_ids == ("A:x", "y", "z")
+    same = [(u, v) for u in "abc" for v in "abc"] + [(u, v) for u in "de" for v in "de"]
+
+    def apart(f):
+        for u, v in ((u, v) for u in "abc" for v in "de"):
+            for s, t in ((u, v), (v, u)):
+                with pytest.raises(DifferentTrees) as raised:
+                    tree_path(f, s, t)
+                assert (raised.value.u, raised.value.v) == (s, t)
+
+    for f in (fx, on_w):
+        apart(f)  # before any search, and again after both trees are searched
+        for u, v in same * 2:
+            i, j = f.host.vertex_index(u), f.host.vertex_index(v)
+            first = f._path_codes(i, j)
+            expected = list(first)
+            first += [7, -7]
+            again = f._path_codes(i, j)
+            assert again == expected and again is not first
+        apart(f)
+    for u, v in same:
+        steps = [(origins[l.edge][1], l.sign) for l in tree_path(on_w, u, v).letters]
+        assert steps == [(l.edge, l.sign) for l in tree_path(fx, u, v).letters]
 
 
 def test_tree_path_endpoints_on_random_forests():

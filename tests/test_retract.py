@@ -176,6 +176,8 @@ def test_gword_validates_chain_and_letters():
     # A letter-like object skips GLetter's check; the word still names the side.
     with pytest.raises(UnknownSide, match="no generating graph for side 'D'"):
         GWord(inst, "a", "b", [SimpleNamespace(side="D", edge="alpha", sign=1)])
+    with pytest.raises(UnknownSide, match=r"no generating graph for side \['A'\]"):
+        GWord(inst, "a", "b", [SimpleNamespace(side=["A"], edge="alpha", sign=1)])
     for sign in (0, 2, True, 1.0, -1.0):
         with pytest.raises(BadSign):
             GLetter("A", "alpha", sign)
@@ -471,8 +473,8 @@ def test_rho_and_witness_share_one_letter_per_w_letter(monkeypatch):
     inst = with_c_loop_everywhere(tagged_instance(rng, max_objects=12, max_side_edges=24))
     report = build_retract(inst)
     fresh = build_retract(inst)
-    # build_retract alone builds no code table.
-    assert "_tables" not in vars(report)
+    # build_retract alone builds no code table and no forest on W.
+    assert "_on_w" not in vars(report)
     g = long_run_gword(rng, inst, 200)
     pair = joined_pairs(inst)[0]
     built = {cls: counted_builds(monkeypatch, cls) for cls in (Letter, GLetter)}
@@ -491,6 +493,31 @@ def test_rho_and_witness_share_one_letter_per_w_letter(monkeypatch):
     monkeypatch.undo()
     assert image == rho(fresh, g) and loop == witness(fresh, *pair)
     assert report == fresh and repr(report) == repr(fresh)
+
+
+def test_rho_and_witness_walk_x_and_y_hosted_on_w():
+    """rho and witness walk X and Y hosted on W, whose tree paths are W
+    codes: the public forests are never searched, and no per-side code table
+    is built.  build_retract alone builds no W-side state; the hosted
+    forests hold exactly their side's tree edges, under W names, and share
+    their side's labels."""
+    rng = random.Random(97)
+    for _ in range(30):
+        inst = with_c_loop_everywhere(tagged_instance(rng))
+        report = build_retract(inst, tie_break=rng.choice([None, ["x", "A:x"]]))
+        assert "_on_w" not in vars(report)
+        g = long_run_gword(rng, inst, 120)
+        assert rho(report, g) == checker_rho(report, g)
+        for pair in joined_pairs(inst)[:4]:
+            assert witness(report, *pair) == checker_witness(report, *pair)
+        hosted, tagged = report._on_w
+        assert len(tagged) == 2 * report.w.e_count + 1
+        for side, forest in (("A", report.forest_x), ("B", report.forest_y)):
+            assert "_nav" not in vars(forest) and "_adj" not in vars(forest)
+            on_w = hosted[side]
+            assert on_w.host is report.w and on_w._labels is forest._labels
+            origins = sorted(map(report.origin_of, on_w.tree_edge_ids))
+            assert origins == [(side, e) for e in forest.tree_edge_ids]
 
 
 def test_witness_on_circle_is_the_two_letter_loop():
