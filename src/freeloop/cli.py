@@ -17,7 +17,7 @@ import functools
 import gc
 import json
 import sys
-from typing import Any, Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .dot import graph_dot
 from .errors import Disconnected, DomainError, InternalInvariant, PbiHolds, SchemaError
@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
     obj = dict(pairs)
     if len(obj) != len(pairs):
         seen = set()
@@ -104,7 +104,7 @@ class _ParseError(ValueError):
     """An input file is not UTF-8 JSON that the decoder can read."""
 
 
-def _load(path: str) -> Any:
+def _load(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh, object_pairs_hook=_unique_keys)
@@ -145,7 +145,7 @@ def _fmt_block(block) -> str:
     return "{" + ", ".join(block) + "}"
 
 
-_Thunk = Callable[[], Any]
+_Thunk = Callable[[], object]
 
 
 def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:

@@ -7,7 +7,7 @@ everything else gray; highlighted edges (witness loops) are drawn bold.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .graphs import DirectedGraph
 

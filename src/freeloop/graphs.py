@@ -10,11 +10,11 @@ default edge scan order, canonical output order.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
     BadId,
@@ -61,7 +61,7 @@ class DirectedGraph:
     def __init__(
         self,
         vertices: Iterable[str],
-        edges: Union[Mapping[str, tuple], Iterable[tuple]] = (),
+        edges: Mapping[str, tuple] | Iterable[tuple] = (),
     ):
         if isinstance(edges, Mapping):
             items = ((as_id(e), as_id(s), as_id(t)) for e, (s, t) in edges.items())

@@ -17,7 +17,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping
 from json.encoder import encode_basestring
 from operator import itemgetter
-from typing import Any
 
 from .errors import InternalInvariant, SchemaError
 from .graphs import DirectedGraph
@@ -26,7 +25,7 @@ from .vankampen import Decomposition, PbpScenario, ZRetractCertificate
 from .words import Word
 
 
-def _require(obj: Any, key: str, where: str) -> Any:
+def _require(obj: object, key: str, where: str) -> object:
     if not isinstance(obj, Mapping):
         raise SchemaError(f"{where} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
@@ -34,7 +33,7 @@ def _require(obj: Any, key: str, where: str) -> Any:
     return obj[key]
 
 
-def _id_list(value: Any, where: str) -> list:
+def _id_list(value: object, where: str) -> list:
     if not isinstance(value, list):
         raise SchemaError(f"{where} must be a JSON array")
     for x in value:
@@ -43,13 +42,13 @@ def _id_list(value: Any, where: str) -> list:
     return value
 
 
-def _id_value(value: Any, where: str) -> str:
+def _id_value(value: object, where: str) -> str:
     if not isinstance(value, (str, int)) or isinstance(value, bool):
         raise SchemaError(f"{where} must be a string or integer id")
     return str(value)
 
 
-def parse_graph(obj: Any) -> DirectedGraph:
+def parse_graph(obj: object) -> DirectedGraph:
     """The graph document ``obj``, checked in one pass over its edges.
 
     An edge object whose three fields are strings is taken as it stands;
@@ -90,7 +89,7 @@ def dump_graph(g: DirectedGraph) -> dict:
     }
 
 
-def _parse_sign(value: Any, where: str) -> int:
+def _parse_sign(value: object, where: str) -> int:
     if type(value) is not int or value not in (1, -1):
         raise SchemaError(f'{where} "sign" must be 1 or -1')
     return value
@@ -109,7 +108,7 @@ def dump_word(w: Word) -> dict:
     }
 
 
-def parse_instance(obj: Any) -> PushoutInstance:
+def parse_instance(obj: object) -> PushoutInstance:
     objects = _id_list(_require(obj, "objects", "instance"), 'instance "objects"')
     graph_a = parse_graph(_require(obj, "graph_a", "instance"))
     graph_b = parse_graph(_require(obj, "graph_b", "instance"))
@@ -132,7 +131,7 @@ def dump_instance(inst: PushoutInstance) -> dict:
     }
 
 
-def parse_gword(obj: Any, instance: PushoutInstance) -> GWord:
+def parse_gword(obj: object, instance: PushoutInstance) -> GWord:
     source = _id_value(_require(obj, "source", "gword"), 'gword "source"')
     target = _id_value(_require(obj, "target", "gword"), 'gword "target"')
     raw = _require(obj, "letters", "gword")
@@ -154,14 +153,14 @@ def parse_gword(obj: Any, instance: PushoutInstance) -> GWord:
     return GWord(instance, source, target, letters)
 
 
-def parse_decomposition(obj: Any) -> Decomposition:
+def parse_decomposition(obj: object) -> Decomposition:
     space = parse_graph(_require(obj, "space", "decomposition"))
     u = _id_list(_require(obj, "u", "decomposition"), 'decomposition "u"')
     v = _id_list(_require(obj, "v", "decomposition"), 'decomposition "v"')
     return Decomposition(space, u, v)
 
 
-def parse_scenario(obj: Any) -> PbpScenario:
+def parse_scenario(obj: object) -> PbpScenario:
     space = parse_graph(_require(obj, "space", "scenario"))
     return PbpScenario(
         space,
@@ -204,7 +203,7 @@ def dump_certificate(cert: ZRetractCertificate) -> dict:
     }
 
 
-def canonical_json(payload: Any) -> str:
+def canonical_json(payload: object) -> str:
     """``payload`` as ``json.dumps(payload, sort_keys=True, indent=2,
     ensure_ascii=False)`` writes it, for dicts with str keys, lists, str, int,
     bool and None; strings are quoted by the C ``encode_basestring``.
@@ -269,7 +268,7 @@ def _records(
     return map(template.__mod__, zip(*columns))
 
 
-def _write(x: Any, newline: str, put) -> None:
+def _write(x: object, newline: str, put) -> None:
     if isinstance(x, str):
         put(encode_basestring(x))
     elif isinstance(x, dict):

@@ -23,13 +23,12 @@ back by one table.  Neither makes a ``Letter`` or ``GLetter`` until read.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
-    BadSign,
     DuplicateId,
     EmptyObjectSet,
     HostMismatch,
@@ -52,7 +51,7 @@ from .graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Word, _chain_codes, _CodedWord, reduce_signed
+from .words import Word, _chain_codes, _check_sign, _CodedWord, reduce_signed
 
 SIDES = ("A", "B", "C")
 
@@ -169,8 +168,7 @@ class GLetter:
     def __post_init__(self):
         if self.side not in SIDES:
             raise UnknownSide(f"side must be one of {SIDES}, got {self.side!r}")
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
+        _check_sign(self.sign)
 
     def __str__(self) -> str:
         body = f"{self.side}:{self.edge}"
@@ -188,21 +186,23 @@ class GWord(_CodedWord):
     __slots__ = ()
     instance = _CodedWord._owner  # the shell's owner slot, under its name here
 
-    def __init__(self, instance: PushoutInstance, source: str, target: str, letters: Sequence[GLetter] = ()):
-        letters = tuple(letters)
+    def __init__(self, instance: PushoutInstance, source: str, target: str, letters: Iterable[GLetter] = ()):
         _, _, ends, by_side = instance._alphabet
 
         def code_of(letter: GLetter) -> int:
+            # As GLetter checks them: the side, then the sign (an exact
+            # GLetter's was checked when it was built), then the edge.
             try:
                 index, base = by_side[letter.side]
             except (KeyError, TypeError):  # TypeError: an unhashable side
                 instance.side_graph(letter.side)  # raises UnknownSide
                 raise
+            if type(letter) is not GLetter:
+                _check_sign(letter.sign)
             return letter.sign * (index[letter.edge] + base)
 
         codes, _ = _chain_codes(instance.graph_a, ends, code_of, source, letters, target)
-        self._owner, self.source, self.target, self.letters = instance, source, target, letters
-        self._codes = tuple(codes)
+        self._owner, self.source, self.target, self._codes = instance, source, target, tuple(codes)
 
     def _letter(self, code: int) -> GLetter:
         ids, sides, _, _ = self._owner._alphabet

@@ -31,11 +31,10 @@ certificate expands.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from operator import neg
-from typing import Iterable, Sequence
 
 from .errors import (
     DeletedSetsAdjacent,

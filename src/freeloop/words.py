@@ -11,21 +11,21 @@ nontriviality claim in this library decidable.
 how a caller builds and compares them.  A nonempty reduced closed word is a
 nontrivial loop, so a certificate needs no other coordinates.
 
-A word stores its letters as signed edge codes, ``sign * (index + 1)`` over
-``host.edge_ids``; reduction, composition and inversion work on those.  The
-shell ``_CodedWord`` holds the codes, the lazy ``letters`` and the
-comparisons for both ``Word`` and the pushout's tagged ``retract.GWord``,
-and ``_chain_codes`` is the one check of a letter chain for ``Word``,
-:func:`reduce` and ``GWord``: letters from outside are coded as they are
-walked.  Derived words are built from codes by ``_trusted`` without a
-re-check.
+A word stores its letters only as signed edge codes, ``sign * (index + 1)``
+over ``host.edge_ids``; reduction, composition and inversion work on those,
+and no word keeps the letters it was built from.  The shell ``_CodedWord``
+holds the codes, the lazy ``letters`` and the comparisons for both ``Word``
+and the pushout's tagged ``retract.GWord``, and ``_chain_codes`` is the one
+check of a letter chain for ``Word``, :func:`reduce` and ``GWord``: letters
+from outside are coded as they are walked, in one pass.  Derived words are
+built from codes by ``_trusted`` without a re-check.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from operator import neg
-from typing import Callable, Iterable, Sequence
 
 from .errors import (
     BadSign,
@@ -38,6 +38,13 @@ from .errors import (
 from .graphs import DirectedGraph, Forest
 
 
+def _check_sign(sign) -> None:
+    """Refuse any ``sign`` but the ``int`` 1 or -1 (so ``True`` and ``1.0``
+    too), for letters and for the letter-like objects a word is coded from."""
+    if type(sign) is not int or sign not in (1, -1):
+        raise BadSign(f"sign must be +1 or -1, got {sign!r}")
+
+
 @dataclass(frozen=True)
 class Letter:
     """A signed edge: ``sign`` +1 traverses src -> tgt, -1 the reverse."""
@@ -46,8 +53,7 @@ class Letter:
     sign: int
 
     def __post_init__(self):
-        if type(self.sign) is not int or self.sign not in (1, -1):
-            raise BadSign(f"sign must be +1 or -1, got {self.sign!r}")
+        _check_sign(self.sign)
 
     def __str__(self) -> str:
         return self.edge if self.sign == 1 else f"{self.edge}^-1"
@@ -58,9 +64,9 @@ class _CodedWord:
     signed letter codes from ``source`` to ``target`` over the alphabet of
     ``_owner``, which a ``Word`` reads as ``host`` and a ``GWord`` as
     ``instance``.  Length, equality and hashing read the codes, and words of
-    the two classes never compare equal.  ``letters`` is made from the codes
-    on first read, one letter per distinct code by the subclass's
-    ``_letter``, unless the word was built from letters, which it then keeps.
+    the two classes never compare equal.  ``letters`` is always made from the
+    codes on first read, one letter per distinct code by the subclass's
+    ``_letter``: a word keeps none of the letters it was built from.
     """
 
     __slots__ = ("_owner", "source", "target", "_codes", "letters")
@@ -110,11 +116,12 @@ def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) 
     """The signed codes of ``letters``, a chain from ``source`` over the
     vertices of ``g``, and the vertex where it ends.
 
-    ``code_of`` codes one letter, raising ``KeyError`` for a letter that
-    names no generator, and ``ends[c]`` is the index of the vertex code
-    ``c`` ends at, in the ``DirectedGraph._code_ends`` layout; a code starts
-    where its inverse ends.  Raises ``UnknownVertex`` for ``source``, then
-    ``target``; then, letter by letter, at the first letter that is unknown,
+    ``code_of`` codes one letter, raising ``BadSign`` for a bad sign and
+    ``KeyError`` for a letter that names no generator, and ``ends[c]`` is
+    the index of the vertex code ``c`` ends at, in the
+    ``DirectedGraph._code_ends`` layout; a code starts where its inverse
+    ends.  Raises ``UnknownVertex`` for ``source``, then ``target``; then,
+    letter by letter, at the first letter that has a bad sign, is unknown,
     does not compose or, if ``reduced``, cancels the one before it; then if
     the chain does not end at ``target`` (unless that is None).
     """
@@ -141,9 +148,16 @@ def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) 
 
 
 def _edge_coder(g: DirectedGraph) -> Callable[[Letter], int]:
-    """The ``code_of`` of letters on ``g``, for :func:`_chain_codes`."""
+    """The ``code_of`` of letters on ``g``, for :func:`_chain_codes`.  An
+    exact ``Letter`` had its sign checked when it was built."""
     eindex = g._eindex
-    return lambda letter: letter.sign * (eindex[letter.edge] + 1)
+
+    def code_of(letter: Letter) -> int:
+        if type(letter) is not Letter:
+            _check_sign(letter.sign)
+        return letter.sign * (eindex[letter.edge] + 1)
+
+    return code_of
 
 
 class Word(_CodedWord):
@@ -158,11 +172,9 @@ class Word(_CodedWord):
     __slots__ = ()
     host = _CodedWord._owner  # the shell's owner slot, under its name here
 
-    def __init__(self, host: DirectedGraph, source: str, target: str, letters: Sequence[Letter] = ()):
-        letters = tuple(letters)
+    def __init__(self, host: DirectedGraph, source: str, target: str, letters: Iterable[Letter] = ()):
         codes, _ = _chain_codes(host, host._code_ends, _edge_coder(host), source, letters, target, reduced=True)
-        self._owner, self.source, self.target, self.letters = host, source, target, letters
-        self._codes = tuple(codes)
+        self._owner, self.source, self.target, self._codes = host, source, target, tuple(codes)
 
     def _letter(self, code: int) -> Letter:
         return Letter(self._owner.edge_ids[abs(code) - 1], 1 if code > 0 else -1)
@@ -184,7 +196,7 @@ def reduce_signed(codes):
     return stack
 
 
-def reduce(g: DirectedGraph, source: str, raw_letters: Sequence[Letter]) -> Word:
+def reduce(g: DirectedGraph, source: str, raw_letters: Iterable[Letter]) -> Word:
     """The unique reduced word equal to ``raw_letters`` in the free groupoid.
 
     The input must be a composable chain starting at ``source``; it need not

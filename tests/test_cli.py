@@ -1057,3 +1057,19 @@ def test_cli_fuzz_ends_in_an_exit_code_and_a_stable_error_code(fuzz_dir, case):
         assert code in (1, 2) and out.getvalue() == ""
         assert err.getvalue().split(":", 1)[0] in ERROR_CODES, err.getvalue()[:200]
     assert "Traceback" not in err.getvalue()
+
+
+def test_importing_the_cli_loads_no_typing():
+    """The package takes its annotations' names from ``collections.abc``, so
+    ``import freeloop.cli`` does not pay for ``typing``.  ``-S`` keeps the
+    ``site`` module, which may import anything, out of the count."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, freeloop.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'typing'))"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

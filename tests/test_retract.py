@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -183,6 +184,42 @@ def test_gword_validates_chain_and_letters():
             GLetter("A", "alpha", sign)
     with pytest.raises(UnknownSide):
         inst.side_graph("C")
+
+
+@pytest.mark.parametrize("sign", [2, -2, 0, True, 1.0])
+def test_gword_refuses_letter_likes_with_a_bad_sign(sign):
+    """A letter-like object (``side``, ``edge`` and ``sign``, not a
+    ``GLetter``) never had its sign checked, so ``GWord(...)`` refuses a bad
+    one with ``GLetter``'s message, before its edge is looked up: ``alpha``
+    with sign 2 would otherwise be coded as ``beta``."""
+    inst = circle_instance()
+    with pytest.raises(BadSign) as refused:
+        GLetter("A", "alpha", sign)
+    for edge in ("alpha", "nope"):
+        bad = [GLetter("A", "alpha", 1), SimpleNamespace(side="B", edge=edge, sign=sign)]
+        with pytest.raises(BadSign) as got:
+            GWord(inst, "a", "a", bad)
+        assert str(got.value) == str(refused.value)
+
+
+def test_gword_keeps_none_of_the_letters_it_is_built_from():
+    """A GWord holds only its tagged codes: the caller's GLetters, whether in
+    a list or a one-shot iterator, die once the caller drops them, and
+    ``letters`` is unset until its first read, which makes GLetters equal to
+    them.  Letter-like objects read back as real GLetters."""
+    inst = circle_instance()
+    expected = (GLetter("A", "alpha", 1), GLetter("B", "beta", -1), GLetter("A", "alpha", 1))
+    for one_shot in (False, True):
+        letters = [GLetter("A", "alpha", 1), GLetter("B", "beta", -1), GLetter("A", "alpha", 1)]
+        refs = [weakref.ref(l) for l in letters]
+        w = GWord(inst, "a", "b", iter(letters) if one_shot else letters)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(w, "letters")
+        del letters
+        assert [r() for r in refs] == [None] * 3
+        assert w.letters == expected and w._codes == (1, -2, 1)
+    like = GWord(inst, "a", "b", [SimpleNamespace(side=l.side, edge=l.edge, sign=l.sign) for l in expected])
+    assert like.letters == expected and {type(l) for l in like.letters} == {GLetter}
 
 
 def test_c_loops_are_carried_and_have_identity_endpoints():

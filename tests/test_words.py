@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import copy
 import random
+import weakref
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -70,6 +72,51 @@ def test_word_letters_follow_sign():
             Word(g, t, s, [Letter("x", sign)])
     with pytest.raises(UnknownLetter):
         Word(g, "a", "a", [Letter("zz", 1)])
+
+
+def _wxyz():
+    """Edges ``w: b->b``, ``x: a->b``, ``y: b->c`` and ``z: a->c``, so that
+    ``x`` with sign 2 would be coded as ``z``."""
+    return DirectedGraph(
+        ["a", "b", "c"], [("w", "b", "b"), ("x", "a", "b"), ("y", "b", "c"), ("z", "a", "c")]
+    )
+
+
+@pytest.mark.parametrize("sign", [2, -2, 0, True, 1.0])
+def test_letter_likes_with_a_bad_sign_are_refused(sign):
+    """A letter-like object (``edge`` and ``sign``, not a ``Letter``) never
+    had its sign checked, so ``Word(...)`` and ``reduce(...)`` refuse a bad
+    one with ``Letter``'s message, before its edge is looked up and after
+    the letters before it are coded."""
+    g = _wxyz()
+    with pytest.raises(BadSign) as refused:
+        Letter("x", sign)
+    for edge in ("x", "nope"):
+        bad = [Letter("w", 1), SimpleNamespace(edge=edge, sign=sign)]
+        for build in (lambda: Word(g, "b", "c", bad), lambda: reduce_word(g, "b", bad)):
+            with pytest.raises(BadSign) as got:
+                build()
+            assert str(got.value) == str(refused.value)
+
+
+def test_word_keeps_none_of_the_letters_it_is_built_from():
+    """A word holds only its codes: the caller's letters, whether in a list
+    or a one-shot iterator, die once the caller drops them, and ``letters``
+    is unset until its first read, which makes ``Letter``s equal to them.
+    Letter-like objects read back as real ``Letter``s."""
+    g = two_cycle()
+    expected = (Letter("x", 1), Letter("y", 1), Letter("x", 1))
+    for one_shot in (False, True):
+        letters = [Letter("x", 1), Letter("y", 1), Letter("x", 1)]
+        refs = [weakref.ref(l) for l in letters]
+        w = Word(g, "a", "b", iter(letters) if one_shot else letters)
+        with pytest.raises(AttributeError):
+            object.__getattribute__(w, "letters")
+        del letters
+        assert [r() for r in refs] == [None] * 3
+        assert w.letters == expected and w._codes == (1, 2, 1)
+    like = Word(g, "a", "b", [SimpleNamespace(edge=l.edge, sign=l.sign) for l in expected])
+    assert like.letters == expected and {type(l) for l in like.letters} == {Letter}
 
 
 def test_word_validates_chain_and_reducedness():
@@ -149,6 +196,7 @@ def test_chain_errors_match_a_walk_on_ids():
         ends = [*inst.objects, "zz"]
 
         gword = random_gword(rng, inst, max_len=8)
+        assert GWord(inst, gword.source, gword.target, iter(gword.letters)) == gword
         letters = _corrupted(rng, gword.letters, tagged, unknown_tagged)
         source, target = gword.source, gword.target
         if rng.random() < 0.3:
@@ -157,6 +205,8 @@ def test_chain_errors_match_a_walk_on_ids():
             source = rng.choice(ends)
         expected = reference_word_error(inst, source, target, letters)
         assert _error_of(lambda: GWord(inst, source, target, letters)) == expected
+        # The letters are read once, so a one-shot iterator fails alike.
+        assert _error_of(lambda: GWord(inst, source, target, iter(letters))) == expected
 
         word = random_reduced_word(rng, g, max_len=8)
         letters = _corrupted(rng, word.letters, plain, unknown_plain)
@@ -167,8 +217,10 @@ def test_chain_errors_match_a_walk_on_ids():
             source = rng.choice(ends)
         expected = reference_word_error(g, source, target, letters, reduced=True)
         assert _error_of(lambda: Word(g, source, target, letters)) == expected
+        assert _error_of(lambda: Word(g, source, target, iter(letters))) == expected
         expected = reference_word_error(g, source, None, letters)
         assert _error_of(lambda: reduce_word(g, source, letters)) == expected
+        assert _error_of(lambda: reduce_word(g, source, iter(letters))) == expected
 
 
 def test_identity_words_at_distinct_vertices_differ():
