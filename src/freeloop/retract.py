@@ -51,7 +51,7 @@ from .graphs import (
     graph_pushout_with_origins,
     spanning_forest,
 )
-from .words import Word, _chain_codes, _check_sign, _CodedWord, reduce_signed
+from .words import Word, _chain_codes, _check_sign, _CodedWord, _expect, reduce_signed
 
 SIDES = ("A", "B", "C")
 
@@ -127,13 +127,6 @@ class PushoutInstance:
             },
         )
 
-    def side_graph(self, side: str) -> DirectedGraph:
-        if side == "A":
-            return self.graph_a
-        if side == "B":
-            return self.graph_b
-        raise UnknownSide(f"no generating graph for side {side!r}")
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -190,18 +183,11 @@ class GWord(_CodedWord):
         _, _, ends, by_side = instance._alphabet
 
         def code_of(letter: GLetter) -> int:
-            # As GLetter checks them: the side, then the sign (an exact
-            # GLetter's was checked when it was built), then the edge.
-            try:
-                index, base = by_side[letter.side]
-            except (KeyError, TypeError):  # TypeError: an unhashable side
-                instance.side_graph(letter.side)  # raises UnknownSide
-                raise
-            if type(letter) is not GLetter:
-                _check_sign(letter.sign)
+            # A GLetter checked its side and sign when it was made.
+            index, base = by_side[letter.side]
             return letter.sign * (index[letter.edge] + base)
 
-        codes, _ = _chain_codes(instance.graph_a, ends, code_of, source, letters, target)
+        codes, _ = _chain_codes(instance.graph_a, ends, GLetter, code_of, source, letters, target)
         self._owner, self.source, self.target, self._codes = instance, source, target, tuple(codes)
 
     def _letter(self, code: int) -> GLetter:
@@ -237,14 +223,16 @@ class RetractReport:
         """X and Y hosted on W by side, so tree paths come back as W codes
         (W indexes the objects as A and B do, so the labels carry over); and
         the tagged code of each signed W code ``c`` at list index ``c`` of
-        ``[0, t_1 .. t_m, -t_m .. -t_1]``.  Built on first use, in one pass."""
-        inst = self.instance
-        base = {"A": 1, "B": inst.graph_a.e_count + 1}
+        ``[0, t_1 .. t_m, -t_m .. -t_1]``, coded by the per-side index and
+        base of the instance's ``_alphabet``.  Built on first use, in one
+        pass."""
+        by_side = self.instance._alphabet[3]
         trees, tagged = {"A": [], "B": []}, []
         for i, w_edge in enumerate(self.w.edge_ids):
             s, edge = self.edge_origins[w_edge]
             trees[s].append(i)
-            tagged.append(base[s] + inst.side_graph(s)._eindex[edge])
+            index, base = by_side[s]
+            tagged.append(base + index[edge])
         labels = {"A": self.forest_x._labels, "B": self.forest_y._labels}
         forests = {s: Forest._accepted(self.w, trees[s], labels[s]) for s in labels}
         return forests, [0, *tagged, *(-c for c in reversed(tagged))]
@@ -325,6 +313,7 @@ def rho(report: RetractReport, g: GWord) -> Word:
     meet: the concatenation is reduced as it stands.  Only those paths are
     walked, and the result is a word of their signed W codes.
     """
+    _expect(GWord, g)
     if g.instance != report.instance:
         raise HostMismatch("word does not belong to this report's instance")
     inst = report.instance
@@ -349,6 +338,7 @@ def rho(report: RetractReport, g: GWord) -> Word:
 
 def include_f(report: RetractReport, w: Word) -> GWord:
     """The inclusion Fr(W) -> G: relabel each W letter to its tagged origin."""
+    _expect(Word, w)
     if w.host != report.w:
         raise HostMismatch("word is not hosted on this report's pushout graph W")
     tagged = report._on_w[1]

@@ -17,8 +17,9 @@ and no word keeps the letters it was built from.  The shell ``_CodedWord``
 holds the codes, the lazy ``letters`` and the comparisons for both ``Word``
 and the pushout's tagged ``retract.GWord``, and ``_chain_codes`` is the one
 check of a letter chain for ``Word``, :func:`reduce` and ``GWord``: letters
-from outside are coded as they are walked, in one pass.  Derived words are
-built from codes by ``_trusted`` without a re-check.
+from outside are coded as they are walked, in one pass, and must be of the
+word's own letter class (anything else is a ``TypeError``).  Derived words
+are built from codes by ``_trusted`` without a re-check.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .graphs import DirectedGraph, Forest
 
 def _check_sign(sign) -> None:
     """Refuse any ``sign`` but the ``int`` 1 or -1 (so ``True`` and ``1.0``
-    too), for letters and for the letter-like objects a word is coded from."""
+    too), for ``Letter`` and ``retract.GLetter``."""
     if type(sign) is not int or sign not in (1, -1):
         raise BadSign(f"sign must be +1 or -1, got {sign!r}")
 
@@ -112,18 +113,19 @@ class _CodedWord:
         return f"{type(self).__name__}({self.source!r} -> {self.target!r}: {self})"
 
 
-def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) -> tuple[list[int], str]:
+def _chain_codes(g, ends, kind, code_of, source, letters, target=None, reduced=False) -> tuple[list[int], str]:
     """The signed codes of ``letters``, a chain from ``source`` over the
     vertices of ``g``, and the vertex where it ends.
 
-    ``code_of`` codes one letter, raising ``BadSign`` for a bad sign and
-    ``KeyError`` for a letter that names no generator, and ``ends[c]`` is
-    the index of the vertex code ``c`` ends at, in the
-    ``DirectedGraph._code_ends`` layout; a code starts where its inverse
+    Each letter must be exactly a ``kind``, whose sign (and side) was checked
+    when it was made.  ``code_of`` codes one, raising ``KeyError`` or
+    ``TypeError`` (an unhashable edge) when it names no generator; ``ends[c]``
+    is the index of the vertex code ``c`` ends at, in the
+    ``DirectedGraph._code_ends`` layout, and a code starts where its inverse
     ends.  Raises ``UnknownVertex`` for ``source``, then ``target``; then,
-    letter by letter, at the first letter that has a bad sign, is unknown,
-    does not compose or, if ``reduced``, cancels the one before it; then if
-    the chain does not end at ``target`` (unless that is None).
+    letter by letter, at the first letter that is no ``kind`` (``TypeError``),
+    is unknown, does not compose or, if ``reduced``, cancels the one before
+    it; then if the chain does not end at ``target`` (unless that is None).
     """
     vindex, vertices = g._vindex, g.vertices
     for v in (source,) if target is None else (source, target):
@@ -131,9 +133,11 @@ def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) 
             raise UnknownVertex(v)
     cur, prev, codes = vindex[source], 0, []
     for i, letter in enumerate(letters):
+        if type(letter) is not kind:
+            raise TypeError(f"letter {i} must be a {kind.__name__}, got {type(letter).__name__}")
         try:
             code = code_of(letter)
-        except KeyError:
+        except (KeyError, TypeError):
             raise UnknownLetter(letter.edge, side=getattr(letter, "side", None)) from None
         if ends[-code] != cur:
             raise NotComposable(i, f"letter starts at {vertices[ends[-code]]!r}, chain is at {vertices[cur]!r}")
@@ -148,16 +152,9 @@ def _chain_codes(g, ends, code_of, source, letters, target=None, reduced=False) 
 
 
 def _edge_coder(g: DirectedGraph) -> Callable[[Letter], int]:
-    """The ``code_of`` of letters on ``g``, for :func:`_chain_codes`.  An
-    exact ``Letter`` had its sign checked when it was built."""
+    """The ``code_of`` of ``Letter``s on ``g``, for :func:`_chain_codes`."""
     eindex = g._eindex
-
-    def code_of(letter: Letter) -> int:
-        if type(letter) is not Letter:
-            _check_sign(letter.sign)
-        return letter.sign * (eindex[letter.edge] + 1)
-
-    return code_of
+    return lambda letter: letter.sign * (eindex[letter.edge] + 1)
 
 
 class Word(_CodedWord):
@@ -173,11 +170,18 @@ class Word(_CodedWord):
     host = _CodedWord._owner  # the shell's owner slot, under its name here
 
     def __init__(self, host: DirectedGraph, source: str, target: str, letters: Iterable[Letter] = ()):
-        codes, _ = _chain_codes(host, host._code_ends, _edge_coder(host), source, letters, target, reduced=True)
+        coder = _edge_coder(host)
+        codes, _ = _chain_codes(host, host._code_ends, Letter, coder, source, letters, target, reduced=True)
         self._owner, self.source, self.target, self._codes = host, source, target, tuple(codes)
 
     def _letter(self, code: int) -> Letter:
         return Letter(self._owner.edge_ids[abs(code) - 1], 1 if code > 0 else -1)
+
+
+def _expect(kind: type, word) -> None:
+    """Refuse a ``word`` that is not exactly a ``kind``, naming both classes."""
+    if type(word) is not kind:
+        raise TypeError(f"expected a {kind.__name__}, got {type(word).__name__}")
 
 
 def identity(g: DirectedGraph, v: str) -> Word:
@@ -204,12 +208,14 @@ def reduce(g: DirectedGraph, source: str, raw_letters: Iterable[Letter]) -> Word
     edge codes (free reduction is confluent, so the strategy does not affect
     the result).
     """
-    codes, target = _chain_codes(g, g._code_ends, _edge_coder(g), source, raw_letters)
+    codes, target = _chain_codes(g, g._code_ends, Letter, _edge_coder(g), source, raw_letters)
     return Word._trusted(g, source, target, reduce_signed(codes))
 
 
 def compose(w1: Word, w2: Word) -> Word:
     """Composite arrow ``w1`` then ``w2`` (reduced concatenation)."""
+    _expect(Word, w1)
+    _expect(Word, w2)
     if w1.host != w2.host:
         raise HostMismatch("words live on different graphs")
     if w1.target != w2.source:
@@ -219,6 +225,7 @@ def compose(w1: Word, w2: Word) -> Word:
 
 def invert(w: Word) -> Word:
     """Inverse arrow: letters reversed with signs flipped."""
+    _expect(Word, w)
     return Word._trusted(w.host, w.target, w.source, map(neg, reversed(w._codes)))
 
 

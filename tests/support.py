@@ -152,10 +152,12 @@ def reference_word_error(host, source, target, letters, reduced=False):
     ``target`` None checks no target, as :func:`~freeloop.words.reduce`
     does, and ``reduced`` refuses a letter that cancels the one before it.
     The walk goes letter by letter on vertex and edge ids, coding nothing:
-    unknown endpoints first, then per letter whether it is known, starts
-    where the chain is and, if ``reduced``, does not cancel; then the end.
+    unknown endpoints first, then per letter whether it is of the host's
+    letter class (else a ``TypeError``), is known, starts where the chain
+    is and, if ``reduced``, does not cancel; then the end.
     """
     if isinstance(host, PushoutInstance):
+        kind = GLetter
         vertices = host.objects
         ends = {
             "A": host.graph_a.edge_ends,
@@ -169,6 +171,7 @@ def reference_word_error(host, source, target, letters, reduced=False):
             return ends[l.side][l.edge]
 
     else:
+        kind = Letter
         vertices = host.vertices
 
         def edge_ends(l):
@@ -184,6 +187,8 @@ def reference_word_error(host, source, target, letters, reduced=False):
             return error(UnknownVertex(v))
     cur = source
     for i, letter in enumerate(letters):
+        if type(letter) is not kind:
+            return TypeError, None, f"letter {i} must be a {kind.__name__}, got {type(letter).__name__}"
         try:
             s, t = edge_ends(letter)
         except UnknownLetter as exc:
@@ -351,7 +356,7 @@ def random_gword(rng: random.Random, inst: PushoutInstance, source=None, max_len
     """Random composable walk over tagged generators; backtracking allowed."""
     moves: dict[str, list[tuple[GLetter, str]]] = {v: [] for v in inst.objects}
     for side in ("A", "B"):
-        g = inst.side_graph(side)
+        g = inst.graph_a if side == "A" else inst.graph_b
         for e in g.edge_ids:
             s, t = g.edge_ends[e]
             moves[s].append((GLetter(side, e, 1), t))
@@ -391,7 +396,7 @@ def long_run_gword(
     """
     moves: dict[str, dict[str, list[tuple[GLetter, str]]]] = {}
     for side in sides:
-        g = inst.side_graph(side)
+        g = inst.graph_a if side == "A" else inst.graph_b
         moves[side] = {v: [] for v in inst.objects}
         for e in g.edge_ids:
             s, t = g.edge_ends[e]

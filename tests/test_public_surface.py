@@ -70,6 +70,7 @@ DELETED = (
     (graphs.DirectedGraph, "has_edge"),
     (graphs.DirectedGraph, "edge_index"),
     (errors, "UnknownEdge"),
+    (retract.PushoutInstance, "side_graph"),
 ) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 

@@ -174,39 +174,39 @@ def test_gword_validates_chain_and_letters():
         GWord(inst, "zz", "zz", [])
     with pytest.raises(UnknownSide):
         GLetter("D", "alpha", 1)
-    # A letter-like object skips GLetter's check; the word still names the side.
-    with pytest.raises(UnknownSide, match="no generating graph for side 'D'"):
-        GWord(inst, "a", "b", [SimpleNamespace(side="D", edge="alpha", sign=1)])
-    with pytest.raises(UnknownSide, match=r"no generating graph for side \['A'\]"):
-        GWord(inst, "a", "b", [SimpleNamespace(side=["A"], edge="alpha", sign=1)])
+    with pytest.raises(UnknownSide):
+        GLetter(["A"], "alpha", 1)
+    # Only a GLetter is taken, so a letter-like object is refused, whatever
+    # side it names, before that side is read.
+    for side in ("D", ["A"], "A"):
+        with pytest.raises(TypeError, match="^letter 0 must be a GLetter, got SimpleNamespace$"):
+            GWord(inst, "a", "b", [SimpleNamespace(side=side, edge="alpha", sign=1)])
     for sign in (0, 2, True, 1.0, -1.0):
         with pytest.raises(BadSign):
             GLetter("A", "alpha", sign)
-    with pytest.raises(UnknownSide):
-        inst.side_graph("C")
+    # C names only loops: an id of side A is unknown there.
+    with pytest.raises(UnknownLetter, match="'alpha' on side C"):
+        GWord(inst, "a", "a", [GLetter("C", "alpha", 1)])
 
 
 @pytest.mark.parametrize("sign", [2, -2, 0, True, 1.0])
 def test_gword_refuses_letter_likes_with_a_bad_sign(sign):
     """A letter-like object (``side``, ``edge`` and ``sign``, not a
-    ``GLetter``) never had its sign checked, so ``GWord(...)`` refuses a bad
-    one with ``GLetter``'s message, before its edge is looked up: ``alpha``
-    with sign 2 would otherwise be coded as ``beta``."""
+    ``GLetter``) never had its sign checked, so ``GWord(...)`` refuses it
+    at its position with a ``TypeError``, before its side, sign or edge is
+    read: ``alpha`` with sign 2 is never coded as ``beta``."""
     inst = circle_instance()
-    with pytest.raises(BadSign) as refused:
-        GLetter("A", "alpha", sign)
     for edge in ("alpha", "nope"):
         bad = [GLetter("A", "alpha", 1), SimpleNamespace(side="B", edge=edge, sign=sign)]
-        with pytest.raises(BadSign) as got:
+        with pytest.raises(TypeError, match="^letter 1 must be a GLetter, got SimpleNamespace$"):
             GWord(inst, "a", "a", bad)
-        assert str(got.value) == str(refused.value)
 
 
 def test_gword_keeps_none_of_the_letters_it_is_built_from():
     """A GWord holds only its tagged codes: the caller's GLetters, whether in
     a list or a one-shot iterator, die once the caller drops them, and
     ``letters`` is unset until its first read, which makes GLetters equal to
-    them.  Letter-like objects read back as real GLetters."""
+    them.  A letter-like object is refused, so no GWord is built from one."""
     inst = circle_instance()
     expected = (GLetter("A", "alpha", 1), GLetter("B", "beta", -1), GLetter("A", "alpha", 1))
     for one_shot in (False, True):
@@ -218,8 +218,9 @@ def test_gword_keeps_none_of_the_letters_it_is_built_from():
         del letters
         assert [r() for r in refs] == [None] * 3
         assert w.letters == expected and w._codes == (1, -2, 1)
-    like = GWord(inst, "a", "b", [SimpleNamespace(side=l.side, edge=l.edge, sign=l.sign) for l in expected])
-    assert like.letters == expected and {type(l) for l in like.letters} == {GLetter}
+    like = [SimpleNamespace(side=l.side, edge=l.edge, sign=l.sign) for l in expected]
+    with pytest.raises(TypeError, match="^letter 0 must be a GLetter, got SimpleNamespace$"):
+        GWord(inst, "a", "b", like)
 
 
 def test_c_loops_are_carried_and_have_identity_endpoints():
@@ -264,7 +265,7 @@ def test_rho_kills_c_letters_everywhere():
             if letter.side == "C":
                 positions.append(positions[-1])
             else:
-                s, t = inst.side_graph(letter.side).edge_ends[letter.edge]
+                s, t = (inst.graph_a if letter.side == "A" else inst.graph_b).edge_ends[letter.edge]
                 positions.append(t if letter.sign == 1 else s)
         if v not in positions:
             continue
@@ -328,7 +329,7 @@ def tagged_end(inst, source, letters):
     cur = source
     for letter in letters:
         if letter.side != "C":
-            s, t = inst.side_graph(letter.side).edge_ends[letter.edge]
+            s, t = (inst.graph_a if letter.side == "A" else inst.graph_b).edge_ends[letter.edge]
             cur = t if letter.sign == 1 else s
     return cur
 

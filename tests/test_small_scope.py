@@ -1,5 +1,7 @@
 """Small-scope sweep: every connected simple graph on 1-5 vertices, up to
-isomorphism, with every two-piece cover and every separation scenario.
+isomorphism, with every two-piece cover and every separation scenario; and
+every connected directed multigraph on 1-4 vertices with at most one edge
+more than vertices, with every two-piece cover under two tie-breaks.
 
 Most defects show up on some small input (the small-scope hypothesis), so
 the sweep checks the certificate pipeline exhaustively there instead of on
@@ -11,7 +13,7 @@ certificate's loops are walks.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, permutations, product
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -36,10 +38,10 @@ from support import (
     reference_decomposition_error,
     reference_induced,
     reference_pbi_fails,
-    reference_pieces,
 )
 
 MAX_VERTICES = 5
+MAX_MULTI_VERTICES = 4
 
 
 def _space(n: int, edges) -> DirectedGraph:
@@ -80,22 +82,24 @@ def _covers(space: DirectedGraph):
         )
 
 
-def _expected_certificate(space: DirectedGraph, u, v):
+def _expected_certificate(blocks_of, u, v):
     """The domain error ``detect_z_retract`` must raise, as (class, message),
     else whether a certificate exists, from BFS components of the pieces: two
-    intersection components must share a component of U and one of V."""
-    piece_u, piece_v, inter = reference_pieces(space, u, v)
-    if inter.v_count == 0:
+    intersection components must share a component of U and one of V.
+    ``blocks_of(vertices)`` gives the BFS blocks of the subgraph of the
+    space that a frozenset of its vertices induces."""
+    u_set, v_set = frozenset(u), frozenset(v)
+    points = u_set & v_set
+    if not points:
         return EmptyIntersection, "the pieces share no vertex"
-    points = set(inter.vertices)
-    for name, piece in (("U", piece_u), ("V", piece_v)):
-        for block in brute_components(piece):
+    for name, piece in (("U", u_set), ("V", v_set)):
+        for block in blocks_of(piece):
             if not points.intersection(block):
                 message = f"component {block!r} of piece {name} misses the intersection"
                 return PieceMissesIntersection, message
-    block_u = {x: i for i, block in enumerate(brute_components(piece_u)) for x in block}
-    block_v = {x: i for i, block in enumerate(brute_components(piece_v)) for x in block}
-    keys = [(block_u[block[0]], block_v[block[0]]) for block in brute_components(inter)]
+    block_u = {x: i for i, block in enumerate(blocks_of(u_set)) for x in block}
+    block_v = {x: i for i, block in enumerate(blocks_of(v_set)) for x in block}
+    keys = [(block_u[block[0]], block_v[block[0]]) for block in blocks_of(points)]
     return len(set(keys)) < len(keys)
 
 
@@ -129,37 +133,99 @@ def _walk_problems(word, g: DirectedGraph) -> list[str]:
     return checkers.walk_problems(doc, g.edge_ends, "loop")
 
 
-def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():
-    tally = {"covers": 0, "certificates": 0, "errors": 0}
-    for space in connected_graphs():
+def _sweep_covers(spaces, tie_breaks) -> list[dict[str, int]]:
+    """Run every cover of every space through ``Decomposition`` and, under
+    each tie-break (a function of the space), ``detect_z_retract``; check
+    domain errors, None results and certificates against the BFS
+    reference, and every certificate's loops with the checker.  Returns,
+    per tie-break, the covers ``Decomposition`` accepted, the certificates
+    and the domain errors."""
+    tallies = [{"covers": 0, "certificates": 0, "errors": 0} for _ in tie_breaks]
+    for space in spaces:
+
+        @functools.cache
+        def blocks_of(keep, space=space):
+            return brute_components(reference_induced(space, keep))
+
+        orders = [tie_break(space) for tie_break in tie_breaks]
         for u, v in _covers(space):
             rejected = reference_decomposition_error(space, u, v)
             if rejected is not None:
                 with pytest.raises(rejected[0]):
                     Decomposition(space, u, v)
                 continue
-            tally["covers"] += 1
             dec = Decomposition(space, u, v)
-            expected = _expected_certificate(space, u, v)
-            if isinstance(expected, tuple):
-                error, message = expected
-                with pytest.raises(error) as raised:
-                    detect_z_retract(dec)
-                assert str(raised.value) == message
-                tally["errors"] += 1
-                continue
-            cert = detect_z_retract(dec)
-            assert (cert is not None) == expected, (space, u, v)
-            if cert is None:
-                continue
-            tally["certificates"] += 1
-            assert is_nonempty_reduced_loop(cert.loop_in_space)
-            assert is_nonempty_reduced_loop(cert.retract_image)
-            assert cert.loop_in_space.host == space
-            assert _walk_problems(cert.loop_in_space, space) == []
-            assert _walk_problems(cert.retract_image, cert.report.w) == []
-            assert cert.report.k == brute_rank(cert.report.instance)[2]
-    assert tally == {"covers": 1981, "certificates": 54, "errors": 62}
+            expected = _expected_certificate(blocks_of, u, v)
+            for order, tally in zip(orders, tallies):
+                tally["covers"] += 1
+                if isinstance(expected, tuple):
+                    error, message = expected
+                    with pytest.raises(error) as raised:
+                        detect_z_retract(dec, order)
+                    assert str(raised.value) == message
+                    tally["errors"] += 1
+                    continue
+                cert = detect_z_retract(dec, order)
+                assert (cert is not None) == expected, (space, u, v, order)
+                if cert is None:
+                    continue
+                tally["certificates"] += 1
+                assert is_nonempty_reduced_loop(cert.loop_in_space)
+                assert is_nonempty_reduced_loop(cert.retract_image)
+                assert cert.loop_in_space.host == space
+                assert _walk_problems(cert.loop_in_space, space) == []
+                assert _walk_problems(cert.retract_image, cert.report.w) == []
+                assert cert.report.k == brute_rank(cert.report.instance)[2]
+    return tallies
+
+
+def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():
+    tallies = _sweep_covers(connected_graphs(), [lambda space: None])
+    assert tallies == [{"covers": 1981, "certificates": 54, "errors": 62}]
+
+
+@functools.cache
+def connected_multigraphs() -> tuple[DirectedGraph, ...]:
+    """One connected directed multigraph per class under vertex relabelling
+    on 1..MAX_MULTI_VERTICES vertices with at most one edge more than
+    vertices, self-loops and parallel or opposite edges included.  The
+    class is named by its least sorted arc list over all relabellings, and
+    its edges are ``e0``, ``e1``, ... in that order."""
+    out = []
+    for n in range(1, MAX_MULTI_VERTICES + 1):
+        arcs = list(product(range(n), repeat=2))
+        relabellings = list(permutations(range(n)))
+        seen = set()
+        for m in range(n - 1, n + 2):
+            for chosen in combinations_with_replacement(arcs, m):
+                canon = min(tuple(sorted((r[i], r[j]) for i, j in chosen)) for r in relabellings)
+                if canon in seen:
+                    continue
+                seen.add(canon)
+                space = DirectedGraph(
+                    [f"v{i}" for i in range(n)],
+                    [(f"e{k}", f"v{i}", f"v{j}") for k, (i, j) in enumerate(canon)],
+                )
+                if len(brute_components(space)) == 1:
+                    out.append(space)
+    return tuple(out)
+
+
+def test_multigraph_sweep_enumerates_every_class():
+    counts = [0] * (MAX_MULTI_VERTICES + 1)
+    for space in connected_multigraphs():
+        counts[space.v_count] += 1
+    assert counts[1:] == [3, 13, 75, 427]
+
+
+def test_every_cover_of_a_small_multigraph_matches_the_reference_under_two_tie_breaks():
+    """The cover sweep on multigraphs, whose self-loops and parallel edges in
+    the intersection become C loops and whose reversed edges give negative
+    letters, under the lex tie-break and under the reversed edge-id list."""
+    tallies = _sweep_covers(
+        connected_multigraphs(), [lambda space: None, lambda space: list(reversed(space.edge_ids))]
+    )
+    assert tallies == [{"covers": 18458, "certificates": 104, "errors": 1036}] * 2
 
 
 def _graphs(n: int):

@@ -20,7 +20,7 @@ from freeloop.errors import (
     UnknownVertex,
 )
 from freeloop.graphs import DirectedGraph, spanning_forest
-from freeloop.retract import SIDES, GLetter, GWord, build_retract, rho
+from freeloop.retract import SIDES, GLetter, GWord, build_retract, include_f, rho
 from freeloop.words import (
     Letter,
     Word,
@@ -34,6 +34,7 @@ from freeloop.words import reduce as reduce_word
 from support import (
     block_number,
     checker_rho,
+    circle_instance,
     enumerate_reduced_words,
     forest_graph,
     naive_reduce,
@@ -85,25 +86,80 @@ def _wxyz():
 @pytest.mark.parametrize("sign", [2, -2, 0, True, 1.0])
 def test_letter_likes_with_a_bad_sign_are_refused(sign):
     """A letter-like object (``edge`` and ``sign``, not a ``Letter``) never
-    had its sign checked, so ``Word(...)`` and ``reduce(...)`` refuse a bad
-    one with ``Letter``'s message, before its edge is looked up and after
-    the letters before it are coded."""
+    had its sign checked, so ``Word(...)`` and ``reduce(...)`` refuse it at
+    its position with a ``TypeError``, before its sign or edge is read:
+    ``x`` with sign 2 is never coded as ``z``."""
     g = _wxyz()
-    with pytest.raises(BadSign) as refused:
-        Letter("x", sign)
     for edge in ("x", "nope"):
         bad = [Letter("w", 1), SimpleNamespace(edge=edge, sign=sign)]
         for build in (lambda: Word(g, "b", "c", bad), lambda: reduce_word(g, "b", bad)):
-            with pytest.raises(BadSign) as got:
+            with pytest.raises(TypeError, match="^letter 1 must be a Letter, got SimpleNamespace$"):
                 build()
-            assert str(got.value) == str(refused.value)
+
+
+def test_words_take_only_their_own_letter_class():
+    """``Word(...)`` and ``reduce(...)`` take only ``Letter``s, and
+    ``GWord(...)`` only ``GLetter``s.  A str, a tuple, None, a letter-like
+    object or the other letter class is refused, from a list or a one-shot
+    iterator, with a ``TypeError`` that names its position and both classes."""
+    g, inst = two_cycle(), circle_instance()
+    strangers = ["x", ("x", 1), None, SimpleNamespace(side="A", edge="x", sign=1)]
+    plain, tagged = [Letter("x", 1), Letter("y", 1)], [GLetter("A", "alpha", 1), GLetter("B", "beta", -1)]
+    for kind, good, other, builds in (
+        (Letter, plain, GLetter("A", "x", 1), (
+            lambda letters: Word(g, "a", "a", letters),
+            lambda letters: reduce_word(g, "a", letters),
+        )),
+        (GLetter, tagged, Letter("alpha", 1), (lambda letters: GWord(inst, "a", "a", letters),)),
+    ):
+        for bad in (*strangers, other):
+            message = f"^letter {{}} must be a {kind.__name__}, got {type(bad).__name__}$"
+            for at in range(len(good) + 1):
+                letters = [*good[:at], bad, *good[at:]]
+                for build in builds:
+                    for given in (letters, iter(letters)):
+                        with pytest.raises(TypeError, match=message.format(at)):
+                            build(given)
+
+
+def test_an_unhashable_edge_is_an_unknown_letter():
+    """A letter whose edge cannot be hashed names no generator: all three
+    entry points raise ``UnknownLetter`` for it, not a bare ``TypeError``."""
+    g, inst = two_cycle(), circle_instance()
+    for build, side in (
+        (lambda: Word(g, "a", "b", [Letter(["x"], 1)]), None),
+        (lambda: reduce_word(g, "a", [Letter("x", 1), Letter(["x"], 1)]), None),
+        (lambda: GWord(inst, "a", "b", [GLetter("A", ["alpha"], 1)]), "A"),
+    ):
+        with pytest.raises(UnknownLetter, match="unknown generator \\[") as raised:
+            build()
+        assert raised.value.side == side
+
+
+def test_word_operations_refuse_the_other_word_class():
+    """``compose`` and ``invert`` take ``Word``s, ``rho`` a ``GWord`` and
+    ``include_f`` a ``Word``: the other class is refused with a
+    ``TypeError`` naming the class expected, before any other check."""
+    inst = circle_instance()
+    report = build_retract(inst)
+    gword = GWord(inst, "a", "b", [GLetter("A", "alpha", 1)])
+    word = rho(report, gword)
+    for call, expected, got in (
+        (lambda: compose(word, gword), "Word", "GWord"),
+        (lambda: compose(gword, gword), "Word", "GWord"),
+        (lambda: invert(gword), "Word", "GWord"),
+        (lambda: rho(report, word), "GWord", "Word"),
+        (lambda: include_f(report, gword), "Word", "GWord"),
+    ):
+        with pytest.raises(TypeError, match=f"^expected a {expected}, got {got}$"):
+            call()
 
 
 def test_word_keeps_none_of_the_letters_it_is_built_from():
     """A word holds only its codes: the caller's letters, whether in a list
     or a one-shot iterator, die once the caller drops them, and ``letters``
     is unset until its first read, which makes ``Letter``s equal to them.
-    Letter-like objects read back as real ``Letter``s."""
+    A letter-like object is refused, so no word is built from one."""
     g = two_cycle()
     expected = (Letter("x", 1), Letter("y", 1), Letter("x", 1))
     for one_shot in (False, True):
@@ -115,8 +171,9 @@ def test_word_keeps_none_of_the_letters_it_is_built_from():
         del letters
         assert [r() for r in refs] == [None] * 3
         assert w.letters == expected and w._codes == (1, 2, 1)
-    like = Word(g, "a", "b", [SimpleNamespace(edge=l.edge, sign=l.sign) for l in expected])
-    assert like.letters == expected and {type(l) for l in like.letters} == {Letter}
+    like = [SimpleNamespace(edge=l.edge, sign=l.sign) for l in expected]
+    with pytest.raises(TypeError, match="^letter 0 must be a Letter, got SimpleNamespace$"):
+        Word(g, "a", "b", like)
 
 
 def test_word_validates_chain_and_reducedness():
@@ -139,7 +196,7 @@ def _signed_letters(inst):
     tagged = [
         GLetter(side, e, sign)
         for side in ("A", "B")
-        for e in inst.side_graph(side).edge_ids
+        for e in (inst.graph_a if side == "A" else inst.graph_b).edge_ids
         for sign in (1, -1)
     ]
     tagged += [GLetter("C", x, sign) for _, ids in inst.c_loops for x in ids for sign in (1, -1)]
@@ -172,7 +229,7 @@ def _corrupted(rng, letters, pool, unknown):
 def _error_of(build):
     try:
         build()
-    except DomainError as exc:
+    except (DomainError, TypeError) as exc:
         return type(exc), getattr(exc, "position", None), str(exc)
     return None
 
@@ -182,9 +239,30 @@ def test_chain_errors_match_a_walk_on_ids():
     ``GWord(...)`` the class, position and message of the first error a
     letter-by-letter walk on ids finds: an unknown generator or one named
     on the wrong side, a letter that does not compose, a cancelling pair
-    where the word must be reduced, a wrong or unknown endpoint, and
-    combinations of these."""
+    where the word must be reduced, a wrong or unknown endpoint, an object
+    that is not of the word's letter class, and combinations of these.  A
+    letter that does not compose is reported before any later object of
+    the wrong class."""
     rng = random.Random(47)
+    tally = {"late strangers": 0, "refused strangers": 0}
+
+    def check(build, reference, letters, strangers):
+        expected = reference(letters)
+        assert _error_of(lambda: build(letters)) == expected
+        # The letters are read once, so a one-shot iterator fails alike.
+        assert _error_of(lambda: build(iter(letters))) == expected
+        if expected and expected[0] is NotComposable and expected[1] < len(letters):
+            spoiled = list(letters)
+            spoiled.insert(rng.randint(expected[1] + 1, len(letters)), rng.choice(strangers))
+            assert _error_of(lambda: build(spoiled)) == expected
+            tally["late strangers"] += 1
+        spoiled = list(letters)
+        spoiled.insert(rng.randint(0, len(letters)), rng.choice(strangers))
+        expected = reference(spoiled)
+        assert _error_of(lambda: build(spoiled)) == expected
+        tally["refused strangers"] += expected[0] is TypeError
+
+    strangers = ["zz", ("A", "zz", 1), None, SimpleNamespace(side="A", edge="zz", sign=1)]
     for _ in range(300):
         inst = random_connected_instance(rng, max_objects=8, max_side_edges=12)
         g = inst.graph_a
@@ -203,10 +281,12 @@ def test_chain_errors_match_a_walk_on_ids():
             target = rng.choice(ends)
         if rng.random() < 0.1:
             source = rng.choice(ends)
-        expected = reference_word_error(inst, source, target, letters)
-        assert _error_of(lambda: GWord(inst, source, target, letters)) == expected
-        # The letters are read once, so a one-shot iterator fails alike.
-        assert _error_of(lambda: GWord(inst, source, target, iter(letters))) == expected
+        check(
+            lambda letters: GWord(inst, source, target, letters),
+            lambda letters: reference_word_error(inst, source, target, letters),
+            letters,
+            [*strangers, Letter("zz", 1), *plain[:1]],
+        )
 
         word = random_reduced_word(rng, g, max_len=8)
         letters = _corrupted(rng, word.letters, plain, unknown_plain)
@@ -215,12 +295,20 @@ def test_chain_errors_match_a_walk_on_ids():
             target = rng.choice(ends)
         if rng.random() < 0.1:
             source = rng.choice(ends)
-        expected = reference_word_error(g, source, target, letters, reduced=True)
-        assert _error_of(lambda: Word(g, source, target, letters)) == expected
-        assert _error_of(lambda: Word(g, source, target, iter(letters))) == expected
-        expected = reference_word_error(g, source, None, letters)
-        assert _error_of(lambda: reduce_word(g, source, letters)) == expected
-        assert _error_of(lambda: reduce_word(g, source, iter(letters))) == expected
+        strangers_plain = [*strangers, GLetter("A", "zz", 1), *tagged[:1]]
+        check(
+            lambda letters: Word(g, source, target, letters),
+            lambda letters: reference_word_error(g, source, target, letters, reduced=True),
+            letters,
+            strangers_plain,
+        )
+        check(
+            lambda letters: reduce_word(g, source, letters),
+            lambda letters: reference_word_error(g, source, None, letters),
+            letters,
+            strangers_plain,
+        )
+    assert tally == {"late strangers": 294, "refused strangers": 490}
 
 
 def test_identity_words_at_distinct_vertices_differ():
