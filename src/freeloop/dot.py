@@ -33,8 +33,8 @@ def graph_dot(
     lines = ['digraph "G" {', "  node [shape=circle];"]
     for v in g.vertices:
         lines.append(f"  {_quote(v)};")
-    for e in g.edge_ids:
-        s, t = g.edge_ends[e]
+    vertex = g.vertices.__getitem__
+    for e, s, t in zip(g.edge_ids, map(vertex, g._src_idx), map(vertex, g._tgt_idx)):
         color = FOREST_X_COLOR if e in red else FOREST_Y_COLOR if e in blue else DEFAULT_COLOR
         attrs = [f"label={_quote(e)}", f"color={_quote(color)}"]
         if e in bold:

@@ -10,7 +10,7 @@ default edge scan order, canonical output order.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
@@ -36,13 +36,31 @@ def as_id(value) -> str:
     raise BadId(f"id must be a string or integer label, got {type(value).__name__}")
 
 
-def as_ids(values: Iterable) -> list[str]:
-    """:func:`as_id` of each of ``values``, a collection of labels; a bare
+def _collection(values: Iterable, what: str) -> Iterator:
+    """An iterator over ``values``, a collection of ``what``; a bare
     ``str``, ``bytes`` or ``bytearray`` is refused rather than read as its
-    characters or byte values."""
+    characters or byte values, and so is anything ``iter`` refuses."""
     if isinstance(values, (str, bytes, bytearray)):
-        raise BadId(f"expected a collection of ids, got the {type(values).__name__} {values!r}")
-    return [as_id(v) for v in values]
+        raise BadId(f"expected a collection of {what}, got the {type(values).__name__} {values!r}")
+    try:
+        return iter(values)
+    except TypeError:
+        raise BadId(f"expected a collection of {what}, got {type(values).__name__}") from None
+
+
+def as_ids(values: Iterable) -> list[str]:
+    """:func:`as_id` of each of ``values``, a collection of labels."""
+    return [as_id(v) for v in _collection(values, "ids")]
+
+
+def _edge_entry(entry, n: int, where) -> list[str]:
+    """The ``n`` ids of an edge entry, a tuple or list, coerced: an edge
+    ``(id, source, target)``, or the ``(source, target)`` an id maps to."""
+    if isinstance(entry, (tuple, list)) and len(entry) == n:
+        return list(map(as_id, entry))
+    if n == 3:
+        raise BadId(f"edge #{where} must be an (id, source, target) tuple or list, got {entry!r}")
+    raise BadId(f"edge {where!r} must map to a (source, target) tuple or list, got {entry!r}")
 
 
 class DirectedGraph:
@@ -54,7 +72,9 @@ class DirectedGraph:
 
     ``DirectedGraph(...)`` is the one validating build: it coerces every id
     with :func:`as_id`, then checks for duplicate vertices, duplicate edges
-    and dangling endpoints, in that order.  Graphs freeloop derives from
+    and dangling endpoints, in that order.  An edge entry that is no (id,
+    source, target) tuple or list, or in the mapping form no (source,
+    target) one, is a ``BadId``.  Graphs freeloop derives from
     graphs it already holds are built by ``_trusted`` from index arrays.
     """
 
@@ -64,10 +84,11 @@ class DirectedGraph:
         edges: Mapping[str, tuple] | Iterable[tuple] = (),
     ):
         if isinstance(edges, Mapping):
-            items = ((as_id(e), as_id(s), as_id(t)) for e, (s, t) in edges.items())
+            items = ((as_id(e), *_edge_entry(ends, 2, e)) for e, ends in edges.items())
         else:
-            items = ((as_id(e), as_id(s), as_id(t)) for e, s, t in edges)
-        # ``items`` is lazy, so a duplicate vertex is reported before a bad edge id.
+            entries = enumerate(_collection(edges, "edges"))
+            items = (_edge_entry(entry, 3, i) for i, entry in entries)
+        # ``items`` is lazy, so a duplicate vertex is reported before a bad edge.
         self._check(as_ids(vertices), items)
 
     @classmethod
@@ -170,10 +191,12 @@ class DirectedGraph:
             return True
         if not isinstance(other, DirectedGraph):
             return NotImplemented
-        return self.vertices == other.vertices and self.edge_ends == other.edge_ends
+        # In canonical order, the index arrays determine the edge map.
+        return (self.vertices, self.edge_ids, self._src_idx, self._tgt_idx) == (
+            other.vertices, other.edge_ids, other._src_idx, other._tgt_idx)
 
     def __hash__(self) -> int:
-        return hash((self.vertices, tuple(sorted(self.edge_ends.items()))))
+        return hash((self.vertices, self.edge_ids))
 
     def __repr__(self) -> str:
         return f"DirectedGraph(vertices={self.vertices!r}, edges={dict(self.edge_ends)!r})"
@@ -389,16 +412,8 @@ def edge_scan_order(g: DirectedGraph, tie_break: Sequence[str]) -> list[int]:
     priority list can serve several graphs.
     """
     eindex = g._eindex
-    head = []
-    seen = set()
-    for e in as_ids(tie_break):
-        i = eindex.get(e)
-        if i is None or e in seen:
-            continue
-        seen.add(e)
-        head.append(i)
-    tail = [i for i, e in enumerate(g.edge_ids) if e not in seen]
-    return head + tail
+    head = [eindex[e] for e in dict.fromkeys(as_ids(tie_break)) if e in eindex]
+    return head + sorted(set(range(g.e_count)).difference(head))
 
 
 def spanning_forest(g: DirectedGraph, tie_break: Sequence[str] | None = None) -> Forest:

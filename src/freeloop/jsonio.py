@@ -18,7 +18,7 @@ from collections.abc import Iterator, Mapping
 from json.encoder import encode_basestring
 from operator import itemgetter
 
-from .errors import InternalInvariant, SchemaError
+from .errors import BadSign, InternalInvariant, SchemaError, UnknownSide
 from .graphs import DirectedGraph
 from .retract import GLetter, GWord, PushoutInstance, RetractReport
 from .vankampen import Decomposition, PbpScenario, ZRetractCertificate
@@ -89,12 +89,6 @@ def dump_graph(g: DirectedGraph) -> dict:
     }
 
 
-def _parse_sign(value: object, where: str) -> int:
-    if type(value) is not int or value not in (1, -1):
-        raise SchemaError(f'{where} "sign" must be 1 or -1')
-    return value
-
-
 def dump_word(w: Word) -> dict:
     """The word document of ``w``, written from its signed edge codes."""
     ids = w.host.edge_ids
@@ -141,15 +135,15 @@ def parse_gword(obj: object, instance: PushoutInstance) -> GWord:
     for i, entry in enumerate(raw):
         where = f"letter #{i}"
         side = _require(entry, "side", where)
-        if side not in ("A", "B", "C"):
-            raise SchemaError(f'{where} "side" must be "A", "B", or "C"')
-        letters.append(
-            GLetter(
-                side,
-                _id_value(_require(entry, "edge", where), f'{where} "edge"'),
-                _parse_sign(_require(entry, "sign", where), where),
-            )
-        )
+        edge = _id_value(_require(entry, "edge", where), f'{where} "edge"')
+        sign = _require(entry, "sign", where)
+        # GLetter is the one check of a side and a sign.
+        try:
+            letters.append(GLetter(side, edge, sign))
+        except UnknownSide:
+            raise SchemaError(f'{where} "side" must be "A", "B", or "C"') from None
+        except BadSign:
+            raise SchemaError(f'{where} "sign" must be 1 or -1') from None
     return GWord(instance, source, target, letters)
 
 

@@ -7,7 +7,7 @@ one per component of U intersect V.  When the instance's free retract has a
 witness loop, it translates back to an explicit reduced loop in the space,
 certifying that the space's fundamental group retracts onto Z.  Only the
 witness is translated: each side's table builds a generator's expansion from
-its piece's spanning forest on first lookup, and the certificate reads the
+its piece's spanning forest at each lookup, and the certificate reads the
 few generators the witness names as signed space codes (``sign * (edge index
 + 1)``) and reduces them once into a word of those codes, which makes no
 ``Letter`` until one is read.  So a certificate costs time linear in the
@@ -37,6 +37,7 @@ from itertools import accumulate, compress
 from operator import neg
 
 from .errors import (
+    BadId,
     DeletedSetsAdjacent,
     Disconnected,
     EdgeAcrossPieces,
@@ -223,7 +224,7 @@ def pbi_fails(sc: PbpScenario) -> bool:
 
 class _Expansions(Mapping):
     """One side's translation table: each generator id to its expansion, a
-    Word on ``space``, built from the forest on first lookup.
+    Word on ``space``, built from the forest at each lookup, never kept.
 
     ``records`` maps each generator, in canonical order, to (root, target,
     edge), indexes into the forest's host.  With edge None the expansion is
@@ -236,14 +237,10 @@ class _Expansions(Mapping):
 
     def __init__(self, space: DirectedGraph, forest: Forest, records: dict, edges: Sequence[int]):
         self._space, self._forest, self._records, self._edges = space, forest, records, edges
-        self._words: dict[str, Word] = {}
 
     def __getitem__(self, gen: str) -> Word:
-        word = self._words.get(gen)
-        if word is None:
-            ids = map(self._forest.host.vertices.__getitem__, self._records[gen][:2])
-            word = self._words[gen] = Word._trusted(self._space, *ids, self._codes(gen))
-        return word
+        ids = map(self._forest.host.vertices.__getitem__, self._records[gen][:2])
+        return Word._trusted(self._space, *ids, self._codes(gen))
 
     def __iter__(self):
         return iter(self._records)
@@ -271,7 +268,7 @@ def _generators(
     indexes ``at`` (ascending, the smallest vertex of each intersection
     component), and the expansion of each generator as a Word on ``space``,
     of which ``piece`` is an induced subgraph with space edge indexes
-    ``edges``, built on first lookup.
+    ``edges``, built at each lookup.
 
     A piece component meets the intersection exactly when it holds a
     basepoint; one that does not raises ``PieceMissesIntersection``.  Per
@@ -326,7 +323,7 @@ def decomposition_to_instance(
     intersection's own non-forest edges (its vertex-group generators).  The
     returned read-only tables translate every instance generator, by side,
     to its expansion as a Word over the space.  An expansion is built from
-    the piece's forest on first lookup, so a certificate expands only the
+    the piece's forest at each lookup, so a certificate expands only the
     generators its witness names.
     """
     inter = dec.intersection
@@ -384,7 +381,7 @@ def _expand_to_space(translations: dict[str, _Expansions], space: DirectedGraph,
 
 
 def _joined_pair(
-    instance: PushoutInstance, prefer: tuple[str, str] | None
+    instance: PushoutInstance, prefer: list[str] | None
 ) -> tuple[str, str] | None:
     """The first pair of distinct objects joined in both A and B: ``prefer``
     when it qualifies, else the least pair of object indexes that does."""
@@ -392,7 +389,7 @@ def _joined_pair(
     # exactly when their keys, the pairs of their labels, agree.
     keys = list(zip(components(instance.graph_a)._labels, components(instance.graph_b)._labels))
     if prefer is not None:
-        a, b = as_id(prefer[0]), as_id(prefer[1])
+        a, b = prefer
         vindex = instance.graph_a._vindex
         if a != b and a in vindex and b in vindex and keys[vindex[a]] == keys[vindex[b]]:
             return a, b
@@ -432,10 +429,15 @@ def detect_z_retract(
 
     Takes the first basepoint pair in canonical order (after ``prefer``, when
     given) that is joined inside both pieces; absent such a pair there is
-    nothing to certify and the result is None.  A disconnected space raises
-    ``Disconnected`` first, read off the labels of the pieces and their
-    intersection's blocks, with no scan of the space (``_space_connected``).
+    nothing to certify and the result is None.  A ``prefer`` that is not two
+    ids raises ``BadId``; then a disconnected space raises ``Disconnected``,
+    read off the labels of the pieces and their intersection's blocks, with
+    no scan of the space (``_space_connected``).
     """
+    if prefer is not None:
+        prefer = as_ids(prefer)
+        if len(prefer) != 2:
+            raise BadId(f"prefer must be a pair of ids, got {len(prefer)} ids")
     if not _space_connected(dec):
         raise Disconnected("the space is not connected")
     instance, translations = decomposition_to_instance(dec, tie_break)

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freeloop import cli, errors
+from freeloop.errors import SchemaError
 from freeloop.graphs import Forest
+from freeloop.jsonio import parse_gword, parse_instance
 from freeloop.words import Letter
 from support import perfbench_module, ring_ladder
 
@@ -395,6 +397,34 @@ def test_rho_refuses_a_sign_that_is_not_the_int_1_or_minus_1(circle_file, tmp_pa
     assert cli.main(["rho", circle_file, "--word", word_path]) == 1
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", 'SchemaError: letter #0 "sign" must be 1 or -1\n')
+
+
+@pytest.mark.parametrize("side", ["D", "a", "", None, 1, ["A"]])
+def test_rho_refuses_a_side_that_is_not_a_b_or_c(circle_file, tmp_path, capsys, side):
+    letter = {"side": side, "edge": "alpha", "sign": 1}
+    gword = {"source": "a", "target": "b", "letters": [letter]}
+    word_path = write_json(tmp_path / "gword.json", gword)
+    assert cli.main(["rho", circle_file, "--word", word_path]) == 1
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", 'SchemaError: letter #0 "side" must be "A", "B", or "C"\n')
+
+
+def test_a_letter_with_two_faults_reports_its_missing_field_first(circle_file):
+    """``GLetter`` checks a letter's side and sign once all three fields are
+    read, so a missing or malformed edge or sign is reported before a bad
+    side, and a missing edge before a bad sign."""
+    inst = parse_instance(json.loads(Path(circle_file).read_text()))
+    cases = [
+        ({"side": "D", "sign": 1}, "letter #0 is missing required field 'edge'"),
+        ({"side": "D", "edge": 1.5, "sign": 1}, 'letter #0 "edge" must be a string or integer id'),
+        ({"side": "D", "edge": "alpha"}, "letter #0 is missing required field 'sign'"),
+        ({"side": "A", "sign": 2}, "letter #0 is missing required field 'edge'"),
+        ({"side": "D", "edge": "alpha", "sign": 2}, 'letter #0 "side" must be "A", "B", or "C"'),
+    ]
+    for letter, message in cases:
+        with pytest.raises(SchemaError) as raised:
+            parse_gword({"source": "a", "target": "b", "letters": [letter]}, inst)
+        assert str(raised.value) == message
 
 
 def test_rho_refuses_letters_that_are_not_an_array(circle_file, tmp_path, capsys):

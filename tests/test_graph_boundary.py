@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freeloop import cli
-from freeloop.errors import BadId
+from freeloop.errors import BadId, DuplicateId
 from freeloop.graphs import (
     DirectedGraph,
     Forest,
@@ -294,3 +294,81 @@ def test_a_bare_string_is_not_a_collection_of_ids():
             with pytest.raises(BadId, match="expected a collection of ids"):
                 build()
                 pytest.fail(f"{where}: a {kind.__name__} was split into ids")
+
+
+def test_a_non_collection_is_refused_where_ids_belong():
+    """Anything ``iter`` refuses, where a collection of ids belongs, is a
+    ``BadId`` that names its type, as a bare ``str`` is."""
+    g = DirectedGraph(["a", "b"], [("x", "a", "b")])
+    builds = {
+        "graph vertices": (lambda: DirectedGraph(None), "NoneType"),
+        "instance objects": (lambda: PushoutInstance(5, g, g), "int"),
+        "C loops of an object": (
+            lambda: PushoutInstance(g.vertices, g, g, {"a": None}),
+            "NoneType",
+        ),
+        "piece u": (lambda: Decomposition(g, None, ["a"]), "NoneType"),
+        "deleted set D": (lambda: PbpScenario(g, None, [], "a", "b"), "NoneType"),
+        "tie-break": (lambda: spanning_forest(g, 5), "int"),
+        "shared vertices": (lambda: graph_pushout_with_origins(g, g, None), "NoneType"),
+    }
+    for where, (build, kind) in builds.items():
+        with pytest.raises(BadId) as raised:
+            build()
+        assert str(raised.value) == f"expected a collection of ids, got {kind}", where
+
+
+ENTRY = "edge #%d must be an (id, source, target) tuple or list,"
+PAIR = "edge %r must map to a (source, target) tuple or list,"
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        (["b", "c"], ["abc"], f"{ENTRY % 0} got 'abc'"),
+        (
+            ["id", "src", "tgt"],
+            [{"id": "x", "src": "a", "tgt": "b"}],
+            f"{ENTRY % 0} got {{'id': 'x', 'src': 'a', 'tgt': 'b'}}",
+        ),
+        (["a"], [("x", "a", "a"), ("y", "a")], f"{ENTRY % 1} got ('y', 'a')"),
+        (["a"], [["x", "a", "a", "a"]], f"{ENTRY % 0} got ['x', 'a', 'a', 'a']"),
+        (["a"], [None], f"{ENTRY % 0} got None"),
+        (["a", "b"], {"x": "ab"}, f"{PAIR % 'x'} got 'ab'"),
+        (["a"], {1: ("a",)}, f"{PAIR % 1} got ('a',)"),
+        (["a"], {"x": {"a": "a"}}, f"{PAIR % 'x'} got {{'a': 'a'}}"),
+    ],
+)
+def test_graph_refuses_malformed_edge_entries(vertices, edges, message):
+    """An edge entry that is no (id, source, target) tuple or list, or in
+    the mapping form no (source, target) one, is a ``BadId`` naming it by
+    position or by id; it is not unpacked as characters or keys.  A
+    duplicate vertex is still reported first."""
+    with pytest.raises(BadId) as raised:
+        DirectedGraph(vertices, edges)
+    assert str(raised.value) == message
+    with pytest.raises(DuplicateId):
+        DirectedGraph([*vertices, vertices[0]], edges)
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        (None, "expected a collection of edges, got NoneType"),
+        (5, "expected a collection of edges, got int"),
+        ("xaa", "expected a collection of edges, got the str 'xaa'"),
+    ],
+)
+def test_graph_refuses_edges_that_are_no_collection(edges, message):
+    """Edges given as no collection are refused up front, before any vertex
+    check."""
+    for vertices in (["a"], ["a", "a"]):
+        with pytest.raises(BadId) as raised:
+            DirectedGraph(vertices, edges)
+        assert str(raised.value) == message
+
+
+def test_graph_takes_edge_entries_as_tuples_or_lists():
+    want = DirectedGraph(["a", "b"], [("x", "a", "b"), ("y", "b", "b")])
+    assert DirectedGraph(["a", "b"], [["x", "a", "b"], ("y", "b", "b")]) == want
+    assert DirectedGraph(["a", "b"], {"x": ["a", "b"], "y": ("b", "b")}) == want

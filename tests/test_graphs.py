@@ -11,6 +11,7 @@ import textwrap
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeloop.dot import graph_dot
 from freeloop.errors import (
     DanglingEndpoint,
     DifferentTrees,
@@ -22,6 +23,7 @@ from freeloop.graphs import (
     DirectedGraph,
     Forest,
     components,
+    edge_scan_order,
     euler_ranks,
     graph_pushout_with_origins,
     spanning_forest,
@@ -74,6 +76,31 @@ def test_edge_ends_is_read_only_and_prints_as_a_dict():
     same = DirectedGraph(["a", "b"], {"x": ("a", "b"), "l": ("b", "b")})
     assert g == same and hash(g) == hash(same)
     assert g != DirectedGraph(["a", "b"], [("x", "b", "a"), ("l", "b", "b")])
+
+
+def test_graphs_compare_hash_and_draw_without_building_edge_ends():
+    """Equality, hashing and DOT output read the index arrays: on fresh
+    graphs none of them builds the ``edge_ends`` map.  Equal graphs built in
+    other input orders and forms compare equal and hash alike; graphs one
+    edge end apart do not."""
+    edges = [("x", "a", "b"), ("l", "b", "b"), ("y", "b", "a")]
+    g = DirectedGraph(["a", "b"], edges)
+    h = DirectedGraph(["b", "a"], {e: [s, t] for e, s, t in reversed(edges)})
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert graph_dot(g) == graph_dot(h)
+    others = [
+        DirectedGraph(["a", "b"], [("x", "b", "a"), ("l", "b", "b"), ("y", "b", "a")]),
+        DirectedGraph(["a", "b"], [("x", "b", "b"), ("l", "b", "b"), ("y", "b", "a")]),
+        DirectedGraph(["a", "b"], [("x", "a", "a"), ("l", "b", "b"), ("y", "b", "a")]),
+        DirectedGraph(["a", "b"], [("x", "a", "b"), ("l", "a", "a"), ("y", "b", "a")]),
+        DirectedGraph(["a", "b", "c"], edges),
+        DirectedGraph(["a", "b"], edges[:2] + [("z", "b", "a")]),
+    ]
+    for other in others:
+        assert g != other and graph_dot(g) != graph_dot(other)
+    for graph in (g, h, *others):
+        assert "edge_ends" not in vars(graph)
+    assert dict(g.edge_ends) == {"l": ("b", "b"), "x": ("a", "b"), "y": ("b", "a")}
 
 
 def test_bad_id_has_a_stable_code_and_is_still_a_type_error():
@@ -163,6 +190,27 @@ def test_spanning_forest_is_deterministic_and_lex_greedy():
     assert spanning_forest(g).tree_edge_ids == ("m",)
     assert spanning_forest(g, tie_break=["q"]).tree_edge_ids == ("q",)
     assert spanning_forest(g, tie_break=["absent", "z"]).tree_edge_ids == ("z",)
+
+
+def _reference_scan_order(g, tie_break):
+    """Listed edges first, each at its first mention, then the rest by id."""
+    listed = []
+    for e in tie_break:
+        if e in g.edge_ids and g.edge_ids.index(e) not in listed:
+            listed.append(g.edge_ids.index(e))
+    return listed + [i for i in range(g.e_count) if i not in listed]
+
+
+def test_edge_scan_order_lists_each_known_tie_break_id_once_then_the_rest():
+    rng = random.Random(43)
+    repeated = 0
+    for _ in range(300):
+        g = random_graph(rng, max_v=6, max_e=10)
+        pool = [*g.edge_ids, "absent", "e99", ""]
+        tie = [rng.choice(pool) for _ in range(rng.randint(0, 14))]
+        repeated += len(set(tie)) < len(tie)
+        assert edge_scan_order(g, tie) == _reference_scan_order(g, tie), (g, tie)
+    assert repeated > 100
 
 
 def test_a_cycle_forest_leaves_out_the_edge_its_scan_reaches_last():

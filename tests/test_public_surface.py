@@ -71,6 +71,7 @@ DELETED = (
     (graphs.DirectedGraph, "edge_index"),
     (errors, "UnknownEdge"),
     (retract.PushoutInstance, "side_graph"),
+    (jsonio, "_parse_sign"),
 ) + tuple((cls, name) for cls in (words.Word, retract.GWord) for name in SHELL)
 
 

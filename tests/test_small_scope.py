@@ -1,7 +1,10 @@
 """Small-scope sweep: every connected simple graph on 1-5 vertices, up to
-isomorphism, with every two-piece cover and every separation scenario; and
+isomorphism, with every two-piece cover and every separation scenario;
 every connected directed multigraph on 1-4 vertices with at most one edge
-more than vertices, with every two-piece cover under two tie-breaks.
+more than vertices, with every two-piece cover under two tie-breaks and
+every separation scenario; and every connected simple graph on 6
+vertices, with every cover whose intersection has at least 3 components,
+where ranks k >= 2 live.
 
 Most defects show up on some small input (the small-scope hypothesis), so
 the sweep checks the certificate pipeline exhaustively there instead of on
@@ -13,12 +16,14 @@ certificate's loops are walks.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, combinations_with_replacement, permutations, product
+from collections import Counter
+from itertools import chain, combinations, combinations_with_replacement, permutations, product
 
 import pytest
 
 from freeloop.errors import EmptyIntersection, PieceMissesIntersection
 from freeloop.graphs import DirectedGraph
+from freeloop.retract import witness
 from freeloop.vankampen import (
     Decomposition,
     PbpScenario,
@@ -72,6 +77,46 @@ def connected_graphs() -> tuple[DirectedGraph, ...]:
     return tuple(out)
 
 
+def _canonical_edges(n: int, edges) -> tuple:
+    """The least sorted edge list of a simple graph on ``range(n)`` over the
+    relabellings that number its vertices by descending degree.  Isomorphic
+    graphs have the same such relabelled copies, so this names the class,
+    and it tries far fewer than all n! relabellings."""
+    degree = [0] * n
+    for x in chain.from_iterable(edges):
+        degree[x] += 1
+    groups = [[x for x in range(n) if degree[x] == d] for d in sorted(set(degree), reverse=True)]
+    best = None
+    for orders in product(*map(permutations, groups)):
+        label = [0] * n
+        for new, old in enumerate(chain.from_iterable(orders)):
+            label[old] = new
+        canon = tuple(sorted(tuple(sorted((label[i], label[j]))) for i, j in edges))
+        if best is None or canon < best:
+            best = canon
+    return best
+
+
+@functools.cache
+def six_vertex_graphs() -> tuple[DirectedGraph, ...]:
+    """One connected simple graph per isomorphism class on 6 vertices, each
+    edge directed from its smaller vertex.  A connected graph keeps a
+    connected rest when it loses a leaf of a spanning tree, so every class
+    is a 5-vertex class plus a vertex joined to some of its vertices."""
+    out, seen = [], set()
+    for base in connected_graphs():
+        if base.v_count != 5:
+            continue
+        edges = [(int(s[1:]), int(t[1:])) for s, t in base.edge_ends.values()]
+        for size in range(1, 6):
+            for joined in combinations(range(5), size):
+                canon = _canonical_edges(6, edges + [(i, 5) for i in joined])
+                if canon not in seen:
+                    seen.add(canon)
+                    out.append(_space(6, canon))
+    return tuple(out)
+
+
 def _covers(space: DirectedGraph):
     """Every (U, V) whose union is the vertex set: each vertex in U only, V
     only, or both."""
@@ -110,6 +155,13 @@ def test_sweep_enumerates_every_connected_graph_on_up_to_five_vertices():
     assert counts[1:] == [1, 1, 2, 6, 21]
 
 
+def test_six_vertex_sweep_enumerates_every_connected_graph():
+    counts = [0] * 7
+    for space in (*connected_graphs(), *six_vertex_graphs()):
+        counts[space.v_count] += 1
+    assert counts[1:] == [1, 1, 2, 6, 21, 112]
+
+
 def test_partition_view_matches_bfs_oracle_on_every_induced_subgraph():
     """Every vertex subset of every sweep space, the empty one included,
     induces a new graph whose partition view agrees with the BFS oracle."""
@@ -133,14 +185,21 @@ def _walk_problems(word, g: DirectedGraph) -> list[str]:
     return checkers.walk_problems(doc, g.edge_ends, "loop")
 
 
-def _sweep_covers(spaces, tie_breaks) -> list[dict[str, int]]:
-    """Run every cover of every space through ``Decomposition`` and, under
-    each tie-break (a function of the space), ``detect_z_retract``; check
-    domain errors, None results and certificates against the BFS
-    reference, and every certificate's loops with the checker.  Returns,
-    per tie-break, the covers ``Decomposition`` accepted, the certificates
-    and the domain errors."""
-    tallies = [{"covers": 0, "certificates": 0, "errors": 0} for _ in tie_breaks]
+def _sweep_covers(spaces, tie_breaks, min_blocks=0, every_pair=False) -> list[dict]:
+    """Run every cover of every space whose intersection has at least
+    ``min_blocks`` components through ``Decomposition`` and, under each
+    tie-break (a function of the space), ``detect_z_retract``; check domain
+    errors, None results, ranks and certificates against the BFS reference,
+    and every certificate's loops with the checker.  With ``every_pair``, a
+    certified cover is run again with ``prefer`` set to each ordered pair
+    of basepoints joined in both pieces, whose witness it must take.
+    Returns, per tie-break, the covers ``Decomposition`` accepted, the
+    certificates, the domain errors, the covers without a domain error by
+    their BFS rank k, and the preferred pairs run."""
+    tallies = [
+        {"covers": 0, "certificates": 0, "errors": 0, "by_k": Counter(), "preferred": 0}
+        for _ in tie_breaks
+    ]
     for space in spaces:
 
         @functools.cache
@@ -149,6 +208,8 @@ def _sweep_covers(spaces, tie_breaks) -> list[dict[str, int]]:
 
         orders = [tie_break(space) for tie_break in tie_breaks]
         for u, v in _covers(space):
+            if min_blocks and len(blocks_of(frozenset(u) & frozenset(v))) < min_blocks:
+                continue
             rejected = reference_decomposition_error(space, u, v)
             if rejected is not None:
                 with pytest.raises(rejected[0]):
@@ -156,6 +217,12 @@ def _sweep_covers(spaces, tie_breaks) -> list[dict[str, int]]:
                 continue
             dec = Decomposition(space, u, v)
             expected = _expected_certificate(blocks_of, u, v)
+            if not isinstance(expected, tuple):
+                u_set, v_set = frozenset(u), frozenset(v)
+                # Every piece component meets the intersection, and the space is connected.
+                n_c, n_a, n_b = (len(blocks_of(s)) for s in (u_set & v_set, u_set, v_set))
+                k = n_c - n_a - n_b + 1
+                assert (k > 0) == expected
             for order, tally in zip(orders, tallies):
                 tally["covers"] += 1
                 if isinstance(expected, tuple):
@@ -165,23 +232,82 @@ def _sweep_covers(spaces, tie_breaks) -> list[dict[str, int]]:
                     assert str(raised.value) == message
                     tally["errors"] += 1
                     continue
+                tally["by_k"][k] += 1
                 cert = detect_z_retract(dec, order)
                 assert (cert is not None) == expected, (space, u, v, order)
                 if cert is None:
                     continue
                 tally["certificates"] += 1
-                assert is_nonempty_reduced_loop(cert.loop_in_space)
-                assert is_nonempty_reduced_loop(cert.retract_image)
-                assert cert.loop_in_space.host == space
-                assert _walk_problems(cert.loop_in_space, space) == []
-                assert _walk_problems(cert.retract_image, cert.report.w) == []
-                assert cert.report.k == brute_rank(cert.report.instance)[2]
+                _check_certificate(cert, space)
+                assert cert.report.k == brute_rank(cert.report.instance)[2] == k
+                if every_pair:
+                    pairs = _check_preferred_pairs(cert, dec, order, blocks_of, u_set, v_set)
+                    tally["preferred"] += pairs
     return tallies
+
+
+def _check_certificate(cert, space: DirectedGraph) -> None:
+    assert is_nonempty_reduced_loop(cert.loop_in_space)
+    assert is_nonempty_reduced_loop(cert.retract_image)
+    assert cert.loop_in_space.host == space
+    assert _walk_problems(cert.loop_in_space, space) == []
+    assert _walk_problems(cert.retract_image, cert.report.w) == []
+
+
+def _check_preferred_pairs(cert, dec, order, blocks_of, u_set, v_set) -> int:
+    """Over the ordered pairs of basepoints (the least vertex of each
+    intersection block) that share a BFS block of U and one of V: require
+    ``cert``, found with no ``prefer``, at the least pair, and run
+    ``detect_z_retract`` preferring each pair, requiring the witness at
+    that pair."""
+    block_u = {x: i for i, block in enumerate(blocks_of(u_set)) for x in block}
+    block_v = {x: i for i, block in enumerate(blocks_of(v_set)) for x in block}
+    points = [block[0] for block in blocks_of(u_set & v_set)]
+    pairs = [
+        (a, b)
+        for a in points
+        for b in points
+        if a != b and block_u[a] == block_u[b] and block_v[a] == block_v[b]
+    ]
+    assert cert.retract_image == witness(cert.report, *pairs[0])
+    for a, b in pairs:
+        preferred = detect_z_retract(dec, order, prefer=(a, b))
+        assert preferred.retract_image == witness(preferred.report, a, b), (a, b)
+        assert preferred.loop_in_space.source == a
+        _check_certificate(preferred, dec.space)
+    return len(pairs)
 
 
 def test_every_cover_of_a_small_space_certifies_exactly_when_two_basepoints_are_joined():
     tallies = _sweep_covers(connected_graphs(), [lambda space: None])
-    assert tallies == [{"covers": 1981, "certificates": 54, "errors": 62}]
+    assert tallies == [
+        {
+            "covers": 1981,
+            "certificates": 54,
+            "errors": 62,
+            "by_k": {0: 1865, 1: 52, 2: 2},
+            "preferred": 0,
+        }
+    ]
+
+
+def test_every_cover_of_a_six_vertex_space_with_three_basepoints_matches_the_reference():
+    """The covers whose intersection has three or more components, the only
+    ones that can give k >= 2, of every connected simple graph on 6
+    vertices.  Each certified cover must be at its least joined pair, and
+    is run again preferring every joined pair."""
+    tallies = _sweep_covers(
+        six_vertex_graphs(), [lambda space: None], min_blocks=3, every_pair=True
+    )
+    assert tallies == [
+        {
+            "covers": 930,
+            "certificates": 160,
+            "errors": 0,
+            "by_k": {0: 770, 1: 106, 2: 52, 3: 2},
+            "preferred": 548,
+        }
+    ]
 
 
 @functools.cache
@@ -225,7 +351,15 @@ def test_every_cover_of_a_small_multigraph_matches_the_reference_under_two_tie_b
     tallies = _sweep_covers(
         connected_multigraphs(), [lambda space: None, lambda space: list(reversed(space.edge_ids))]
     )
-    assert tallies == [{"covers": 18458, "certificates": 104, "errors": 1036}] * 2
+    assert tallies == [
+        {
+            "covers": 18458,
+            "certificates": 104,
+            "errors": 1036,
+            "by_k": {0: 17318, 1: 104},
+            "preferred": 0,
+        }
+    ] * 2
 
 
 def _graphs(n: int):
@@ -266,9 +400,11 @@ def _scenarios(space: DirectedGraph):
             yield d, e, a, b
 
 
-def test_every_separation_scenario_on_a_small_space_matches_the_reference():
+def _sweep_scenarios(spaces) -> dict[str, int]:
+    """Run every admissible scenario of every space through ``pbi_fails``
+    against the reference predicate, and certify each failure."""
     tally = {"scenarios": 0, "failures": 0}
-    for space in connected_graphs():
+    for space in spaces:
         for d, e, a, b in _scenarios(space):
             tally["scenarios"] += 1
             sc = PbpScenario(space, d, e, a, b)
@@ -280,4 +416,12 @@ def test_every_separation_scenario_on_a_small_space_matches_the_reference():
             dec = pbp_to_decomposition(sc)
             cert = detect_z_retract(dec, prefer=certificate_basepoints_for(dec, a, b))
             assert cert is not None and is_nonempty_reduced_loop(cert.loop_in_space)
-    assert tally == {"scenarios": 4107, "failures": 76}
+    return tally
+
+
+def test_every_separation_scenario_on_a_small_space_matches_the_reference():
+    assert _sweep_scenarios(connected_graphs()) == {"scenarios": 4107, "failures": 76}
+
+
+def test_every_separation_scenario_on_a_small_multigraph_matches_the_reference():
+    assert _sweep_scenarios(connected_multigraphs()) == {"scenarios": 20912, "failures": 104}

@@ -303,6 +303,58 @@ def test_intersection_loops_become_c_generators():
         assert loop_id in {l.edge for l in word.letters}
 
 
+def test_translation_tables_keep_records_and_no_words():
+    """A table builds a generator's Word at each lookup from its record and
+    keeps none: two lookups give equal, distinct words, and after every
+    lookup the table holds its space, forest, records and edge indexes."""
+    rng = random.Random(47)
+    looked_up = 0
+    for _ in range(30):
+        dec = random_many_basepoint_decomposition(rng)
+        _, translations = decomposition_to_instance(dec)
+        for table in translations.values():
+            for gen in table:
+                first, again = table[gen], table[gen]
+                assert type(first) is Word and first == again and first is not again
+                looked_up += 1
+            assert sorted(vars(table)) == ["_edges", "_forest", "_records", "_space"]
+            for record in table._records.values():
+                assert all(type(x) is int or x is None for x in record)
+    assert looked_up > 100
+
+
+@pytest.mark.parametrize(
+    "prefer, message",
+    [
+        ("ab", "expected a collection of ids, got the str 'ab'"),
+        (("a", "b", "p"), "prefer must be a pair of ids, got 3 ids"),
+        (("a",), "prefer must be a pair of ids, got 1 ids"),
+        ((), "prefer must be a pair of ids, got 0 ids"),
+        (5, "expected a collection of ids, got int"),
+        (("a", 1.5), "id must be a string or integer label, got float"),
+    ],
+)
+def test_detect_z_retract_refuses_a_prefer_that_is_no_pair_of_ids(prefer, message):
+    with pytest.raises(BadId) as raised:
+        detect_z_retract(circle_decomposition(), prefer=prefer)
+    assert str(raised.value) == message
+
+
+def test_detect_z_retract_reads_prefer_as_a_pair_of_ids():
+    """A list or a pair of int labels is a pair of ids; ids that name no
+    basepoint fall back to the least joined pair."""
+    space = DirectedGraph(
+        ["0", "1", "2", "3"], [(f"e{i}", str(i), str((i + 1) % 4)) for i in range(4)]
+    )
+    dec = Decomposition(space, ["0", "1", "2"], ["2", "3", "0"])
+    for prefer in (None, ["0", "2"], (0, 2), ("0", 2), ("9", "0"), [2, 2]):
+        cert = detect_z_retract(dec, prefer=prefer)
+        assert cert.retract_image == witness(cert.report, "0", "2"), prefer
+    for prefer in (["2", "0"], (2, 0)):
+        cert = detect_z_retract(dec, prefer=prefer)
+        assert cert.retract_image == witness(cert.report, "2", "0"), prefer
+
+
 def test_translation_endpoints_match_generator_endpoints():
     rng = random.Random(79)
     for _ in range(40):
@@ -318,6 +370,28 @@ def test_translation_endpoints_match_generator_endpoints():
             for loop_id in ids:
                 word = translations["C"][loop_id]
                 assert word.source == word.target == v
+
+
+def test_loop_expansions_cross_their_edge_once_forwards():
+    """The expansion of a loop generator ``g:e``, and of a C loop ``e``, is
+    a closed reduced walk that crosses e exactly once, forwards, so a loop
+    expanded backwards fails, on a self-loop too."""
+    rng = random.Random(83)
+    loops = 0
+    for _ in range(60):
+        dec = random_decomposition(rng)
+        _, translations = decomposition_to_instance(dec)
+        for side, table in translations.items():
+            for gen in table:
+                if side != "C" and not gen.startswith("g:"):
+                    continue
+                edge = gen if side == "C" else gen[2:]
+                word = table[gen]
+                crossings = [l.sign for l in word.letters if l.edge == edge]
+                assert crossings == [1], (side, gen, str(word))
+                assert is_nonempty_reduced_loop(word)
+                loops += 1
+    assert loops > 100
 
 
 def test_detect_z_retract_on_the_circle():
