@@ -8,6 +8,15 @@ produce byte-identical bytes.  Each command returns its JSON payload, text
 report and DOT rendering as thunks, so only the output that is written gets
 built: the DOT text, and the union graph and role sets it draws, only under
 ``--emit-dot``.  The cyclic collector is paused while a command runs.
+
+What a command holds: each parses its document in the expression that
+builds its input object, so the document is freed before any engine runs.
+Without ``--emit-dot`` the DOT thunk is dropped before the output is
+serialized, and with it whatever only the rendering reads, such as a
+decomposition.  The output and its newline are written separately, not
+copied into one string, and stdout is flushed inside the same error
+handling as the DOT file: a failed write is one ``IOError:`` line and exit
+code 1.
 """
 
 from __future__ import annotations
@@ -155,9 +164,8 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
     built.  The DOT thunk also builds the union graph and role sets it draws.
     """
     tie = _tie_break(args.tie_break)
-    doc = _load(args.input)
     if args.command == "components":
-        g = parse_graph(doc)
+        g = parse_graph(_load(args.input))
         parts = components(g)
         return (
             lambda: {"components": [list(block) for block in parts.blocks]},
@@ -167,7 +175,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: graph_dot(g),
         )
     if args.command == "forest":
-        g = parse_graph(doc)
+        g = parse_graph(_load(args.input))
         forest = spanning_forest(g, tie)
         ids = list(forest.tree_edge_ids)
         return (
@@ -178,7 +186,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: graph_dot(g, red_edges=ids),
         )
     if args.command == "pushout-rank":
-        inst = parse_instance(doc)
+        inst = parse_instance(_load(args.input))
         report = build_retract(inst, tie)
         if report.k is None:
             raise Disconnected(_NOT_CONNECTED)
@@ -188,7 +196,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _instance_dot(inst, report),
         )
     if args.command == "retract":
-        inst = parse_instance(doc)
+        inst = parse_instance(_load(args.input))
         report = build_retract(inst, tie)
         return (
             lambda: dump_report(report),
@@ -196,7 +204,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _instance_dot(inst, report),
         )
     if args.command == "rho":
-        inst = parse_instance(doc)
+        inst = parse_instance(_load(args.input))
         gword = parse_gword(_load(args.word), inst)
         report = build_retract(inst, tie)
         image = rho(report, gword)
@@ -206,7 +214,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _instance_dot(inst, report, image),
         )
     if args.command == "witness":
-        inst = parse_instance(doc)
+        inst = parse_instance(_load(args.input))
         report = build_retract(inst, tie)
         loop = witness(report, args.a, args.b)
         return (
@@ -215,7 +223,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _instance_dot(inst, report, loop),
         )
     if args.command == "vk-instance":
-        dec = parse_decomposition(doc)
+        dec = parse_decomposition(_load(args.input))
         inst, translations = decomposition_to_instance(dec, tie)
         # The JSON payload prints every translation, so it builds them all.
         return (
@@ -237,7 +245,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _decomposition_dot(dec),
         )
     if args.command == "certify":
-        dec = parse_decomposition(doc)
+        dec = parse_decomposition(_load(args.input))
         cert = detect_z_retract(dec, tie)
         if cert is None:
             return (
@@ -251,7 +259,7 @@ def _run(args) -> tuple[_Thunk, _Thunk, _Thunk]:
             lambda: _decomposition_dot(dec, cert.loop_in_space),
         )
     if args.command == "pbp-check":
-        sc = parse_scenario(doc)
+        sc = parse_scenario(_load(args.input))
         try:
             dec = pbp_to_decomposition(sc)
         except PbiHolds:
@@ -324,11 +332,17 @@ def _main(argv: Sequence[str] | None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         payload, text, dot = _run(args)
+        if not args.emit_dot:
+            dot = None  # frees what only the rendering reads before serializing
         out = _encodable(canonical_json(payload()) if args.output == "json" else text(), sys.stdout)
         if args.emit_dot:
             dot_text = _encodable(dot())
             with open(args.emit_dot, "w", encoding="utf-8") as fh:
                 fh.write(dot_text)
+        # Two writes, so the output is never copied to append its newline.
+        sys.stdout.write(out)
+        sys.stdout.write("\n")
+        sys.stdout.flush()
     except SchemaError as exc:
         print(f"SchemaError: {exc}", file=sys.stderr)
         return 1
@@ -344,7 +358,6 @@ def _main(argv: Sequence[str] | None) -> int:
     except DomainError as exc:
         print(f"{exc.code}: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(out + "\n")
     return 0
 
 

@@ -313,11 +313,12 @@ class Forest:
     @cached_property
     def _nav(self) -> tuple[list[int], list[int], list[int]]:
         # Per-vertex navigation, indexed like ``host.vertices``: the parent
-        # vertex, the signed edge code (sign * (edge index + 1)) of the step
-        # to the parent, and the depth, 0 at a root.  Depth -1 marks a
-        # vertex no search has reached yet (see ``_reach``).
+        # vertex (a root its own), the signed edge code (sign * (edge index
+        # + 1)) of the step to the parent, and the depth, 0 at a root.
+        # Depth -1 marks a vertex no search has reached yet, whose other
+        # entries are 0 until ``_reach`` sets them.
         n = self.host.v_count
-        return list(range(n)), [0] * n, [-1] * n
+        return [0] * n, [0] * n, [-1] * n
 
     @cached_property
     def _adj(self) -> list:
@@ -343,6 +344,7 @@ class Forest:
             search = searches.get(self._labels[x])
             if search is None:
                 depth[x] = 0
+                parent[x] = x
                 queue = [x]
                 searches[self._labels[x]] = queue, iter(queue)
                 continue

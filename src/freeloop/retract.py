@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import groupby
 
 from .errors import (
+    BadId,
     DuplicateId,
     EmptyObjectSet,
     HostMismatch,
@@ -79,11 +80,15 @@ class PushoutInstance:
             raise VertexSetMismatch("graph_a's vertex set is not the object set")
         if list(graph_b.vertices) != objs:
             raise VertexSetMismatch("graph_b's vertex set is not the object set")
+        if c_loops is None:
+            c_loops = {}
+        elif not isinstance(c_loops, Mapping):
+            raise BadId(f"c_loops must map object ids to loop ids, got {type(c_loops).__name__}")
         loops: list[tuple[str, tuple[str, ...]]] = []
         owner: dict[str, str] = {}
         previous = None
-        for v in sorted((c_loops or {}), key=as_id):
-            ids = sorted(as_ids((c_loops or {})[v]))
+        for v in sorted(c_loops, key=as_id):
+            ids = sorted(as_ids(c_loops[v]))
             v = as_id(v)
             # Sorted by id, so keys that coerce to one id (1, "1") are adjacent.
             if v == previous:

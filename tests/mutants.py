@@ -45,6 +45,7 @@ WORDS = "src/freeloop/words.py"
 RETRACT = "src/freeloop/retract.py"
 VANKAMPEN = "src/freeloop/vankampen.py"
 JSONIO = "src/freeloop/jsonio.py"
+CLI = "src/freeloop/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -96,13 +97,22 @@ MUTANTS = (
         "search-rooted-at-smallest-vertex",
         GRAPHS,
         "                depth[x] = 0\n"
+        "                parent[x] = x\n"
         "                queue = [x]\n"
         "                searches[self._labels[x]] = queue, iter(queue)\n"
         "                continue\n",
         "                root = self._labels[x]\n"
         "                depth[root] = 0\n"
+        "                parent[root] = root\n"
         "                queue = [root]\n"
         "                search = searches[root] = queue, iter(queue)\n",
+        ("tests/test_graphs.py",),
+    ),
+    Mutant(
+        "search-root-parent-left-zero",
+        GRAPHS,
+        "                parent[x] = x\n",
+        "",
         ("tests/test_graphs.py",),
     ),
     Mutant(
@@ -224,6 +234,13 @@ MUTANTS = (
         "        k = n_c - n_a - n_b + 1\n",
         "        k = n_c - n_a - n_b + 2\n",
         ("tests/test_retract.py",),
+    ),
+    Mutant(
+        "c-loops-read-unchecked",
+        RETRACT,
+        "        elif not isinstance(c_loops, Mapping):\n",
+        "        elif False:\n",
+        ("tests/test_graph_boundary.py",),
     ),
     # -- vankampen -----------------------------------------------------------
     Mutant(
@@ -440,6 +457,81 @@ MUTANTS = (
         '        put("true")\n',
         '        put("1")\n',
         ("tests/test_jsonio.py",),
+    ),
+    Mutant(
+        "letters-sign-table-swapped",
+        JSONIO,
+        '_SIGNS = ("-1", "1")\n',
+        '_SIGNS = ("1", "-1")\n',
+        ("tests/test_jsonio.py",),
+    ),
+    Mutant(
+        "letters-quote-every-host-id",
+        JSONIO,
+        "for i in set(map(abs, codes))}",
+        "for i in range(1, len(ids) + 1)}",
+        ("tests/test_jsonio.py",),
+    ),
+    # -- cli -------------------------------------------------------------------
+    Mutant(
+        "run-keeps-the-document",
+        CLI,
+        "        sc = parse_scenario(_load(args.input))\n",
+        "        sc = parse_scenario(doc := _load(args.input))\n",
+        ("tests/test_cli.py::test_parsed_documents_are_freed_before_the_engine_runs",),
+    ),
+    Mutant(
+        "dot-thunk-kept-while-serializing",
+        CLI,
+        "            dot = None  # frees what only the rendering reads before serializing\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_the_decomposition_is_freed_before_serializing_unless_drawn",),
+    ),
+    Mutant(
+        "stdout-written-outside-the-try",
+        CLI,
+        "        sys.stdout.write(out)\n"
+        '        sys.stdout.write("\\n")\n'
+        "        sys.stdout.flush()\n"
+        "    except SchemaError as exc:\n"
+        '        print(f"SchemaError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except _ParseError as exc:\n"
+        '        print(f"ParseError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except UnicodeEncodeError as exc:\n"
+        '        print(f"EncodeError: output is not valid {exc.encoding.upper()}: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except OSError as exc:\n"
+        '        print(f"IOError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except DomainError as exc:\n"
+        '        print(f"{exc.code}: {exc}", file=sys.stderr)\n'
+        "        return 2\n"
+        "    return 0\n",
+        "    except SchemaError as exc:\n"
+        '        print(f"SchemaError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except _ParseError as exc:\n"
+        '        print(f"ParseError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except UnicodeEncodeError as exc:\n"
+        '        print(f"EncodeError: output is not valid {exc.encoding.upper()}: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except OSError as exc:\n"
+        '        print(f"IOError: {exc}", file=sys.stderr)\n'
+        "        return 1\n"
+        "    except DomainError as exc:\n"
+        '        print(f"{exc.code}: {exc}", file=sys.stderr)\n'
+        "        return 2\n"
+        "    sys.stdout.write(out)\n"
+        '    sys.stdout.write("\\n")\n'
+        "    sys.stdout.flush()\n"
+        "    return 0\n",
+        (
+            "tests/test_cli.py::test_a_failed_stdout_write_exits_one_with_one_line",
+            "tests/test_cli.py::test_a_failed_stdout_write_in_process_is_an_io_error",
+        ),
     ),
     # -- dot -------------------------------------------------------------------
     Mutant(

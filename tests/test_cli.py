@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -644,6 +645,116 @@ def test_dot_is_not_built_without_emit_dot(tmp_path, monkeypatch, capsys):
     assert (len(dot_calls), len(union_calls)) == (0, 0)
     _main(capsys, *_dot_case_argv(tmp_path, "retract"), "--emit-dot", str(tmp_path / "g.dot"))
     assert (len(dot_calls), len(union_calls)) == (1, 1)
+
+
+class _Doc(dict):
+    """A parsed document that takes weak references."""
+
+
+# The engine calls of each command, in the names ``cli`` imports them under.
+ENGINES = (
+    "components", "spanning_forest", "build_retract", "decomposition_to_instance",
+    "detect_z_retract", "pbp_to_decomposition",
+)
+
+
+def test_parsed_documents_are_freed_before_the_engine_runs(tmp_path, monkeypatch, capsys):
+    """Every command drops each document it parsed (``rho``'s two) once its
+    input object is built, so no engine call runs with one alive."""
+    docs, checked = [], []
+    real_load = cli._load
+
+    def load(path):
+        doc = _Doc(real_load(path))
+        docs.append(weakref.ref(doc))
+        return doc
+
+    def engine(name, fn):
+        def run(*args, **kwargs):
+            checked.append((name, [ref() is None for ref in docs]))
+            return fn(*args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(cli, "_load", load)
+    for name in ENGINES:
+        monkeypatch.setattr(cli, name, engine(name, getattr(cli, name)))
+    commands = set()
+    for case in DOT_CASES:
+        argv = _dot_case_argv(tmp_path, case)
+        commands.add(argv[0])
+        docs.clear()
+        checked.clear()
+        golden = (GOLDEN_JSON / f"{case}.json").read_text(encoding="utf-8")
+        assert _main(capsys, *argv, "--output", "json")[:2] == (0, golden)
+        assert len(docs) == (2 if argv[0] == "rho" else 1), case
+        assert checked and all(all(freed) for _, freed in checked), (case, checked)
+    assert len(commands) == 9
+
+
+@pytest.mark.parametrize("name", ["vk-instance", "certify", "certify-absent", "pbp-check"])
+def test_the_decomposition_is_freed_before_serializing_unless_drawn(tmp_path, monkeypatch, capsys, name):
+    """Without ``--emit-dot`` the DOT thunk is dropped before the payload
+    is written, and with it the one reference to the ``Decomposition``."""
+    decs, alive = [], []
+    for parse in ("parse_decomposition", "pbp_to_decomposition"):
+        real = getattr(cli, parse)
+
+        def keep(*args, real=real):
+            dec = real(*args)
+            decs.append(weakref.ref(dec))
+            return dec
+
+        monkeypatch.setattr(cli, parse, keep)
+    real_json = cli.canonical_json
+
+    def write(payload):
+        alive.append([ref() is not None for ref in decs])
+        return real_json(payload)
+
+    monkeypatch.setattr(cli, "canonical_json", write)
+    argv = [*_dot_case_argv(tmp_path, name), "--output", "json"]
+    assert _main(capsys, *argv)[0] == 0
+    assert _main(capsys, *argv, "--emit-dot", str(tmp_path / "g.dot"))[0] == 0
+    assert alive == [[False], [False, True]]
+
+
+def test_a_failed_stdout_write_exits_one_with_one_line(tmp_path, scenario_file):
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    big = write_json(tmp_path / "big.json", perfbench_module("inputs").cycle_scenario(random.Random(1), 2000))
+    for argv in (["pbp-check", scenario_file], ["pbp-check", big, "--output", "json"]):
+        with open("/dev/full", "w") as full:
+            out = subprocess.run(
+                [sys.executable, "-X", "dev", "-m", "freeloop", *argv],
+                stdout=full, stderr=subprocess.PIPE, text=True,
+            )
+        assert (out.returncode, out.stderr) == (1, "IOError: [Errno 28] No space left on device\n"), argv
+
+
+class _FailingStream(io.StringIO):
+    """A stdout that refuses every write, or only its flush."""
+
+    def __init__(self, refuse: str):
+        super().__init__()
+        self.refuse = refuse
+
+    def write(self, s):
+        if self.refuse == "write":
+            raise OSError(5, "Input/output error")
+        return super().write(s)
+
+    def flush(self):
+        if self.refuse == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("refuse", ["write", "flush"])
+def test_a_failed_stdout_write_in_process_is_an_io_error(monkeypatch, capsys, scenario_file, refuse):
+    monkeypatch.setattr(sys, "stdout", _FailingStream(refuse))
+    assert cli.main(["pbp-check", scenario_file, "--output", "json"]) == 1
+    message = {"write": "[Errno 5] Input/output error", "flush": "[Errno 28] No space left on device"}
+    assert capsys.readouterr().err == f"IOError: {message[refuse]}\n"
 
 
 @pytest.mark.parametrize("name", sorted(DOT_CASES))

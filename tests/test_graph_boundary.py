@@ -318,6 +318,16 @@ def test_a_non_collection_is_refused_where_ids_belong():
         assert str(raised.value) == f"expected a collection of ids, got {kind}", where
 
 
+@pytest.mark.parametrize("c_loops", [5, ["a"], "ab", ("a", ["l"]), 0, []])
+def test_c_loops_that_are_no_mapping_are_refused(c_loops):
+    """``c_loops`` maps object ids to loop ids; anything else, however it
+    iterates or indexes, is a ``BadId`` that names its type."""
+    g = DirectedGraph(["a", "b"], [("x", "a", "b")])
+    with pytest.raises(BadId) as raised:
+        PushoutInstance(g.vertices, g, g, c_loops)
+    assert str(raised.value) == f"c_loops must map object ids to loop ids, got {type(c_loops).__name__}"
+
+
 ENTRY = "edge #%d must be an (id, source, target) tuple or list,"
 PAIR = "edge %r must map to a (source, target) tuple or list,"
 

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from json.encoder import encode_basestring
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freeloop import jsonio
 from freeloop.errors import InternalInvariant
-from freeloop.jsonio import canonical_json
-
+from freeloop.graphs import DirectedGraph
+from freeloop.jsonio import canonical_json, dump_word
+from freeloop.words import Word
 
 def stdlib(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, ensure_ascii=False)
@@ -165,3 +168,72 @@ def test_writer_rejection_survives_optimize_mode():
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert (out.returncode, out.stderr) == (0, "")
+
+
+# -- a word's letters, written from its codes ---------------------------------
+
+# Edge ids with the characters the quoting escapes, the template's "%" and a
+# character outside the BMP; every edge is a loop at "a", so any code
+# sequence is a chain.
+LETTER_IDS = ['q"', "b\\s", "%", "%s", "\x00\x1f", "\U0001f4a5", "é", "x"]
+LOOPS = DirectedGraph(["a"], [(e, "a", "a") for e in LETTER_IDS])
+CODES = st.lists(st.sampled_from([s * i for i in range(1, len(LETTER_IDS) + 1) for s in (1, -1)]))
+
+
+def _word(codes) -> Word:
+    return Word._trusted(LOOPS, "a", "a", codes)
+
+
+def _plain(w: Word) -> dict:
+    """The word document as the stdlib encoder takes it, one dict a letter."""
+    letters = [{"edge": l.edge, "sign": l.sign} for l in w.letters]
+    return {"source": w.source, "target": w.target, "letters": letters}
+
+
+@pytest.mark.parametrize("codes", [[], [1], [-6], list(range(1, 9)) * 50, [-3, 3, 5, -8] * 125])
+def test_letters_writer_equals_the_stdlib_encoder(codes):
+    w = _word(codes)
+    assert canonical_json(dump_word(w)) == stdlib(_plain(w))
+
+
+@settings(max_examples=200, deadline=None)
+@given(loop=CODES, image=CODES, gens=st.lists(CODES, max_size=4))
+def test_letters_writer_equals_the_stdlib_encoder_at_certificate_depth(loop, image, gens):
+    """Words as ``pbp-check`` and ``certify`` nest them, and as the
+    ``vk-instance`` translations do: the values of a dict of records."""
+    words = [_word(loop), _word(image)] + [_word(codes) for codes in gens]
+
+    def payload(dump):
+        return {
+            "pbi_fails": True,
+            "certificate": {
+                "basepoints": [{"basepoint": "a", "component": ["a"]}],
+                "k": 1,
+                "loop_in_space": dump(words[0]),
+                "retract_image": dump(words[1]),
+            },
+            "translations": {"A": {f"g:{i}": dump(w) for i, w in enumerate(words[2:])}},
+        }
+
+    assert canonical_json(payload(dump_word)) == stdlib(payload(_plain))
+
+
+def test_letters_writer_quotes_only_the_word_ids_once_each(monkeypatch):
+    """A word on a host of 2,000 edges that uses three of them quotes those
+    three, each once, however often and with whichever sign it uses them."""
+    host = DirectedGraph(["a"], [(f"e{i:04d}", "a", "a") for i in range(2000)])
+    quoted = []
+
+    def counting(s):
+        quoted.append(s)
+        return encode_basestring(s)
+
+    monkeypatch.setattr(jsonio, "encode_basestring", counting)
+    w = Word._trusted(host, "a", "a", [5, -5, 1999, 40, 5, -1999] * 100)
+    text = canonical_json(dump_word(w))
+    assert sorted(s for s in quoted if s in host._eindex) == ["e0004", "e0039", "e1998"]
+    assert json.loads(text)["letters"][:3] == [
+        {"edge": "e0004", "sign": 1},
+        {"edge": "e0004", "sign": -1},
+        {"edge": "e1998", "sign": 1},
+    ]
